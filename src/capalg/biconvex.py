@@ -8,11 +8,24 @@ replaces the actions by two level maps p (scaled bottoms) and m (scaled
 tops).
 
 The structure map for a general capacity factors through the two
-one-sided maps: pick any possibility-over-necessity mixture whose
-multiplication is the capacity, push it along the necessity-side map,
-and apply the possibility-side map to the image density.  The value is
-independent of the chosen mixture, and both factorization orders agree;
-the law suites verify this exhaustively at desk scale.
+one-sided maps, along a canonical mixture that needs no search.  Every
+capacity c is the multiplication of the possibility mixture
+c = join over nonempty F of c(F) meet u_F, where the unanimity capacity
+u_F is the necessity capacity with codensity 0 on F and 1 off it
+(Grabisch, Set Functions, Games and Capacities in Decision Making,
+2016).  The necessity-side map sends u_F to the meet of F; collecting
+the weights c(F) on those images gives a density that the
+possibility-side map closes.  Dually, c = meet over nonempty G of
+c(X minus G) join pi_G, where pi_G is the possibility capacity with
+density 1 on G; the possibility-side map sends pi_G to the join of G and
+the necessity-side map closes the collected codensity.  The images of
+u_F and pi_G depend only on the structure and are computed once per
+structure.
+
+The value does not depend on the chosen mixture, and both factorization
+orders agree.  The bounded preimage searches find other mixtures; they
+serve only as an independent oracle for the closed form and for the
+preimage-independence sweeps in the law suites.
 """
 
 from __future__ import annotations
@@ -45,9 +58,17 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 class BiconvexStructure:
-    """Lattice tables plus the two chain actions, all explicit."""
+    """Lattice tables plus the two chain actions, all explicit.
 
-    __slots__ = ("carrier", "chain", "bjoin", "bmeet", "smeet", "sjoin")
+    The full structure maps keep the images of the unanimity capacities
+    (keyed by F) and of the point-set possibility capacities (keyed by G)
+    here, filled in on first use.
+    """
+
+    __slots__ = (
+        "carrier", "chain", "bjoin", "bmeet", "smeet", "sjoin",
+        "_meet_images", "_join_images",
+    )
 
     def __init__(self, carrier, chain, bjoin, bmeet, smeet, sjoin):
         for table, label in ((bjoin, "bjoin"), (bmeet, "bmeet")):
@@ -69,6 +90,8 @@ class BiconvexStructure:
         self.bmeet = dict(bmeet)
         self.smeet = dict(smeet)
         self.sjoin = dict(sjoin)
+        self._meet_images: dict[Subset, str] = {}
+        self._join_images: dict[Subset, str] = {}
 
     def join_all(self, xs) -> str:
         it = iter(xs)
@@ -362,7 +385,8 @@ def union_over_intersection_preimages(
     multiplies to F -> max over n of min(D(n), n(F)); the search scans
     supports by (size, position) and density values lexicographically,
     so the returned list is deterministic.  Stops after ``limit`` hits
-    or ``budget`` candidates.
+    or ``budget`` candidates.  Evaluation never needs it: the mixtures it
+    finds are an independent oracle for the closed-form structure map.
     """
     space, chain = c.carrier, c.chain
     names, assignment, subsets, vectors = _necessity_pool(space, chain)
@@ -442,38 +466,43 @@ def intersection_over_union_preimages(
     return hits
 
 
-_UNION_PREIMAGE_CACHE: dict[tuple, PossibilityCapacity] = {}
-_INTERSECTION_PREIMAGE_CACHE: dict[tuple, NecessityCapacity] = {}
+def _unanimity_image(b: BiconvexStructure, f: Subset) -> str:
+    """Necessity-side image of u_F, the meet of F; once per structure."""
+    got = b._meet_images.get(f)
+    if got is None:
+        u = NecessityCapacity(b.carrier, b.chain, {x: b.chain.zero for x in f})
+        got = b._meet_images[f] = structure_map_necessity(b, u)
+    return got
+
+
+def _point_set_image(b: BiconvexStructure, g: Subset) -> str:
+    """Possibility-side image of pi_G, the join of G; once per structure."""
+    got = b._join_images.get(g)
+    if got is None:
+        pi = PossibilityCapacity(b.carrier, b.chain, {x: b.chain.one for x in g})
+        got = b._join_images[g] = structure_map_possibility(b, pi)
+    return got
 
 
 def structure_map_full(b: BiconvexStructure, c: CapacityLike) -> str:
-    """Value through the union-over-intersection factorization.
+    """Value through the canonical union-over-intersection factorization.
 
-    Finds a possibility mixture of necessity capacities multiplying to
-    c, maps each support capacity through the necessity-side map, and
-    applies the possibility-side map to the resulting density on the
-    carrier.  The mixture depends only on the capacity, so it is cached
-    across structures.
+    c is the multiplication of the possibility mixture with density c(F)
+    on each unanimity capacity u_F.  Each u_F with nonzero weight goes
+    through the necessity-side map, the weights collect into a density
+    on the carrier, and the possibility-side map closes it.  On a lawful
+    structure the result is the join over F of c(F) * meet(F), which is
+    ``sugeno_form``.
     """
     if c.carrier != b.carrier or c.chain != b.chain:
         raise CarrierMismatchError("capacity and structure do not match")
-    cache_key = (b.carrier, b.chain, canonical_key(c))
-    mixture = _UNION_PREIMAGE_CACHE.get(cache_key)
-    if mixture is None:
-        found = union_over_intersection_preimages(c, limit=1)
-        if not found:
-            raise LawViolationError(
-                "no possibility-over-necessity factorization found within budget",
-                witness=canonical_key(c),
-            )
-        mixture = found[0]
-        _UNION_PREIMAGE_CACHE[cache_key] = mixture
-    _, assignment, _, _ = _necessity_pool(b.carrier, b.chain)
-    dens = {x: b.chain.zero for x in b.carrier.elements}
-    for n, w in mixture.density.items():
-        if w == b.chain.zero:
+    zero = b.chain.zero
+    dens = dict.fromkeys(b.carrier.elements, zero)
+    for f in b.carrier.subsets():
+        w = c.value(f)
+        if w == zero:
             continue
-        target = structure_map_necessity(b, assignment[n])
+        target = _unanimity_image(b, f)
         if w > dens[target]:
             dens[target] = w
     return structure_map_possibility(
@@ -482,26 +511,22 @@ def structure_map_full(b: BiconvexStructure, c: CapacityLike) -> str:
 
 
 def structure_map_full_dual(b: BiconvexStructure, c: CapacityLike) -> str:
-    """Value through the intersection-over-union factorization."""
+    """Value through the canonical intersection-over-union factorization.
+
+    c is the multiplication of the necessity mixture with codensity
+    c(X minus G) on each possibility capacity pi_G; the mirror of
+    ``structure_map_full``.
+    """
     if c.carrier != b.carrier or c.chain != b.chain:
         raise CarrierMismatchError("capacity and structure do not match")
-    cache_key = (b.carrier, b.chain, canonical_key(c))
-    mixture = _INTERSECTION_PREIMAGE_CACHE.get(cache_key)
-    if mixture is None:
-        found = intersection_over_union_preimages(c, limit=1)
-        if not found:
-            raise LawViolationError(
-                "no necessity-over-possibility factorization found within budget",
-                witness=canonical_key(c),
-            )
-        mixture = found[0]
-        _INTERSECTION_PREIMAGE_CACHE[cache_key] = mixture
-    _, assignment, _, _ = _possibility_pool(b.carrier, b.chain)
-    cod = {x: b.chain.one for x in b.carrier.elements}
-    for p, w in mixture.codensity.items():
-        if w == b.chain.one:
+    one = b.chain.one
+    universe = b.carrier.universe
+    cod = dict.fromkeys(b.carrier.elements, one)
+    for g in b.carrier.subsets():
+        w = c.value(universe - g)
+        if w == one:
             continue
-        target = structure_map_possibility(b, assignment[p])
+        target = _point_set_image(b, g)
         if w < cod[target]:
             cod[target] = w
     return structure_map_necessity(
@@ -520,7 +545,12 @@ def sugeno_form(b: BiconvexStructure, c: CapacityLike) -> str:
 
 
 class CapacityStructureMap:
-    """Assigns an element to every capacity: a table or a backing structure."""
+    """Assigns an element to every capacity: a table or a backing structure.
+
+    A backing structure is evaluated in closed form through the canonical
+    unanimity factorization (``structure_map_full``); values are kept per
+    capacity.
+    """
 
     __slots__ = ("carrier", "chain", "_table", "_structure", "_cache")
 

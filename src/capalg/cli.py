@@ -302,7 +302,7 @@ def _run_full_xi(cfg: RunConfig):
     table = {}
     agreements = 0
     for c in capacity_space(b.carrier, b.chain)[1].values():
-        wit = _cap_witness(c)
+        wit = lambda c=c: _cap_witness(c)
         try:
             value = xi(c)
             table[canonical_key(c)] = value
@@ -327,7 +327,7 @@ def _run_full_xi(cfg: RunConfig):
             if sugeno_form(b, c) == value:
                 agreements += 1
         except LawViolationError as exc:
-            rep.check("factorization", False, f"{wit}: {exc}")
+            rep.check("factorization", False, f"{wit()}: {exc}")
     for x in b.carrier.elements:
         rep.check(
             "algebra-unit-law",

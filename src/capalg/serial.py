@@ -52,17 +52,40 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _header(space: FiniteSpace, chain: Chain) -> dict:
-    _check_names(space)
+def _header(space: FiniteSpace, chain: Chain, joins_names: bool = True) -> dict:
+    """Chain and carrier fields; names are checked when keys will join them."""
+    if joins_names:
+        _check_names(space)
     return {"chain_k": chain.k, "elements": list(space.elements)}
 
 
+def _object(obj, what: str) -> Mapping:
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _table(obj: Mapping, key: str) -> Mapping:
+    """The JSON object stored under ``key``."""
+    if key not in obj:
+        raise ValidationError(f"structure JSON needs an object under {key!r}")
+    return _object(obj[key], repr(key))
+
+
+def _list(obj: Mapping, key: str) -> list:
+    if key not in obj:
+        raise ValidationError(f"JSON needs a list under {key!r}")
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _space_chain_from(obj: Mapping) -> tuple[FiniteSpace, Chain]:
-    if "elements" not in obj:
-        raise ValidationError("structure JSON needs an 'elements' list")
+    _object(obj, "structure JSON")
     if "chain_k" not in obj:
         raise ValidationError("structure JSON needs a 'chain_k' field")
-    return FiniteSpace(obj["elements"]), make_chain(obj["chain_k"])
+    return FiniteSpace(_list(obj, "elements")), make_chain(obj["chain_k"])
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -70,9 +93,7 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(obj: Mapping) -> FiniteSpace:
-    if "elements" not in obj:
-        raise ValidationError("space JSON needs an 'elements' list")
-    return FiniteSpace(obj["elements"])
+    return FiniteSpace(_list(_object(obj, "space JSON"), "elements"))
 
 
 def subset_to_key(space: FiniteSpace, s: Subset) -> str:
@@ -98,7 +119,7 @@ def hyperspace_to_json(hs: InclusionHyperspace) -> dict:
 
 def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
     space = space_from_json(obj)
-    return InclusionHyperspace(space, [space.subset(m) for m in obj["min_sets"]])
+    return InclusionHyperspace(space, [space.subset(m) for m in _list(obj, "min_sets")])
 
 
 def capacity_to_json(c: CapacityLike) -> dict:
@@ -122,15 +143,15 @@ def capacity_to_json(c: CapacityLike) -> dict:
 def capacity_from_json(obj: Mapping) -> CapacityLike:
     space, chain = _space_chain_from(obj)
     if "density" in obj:
-        dens = {x: level_from_string(chain, v) for x, v in obj["density"].items()}
+        dens = {x: level_from_string(chain, v) for x, v in _table(obj, "density").items()}
         return PossibilityCapacity(space, chain, dens)
     if "codensity" in obj:
-        cod = {x: level_from_string(chain, v) for x, v in obj["codensity"].items()}
+        cod = {x: level_from_string(chain, v) for x, v in _table(obj, "codensity").items()}
         return NecessityCapacity(space, chain, cod)
     if "values" in obj:
         table = {
             subset_from_key(space, key): level_from_string(chain, v)
-            for key, v in obj["values"].items()
+            for key, v in _table(obj, "values").items()
         }
         return Capacity(space, chain, table)
     raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
@@ -163,7 +184,7 @@ def convex_to_json(s: ConvexStructure) -> dict:
 
 def convex_from_json(obj: Mapping) -> ConvexStructure:
     space, chain = _space_chain_from(obj)
-    return ConvexStructure(space, chain, _ic_table_from_json(chain, obj["ic"]))
+    return ConvexStructure(space, chain, _ic_table_from_json(chain, _table(obj, "ic")))
 
 
 def dual_convex_to_json(s: DualConvexStructure) -> dict:
@@ -174,7 +195,7 @@ def dual_convex_to_json(s: DualConvexStructure) -> dict:
 
 def dual_convex_from_json(obj: Mapping) -> DualConvexStructure:
     space, chain = _space_chain_from(obj)
-    return DualConvexStructure(space, chain, _ic_table_from_json(chain, obj["ci"]))
+    return DualConvexStructure(space, chain, _ic_table_from_json(chain, _table(obj, "ci")))
 
 
 def union_map_to_json(xi: UnionStructureMap) -> dict:
@@ -189,7 +210,7 @@ def union_map_to_json(xi: UnionStructureMap) -> dict:
 def union_map_from_json(obj: Mapping) -> UnionStructureMap:
     space, chain = _space_chain_from(obj)
     table = {}
-    for key, val in obj["xi"].items():
+    for key, val in _table(obj, "xi").items():
         parts = key.split(",")
         if len(parts) != len(space):
             raise ValidationError(f"density key {key!r} has the wrong arity")
@@ -211,11 +232,11 @@ def semimodule_to_json(m: Semimodule) -> dict:
 def semimodule_from_json(obj: Mapping) -> Semimodule:
     space, chain = _space_chain_from(obj)
     add = {}
-    for key, z in obj["add"].items():
+    for key, z in _table(obj, "add").items():
         x, y = key.split("|")
         add[(x, y)] = z
     scale = {}
-    for key, z in obj["scale"].items():
+    for key, z in _table(obj, "scale").items():
         a, x = key.split("|")
         scale[(level_from_string(chain, a), x)] = z
     return Semimodule(space, chain, add, scale, obj["zero"])
@@ -266,10 +287,10 @@ def biconvex_from_json(obj: Mapping) -> BiconvexStructure:
     return BiconvexStructure(
         space,
         chain,
-        _pair_table_from_json(obj["bjoin"]),
-        _pair_table_from_json(obj["bmeet"]),
-        _action_table_from_json(chain, obj["smeet"]),
-        _action_table_from_json(chain, obj["sjoin"]),
+        _pair_table_from_json(_table(obj, "bjoin")),
+        _pair_table_from_json(_table(obj, "bmeet")),
+        _action_table_from_json(chain, _table(obj, "smeet")),
+        _action_table_from_json(chain, _table(obj, "sjoin")),
     )
 
 
@@ -284,13 +305,13 @@ def triple_to_json(t: TripleStructure) -> dict:
 
 def triple_from_json(obj: Mapping) -> TripleStructure:
     space, chain = _space_chain_from(obj)
-    p = {level_from_string(chain, a): x for a, x in obj["p"].items()}
-    m = {level_from_string(chain, a): x for a, x in obj["m"].items()}
+    p = {level_from_string(chain, a): x for a, x in _table(obj, "p").items()}
+    m = {level_from_string(chain, a): x for a, x in _table(obj, "m").items()}
     return TripleStructure(
         space,
         chain,
-        _pair_table_from_json(obj["bjoin"]),
-        _pair_table_from_json(obj["bmeet"]),
+        _pair_table_from_json(_table(obj, "bjoin")),
+        _pair_table_from_json(_table(obj, "bmeet")),
         p,
         m,
     )
@@ -312,14 +333,15 @@ def cube_to_json(cube: CubeStructure) -> dict:
 
 
 def cube_from_json(obj: Mapping) -> CubeStructure:
+    _object(obj, "cube JSON")
     if "chain_k" not in obj:
         raise ValidationError("cube JSON needs a 'chain_k' field")
     chain = make_chain(obj["chain_k"])
     phis = []
-    for raw in obj["phi"]:
+    for raw in _list(obj, "phi"):
         phis.append({
             level_from_string(chain, a): level_from_string(chain, v)
-            for a, v in raw.items()
+            for a, v in _object(raw, "a phi entry").items()
         })
     if "A" in obj and obj["A"] != len(phis):
         raise ValidationError("cube arity does not match the phi list")
@@ -328,7 +350,7 @@ def cube_from_json(obj: Mapping) -> CubeStructure:
 
 def full_map_to_json(xi: CapacityStructureMap, table: Mapping[tuple, str]) -> dict:
     """Tabulated full structure map; keys are capacity value vectors."""
-    out = _header(xi.carrier, xi.chain)
+    out = _header(xi.carrier, xi.chain, joins_names=False)
     out["xi_full"] = {
         ",".join(str(v) for v in key): val for key, val in sorted(table.items())
     }
@@ -338,7 +360,7 @@ def full_map_to_json(xi: CapacityStructureMap, table: Mapping[tuple, str]) -> di
 def full_map_from_json(obj: Mapping) -> CapacityStructureMap:
     space, chain = _space_chain_from(obj)
     table = {}
-    for key, val in obj["xi_full"].items():
+    for key, val in _table(obj, "xi_full").items():
         table[tuple(Fraction(p) for p in key.split(","))] = val
     return CapacityStructureMap.from_table(space, chain, table)
 
@@ -367,6 +389,7 @@ def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
 
 def structure_from_json(obj: Mapping):
     """Dispatch on the table keys present; used by the CLI loaders."""
+    _object(obj, "structure JSON")
     if "ic" in obj:
         return convex_from_json(obj)
     if "ci" in obj:

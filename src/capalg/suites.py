@@ -884,7 +884,8 @@ def full_map_suite(
     seed: int = 0,
 ) -> SuiteReport:
     """Triple/quadruple round trips, closed-form agreement, the two
-    factorization routes, preimage independence, restriction coherence,
+    factorization routes, the closed form against mixtures found by the
+    preimage searches, preimage independence, restriction coherence,
     and the algebra laws of the full structure map."""
     rep = SuiteReport("biconvex-structure-maps", "mixed")
     structs = biconvex_structures(space, chain)
@@ -959,12 +960,9 @@ def full_map_suite(
         xi = CapacityStructureMap.from_biconvex(b)
         for n, c in caps.items():
             value = xi(c)
+            dual = structure_map_full_dual(b, c)
             wc = lambda c=c: _cap_witness(c)
-            rep.check(
-                "factorizations-agree",
-                value == structure_map_full_dual(b, c),
-                wc,
-            )
+            rep.check("factorizations-agree", value == dual, wc)
             flags = classify(c)
             if flags.is_union:
                 rep.check(
@@ -979,11 +977,23 @@ def full_map_suite(
                     wc,
                 )
             hits = union_hits[n]
+            if hits:
+                rep.check(
+                    "closed-form-matches-search",
+                    value == _xi_via_union_mixture(b, hits[0]),
+                    wc,
+                )
+            hits2 = inter_hits[n]
+            if hits2:
+                rep.check(
+                    "closed-form-matches-search-dual",
+                    dual == _xi_via_intersection_mixture(b, hits2[0]),
+                    wc,
+                )
             if len(hits) >= 2:
                 routed = {_xi_via_union_mixture(b, mix) for mix in hits}
                 rep.check("preimage-independence", len(routed) == 1, wc)
                 rep.bump("multiple-union-preimages")
-            hits2 = inter_hits[n]
             if len(hits2) >= 2:
                 routed = {_xi_via_intersection_mixture(b, mix) for mix in hits2}
                 rep.check(
@@ -1048,18 +1058,32 @@ def full_map_suite(
 
 def sugeno_suite(chain: Chain, max_size: int = 2, with_chain_model: bool = True) -> SuiteReport:
     """Compare the factored structure map against the direct join of
-    weighted meets on every capacity; both outcomes are recorded."""
+    weighted meets on every capacity; both outcomes are recorded.
+
+    The factored side routes each capacity through a mixture found by
+    the preimage search, not through the closed form, so the comparison
+    joins two independent computations.
+    """
     rep = SuiteReport("sugeno-crosscheck")
     targets = [b for sp in desk_spaces(max_size) for b in biconvex_structures(sp, chain)]
     if with_chain_model:
         targets.append(chain_model(chain))
     agreements = 0
     first_diff = None
+    mixtures: dict[FiniteSpace, dict] = {}  # the search depends only on the capacity
     for b in targets:
-        xi = CapacityStructureMap.from_biconvex(b)
-        for c in _capacity_pool(b.carrier, chain)[1].values():
+        caps = _capacity_pool(b.carrier, chain)[1]
+        if b.carrier not in mixtures:
+            mixtures[b.carrier] = {
+                n: union_over_intersection_preimages(c) for n, c in caps.items()
+            }
+        for n, c in caps.items():
+            found = mixtures[b.carrier][n]
+            if not found:
+                rep.bump("search-budget-exhausted")
+                continue
             rep.cases += 1
-            factored = xi(c)
+            factored = _xi_via_union_mixture(b, found[0])
             direct = sugeno_form(b, c)
             if factored == direct:
                 agreements += 1

@@ -46,6 +46,7 @@ from capalg.biconvex import (
     _necessity_pool,
     _possibility_pool,
 )
+from capalg.suites import _xi_via_intersection_mixture, _xi_via_union_mixture
 
 K1 = Chain(1)
 K2 = Chain(2)
@@ -215,6 +216,27 @@ def test_full_map_restricts_to_the_one_sided_maps():
                 assert structure_map_full(b, c) == structure_map_necessity(
                     b, as_necessity(c)
                 )
+
+
+def test_closed_form_matches_the_search_routes():
+    """The canonical factorization against mixtures found by brute-force search."""
+    targets = list(structures(X3, K2)) + [chain_model(K2), diamond_structure(K1)]
+    searched = {}
+    for b in targets:
+        caps = list(enumerate_capacities(b.carrier, b.chain))
+        if b.carrier not in searched:
+            searched[b.carrier] = [
+                (
+                    union_over_intersection_preimages(c)[0],
+                    intersection_over_union_preimages(c)[0],
+                )
+                for c in caps
+            ]
+        for c, (mixture, dual_mixture) in zip(caps, searched[b.carrier]):
+            assert structure_map_full(b, c) == _xi_via_union_mixture(b, mixture)
+            assert structure_map_full_dual(b, c) == _xi_via_intersection_mixture(
+                b, dual_mixture
+            )
 
 
 def test_preimage_searches_invert_multiplication():

@@ -8,15 +8,22 @@ import pytest
 from capalg.chain import Chain
 from capalg.cli import main
 from capalg.convexity import ConvexStructure
-from capalg.biconvex import chain_model, diamond_structure, triple_from_biconvex
+from capalg.biconvex import (
+    chain_model,
+    cube_structure,
+    diamond_structure,
+    triple_from_biconvex,
+)
 from capalg.serial import (
     biconvex_to_json,
     convex_to_json,
+    cube_to_json,
     dumps_canonical,
     triple_to_json,
 )
 from capalg.spaces import FiniteSpace
 
+K1 = Chain(1)
 K2 = Chain(2)
 
 
@@ -108,6 +115,20 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_string_elements_are_rejected_not_split(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text('{"elements": "ab"}')
+    assert main(["monad-laws", "--space", str(space), "--samples", "5"]) == 2
+    assert "elements" in capsys.readouterr().err
+
+
+def test_non_object_table_exits_two(tmp_path, capsys):
+    path = tmp_path / "convex.json"
+    path.write_text('{"chain_k": 2, "elements": ["a", "b"], "ic": []}')
+    assert main(["algebra-laws", "--structure", str(path)]) == 2
+    assert "'ic'" in capsys.readouterr().err
+
+
 def test_bad_flag_values_exit_two():
     assert main(["monad-laws", "--chain", "0"]) == 2
     assert main(["monad-laws", "--samples", "0"]) == 2
@@ -151,6 +172,20 @@ def test_full_xi_writes_the_tabulated_map(biconvex_file, tmp_path):
     assert len(table) == 129  # capacities on three points at half resolution
     values = set(table.values())
     assert values <= {"0", "1/2", "1"}
+
+
+def test_full_xi_runs_on_cube_element_names(tmp_path):
+    identity = {a: a for a in K1.levels}
+    path = tmp_path / "cube.json"
+    path.write_text(dumps_canonical(cube_to_json(cube_structure(K1, [identity, identity]))))
+    out = tmp_path / "full.json"
+    code = main(["full-xi", "--structure", str(path), "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    assert report["xi_full"]["elements"] == ["0,0", "0,1", "1,0", "1,1"]
+    # nonconstant monotone Boolean functions on four points
+    assert len(report["xi_full"]["xi_full"]) == 166
 
 
 def test_enumerate_emits_class_forms(tmp_path):
