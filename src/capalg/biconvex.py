@@ -761,41 +761,76 @@ class EmbeddingSearchResult:
 
 
 def _coordinate_candidates(b: BiconvexStructure) -> list[tuple[dict, dict]]:
-    """All (phi, g) pairs making g a single cube coordinate; lex ordered."""
+    """All (phi, g) pairs making g a single cube coordinate; lex ordered.
+
+    phi runs over the monotone level maps fixing 0 and 1, and g over the
+    maps X -> chain that satisfy every cell of the four tables:
+    g(x bjoin y) = max(g x, g y), g(x bmeet y) = min(g x, g y),
+    g(a smeet x) = min(phi a, g x) and g(a sjoin x) = max(phi a, g x).
+
+    g is built by backtracking: carrier positions are assigned in order,
+    each with the levels from the bottom up, so complete maps are reached
+    in itertools.product order.  Each equation reads g at most at three
+    positions and is checked right after the last of them is assigned; a
+    partial map that fails it is not extended.  A map passing every
+    equation is reached, since each of its prefixes passes the equations
+    it fixes, and a map failing one is not, so the result is exactly that
+    of a scan over all (k+1)^|X| maps.  Nothing here assumes the tables
+    are lawful.  On lawful tables most prefixes fail early: g preserves
+    joins and meets iff every threshold set {x : g x >= j} is a prime
+    filter (Davey and Priestley, Introduction to Lattices and Order), so
+    on an arity-2 cube at k=3 the search extends about a hundred partial
+    maps per phi, where a scan would test 4^16 complete ones.
+    """
     chain = b.chain
     X = b.carrier.elements
-    interior = chain.levels[1:-1]
+    pos = b.carrier.index
+    levels = chain.levels
+    interior = levels[1:-1]
+    n = len(X)
+    # equations keyed by the carrier position where their last cell is
+    # assigned; cells are carrier positions and g values level indices
+    lattice = [[] for _ in X]
+    action = [[] for _ in X]
+    for x, y in itertools.product(X, repeat=2):
+        for table, op in ((b.bjoin, max), (b.bmeet, min)):
+            cells = (pos[table[(x, y)]], pos[x], pos[y])
+            lattice[max(cells)].append((op, *cells))
+    for ai, a in enumerate(levels):
+        for x in X:
+            for table, op in ((b.smeet, min), (b.sjoin, max)):
+                cells = (pos[table[(a, x)]], pos[x])
+                action[max(cells)].append((op, cells[0], ai, cells[1]))
     out = []
-    for phi_vals in itertools.product(chain.levels, repeat=len(interior)):
+    for phi_vals in itertools.product(levels, repeat=len(interior)):
         phi = {chain.zero: chain.zero, chain.one: chain.one}
         for a, v in zip(interior, phi_vals):
             phi[a] = v
-        ordered = [phi[a] for a in chain.levels]
+        ordered = [phi[a] for a in levels]
         if any(u > v for u, v in zip(ordered, ordered[1:])):
             continue
-        for g_vals in itertools.product(chain.levels, repeat=len(X)):
-            g = dict(zip(X, g_vals))
-            ok = True
-            for x, y in itertools.product(X, repeat=2):
-                if g[b.bjoin[(x, y)]] != max(g[x], g[y]):
-                    ok = False
-                    break
-                if g[b.bmeet[(x, y)]] != min(g[x], g[y]):
-                    ok = False
-                    break
-            if ok:
-                for a in chain.levels:
-                    for x in X:
-                        if g[b.smeet[(a, x)]] != min(phi[a], g[x]):
-                            ok = False
-                            break
-                        if g[b.sjoin[(a, x)]] != max(phi[a], g[x]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                out.append((phi, g))
+        weight = [lv.index for lv in ordered]
+        g = [0] * n
+
+        def holds(p: int) -> bool:
+            for op, z, x, y in lattice[p]:
+                if g[z] != op(g[x], g[y]):
+                    return False
+            for op, z, a, x in action[p]:
+                if g[z] != op(weight[a], g[x]):
+                    return False
+            return True
+
+        def extend(p: int) -> None:
+            if p == n:
+                out.append((phi, dict(zip(X, (levels[v] for v in g)))))
+                return
+            for v in range(len(levels)):
+                g[p] = v
+                if holds(p):
+                    extend(p + 1)
+
+        extend(0)
     return out
 
 
@@ -803,10 +838,12 @@ def embedding_search(b: BiconvexStructure, max_arity: int = 2) -> EmbeddingSearc
     """Bounded search for an operation-preserving injection into a cube.
 
     Coordinates are (phi, g) pairs where g turns joins, meets, and both
-    actions into their coordinatewise forms; the search scans candidate
-    tuples of up to max_arity coordinates in lexicographic order and
-    returns the first whose combined map is injective.  A negative
-    result only certifies exhaustion up to max_arity.
+    actions into their coordinatewise forms.  _coordinate_candidates
+    lists all of them, in lexicographic order, by backtracking over g;
+    the list is exact on any tables, lawful or not.  The search scans
+    candidate tuples of up to max_arity coordinates in lexicographic
+    order and returns the first whose combined map is injective.  A
+    negative result only certifies exhaustion up to max_arity.
     """
     candidates = _coordinate_candidates(b)
     X = b.carrier.elements

@@ -367,10 +367,9 @@ def _run_enumerate(cfg: RunConfig):
     rep = SuiteReport("enumerate-capacities")
     rep.cases = len(caps)
     rep.counts["count"] = len(caps)
-    unions = sum(1 for c in caps if classify(c).is_union)
-    inters = sum(1 for c in caps if classify(c).is_intersection)
-    rep.counts["union"] = unions
-    rep.counts["intersection"] = inters
+    flags = [classify(c) for c in caps]
+    rep.counts["union"] = sum(f.is_union for f in flags)
+    rep.counts["intersection"] = sum(f.is_intersection for f in flags)
     items = [capacity_to_json(c) for c in caps]
     return [rep], {"items": items}
 

@@ -1,9 +1,12 @@
 """Biconvex structures, triple presentation, full structure maps, cubes."""
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
@@ -43,10 +46,11 @@ from capalg.biconvex import (
     sugeno_form,
     triple_from_biconvex,
     union_over_intersection_preimages,
+    _coordinate_candidates,
     _necessity_pool,
     _possibility_pool,
 )
-from capalg.suites import _xi_via_intersection_mixture, _xi_via_union_mixture
+from capalg.suites import _all_phis, _xi_via_intersection_mixture, _xi_via_union_mixture
 
 K1 = Chain(1)
 K2 = Chain(2)
@@ -359,6 +363,124 @@ def test_embedding_search_certifies_every_cube_instance():
         cube = cube_structure(K2, list(phi_pair))
         res = embedding_search(cube.structure, max_arity=2)
         assert res.found and res.arity <= 2
+
+
+def test_embedding_search_certifies_every_k3_square_cube():
+    k3 = Chain(3)
+    pairs = list(itertools.combinations_with_replacement(_all_phis(k3), 2))
+    assert len(pairs) == 55
+    for phi_pair in pairs:
+        res = embedding_search(cube_structure(k3, list(phi_pair)).structure, max_arity=2)
+        assert res.found and res.arity <= 2
+
+
+def brute_force_coordinate_candidates(b):
+    """Independent oracle: test every map X -> chain against every equation."""
+    chain = b.chain
+    X = b.carrier.elements
+    interior = chain.levels[1:-1]
+    out = []
+    for phi_vals in itertools.product(chain.levels, repeat=len(interior)):
+        phi = {chain.zero: chain.zero, chain.one: chain.one}
+        for a, v in zip(interior, phi_vals):
+            phi[a] = v
+        ordered = [phi[a] for a in chain.levels]
+        if any(u > v for u, v in zip(ordered, ordered[1:])):
+            continue
+        for g_vals in itertools.product(chain.levels, repeat=len(X)):
+            g = dict(zip(X, g_vals))
+            ok = True
+            for x, y in itertools.product(X, repeat=2):
+                if g[b.bjoin[(x, y)]] != max(g[x], g[y]):
+                    ok = False
+                    break
+                if g[b.bmeet[(x, y)]] != min(g[x], g[y]):
+                    ok = False
+                    break
+            if ok:
+                for a in chain.levels:
+                    for x in X:
+                        if g[b.smeet[(a, x)]] != min(phi[a], g[x]):
+                            ok = False
+                            break
+                        if g[b.sjoin[(a, x)]] != max(phi[a], g[x]):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok:
+                out.append((phi, g))
+    return out
+
+
+def assert_same_candidates(b):
+    got = _coordinate_candidates(b)
+    want = brute_force_coordinate_candidates(b)
+    # same pairs in the same order, down to the key order of each g
+    assert got == want
+    assert [list(g.items()) for _, g in got] == [list(g.items()) for _, g in want]
+
+
+def test_coordinate_candidates_match_brute_force_on_named_models():
+    for k in (1, 2):
+        assert_same_candidates(chain_model(Chain(k)))
+        assert_same_candidates(diamond_structure(Chain(k)))
+    for k in (1, 2, 3):
+        for phi in _all_phis(Chain(k)):
+            assert_same_candidates(cube_structure(Chain(k), [phi]).structure)
+
+
+def test_coordinate_candidates_match_brute_force_on_a_square_cube():
+    collapse = {K2.zero: K2.zero, K2.level("1/2"): K2.one, K2.one: K2.one}
+    identity = {a: a for a in K2.levels}
+    assert_same_candidates(cube_structure(K2, [identity, collapse]).structure)
+
+
+def moved_cell(b, label, rng):
+    """b with one cell of one table sent to a different element."""
+    tables = {t: dict(getattr(b, t)) for t in ("bjoin", "bmeet", "smeet", "sjoin")}
+    table = tables[label]
+    cell = rng.choice(sorted(table, key=str))
+    table[cell] = rng.choice([x for x in b.carrier.elements if x != table[cell]])
+    return BiconvexStructure(b.carrier, b.chain, **tables)
+
+
+def test_coordinate_candidates_match_brute_force_on_unlawful_tables():
+    rng = random.Random(11)
+    for k in (1, 2):
+        for model in (chain_model(Chain(k)), diamond_structure(Chain(k))):
+            for label in ("bjoin", "bmeet", "smeet", "sjoin"):
+                for _ in range(4):
+                    b = moved_cell(model, label, rng)
+                    assert check_biconvex(b) != []
+                    assert_same_candidates(b)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    strat.integers(min_value=2, max_value=3),
+    strat.integers(min_value=1, max_value=2),
+    strat.data(),
+)
+def test_coordinate_candidates_match_brute_force_on_random_tables(n, k, data):
+    # a lawful chain with weights acting as 0 or 1, then any number of
+    # cells overwritten: from a few corrupted cells to fully random tables
+    space = FiniteSpace(["a", "b", "c"][:n])
+    chain = Chain(k)
+    X = space.elements
+    tables = {
+        "bjoin": {(x, y): max(x, y) for x, y in itertools.product(X, repeat=2)},
+        "bmeet": {(x, y): min(x, y) for x, y in itertools.product(X, repeat=2)},
+        "smeet": {(a, x): x if a == chain.one else X[0] for a in chain.levels for x in X},
+        "sjoin": {(a, x): X[-1] if a == chain.one else x for a in chain.levels for x in X},
+    }
+    cells = [(label, cell) for label, table in tables.items() for cell in table]
+    overwrites = data.draw(strat.lists(
+        strat.tuples(strat.sampled_from(cells), strat.sampled_from(X)), max_size=len(cells),
+    ))
+    for (label, cell), value in overwrites:
+        tables[label][cell] = value
+    assert_same_candidates(BiconvexStructure(space, chain, **tables))
 
 
 def test_collapsing_weight_map_acts_through_its_image():

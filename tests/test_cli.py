@@ -163,6 +163,19 @@ def test_embed_search_miss_is_not_a_failure(tmp_path):
     assert report["embedding"]["found"] is False
 
 
+def test_embed_search_embeds_the_k3_identity_square(tmp_path):
+    k3 = Chain(3)
+    identity = {a: a for a in k3.levels}
+    path = tmp_path / "cube.json"
+    path.write_text(dumps_canonical(cube_to_json(cube_structure(k3, [identity, identity]))))
+    out = tmp_path / "embed.json"
+    code = main(["embed-search", "--structure", str(path), "--max-a", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    counts = report["suites"][0]["counts"]
+    assert counts == {"arity": 2, "found": 1, "lawful-candidates": 20}
+
+
 def test_full_xi_writes_the_tabulated_map(biconvex_file, tmp_path):
     out = tmp_path / "full.json"
     code = main(["full-xi", "--structure", biconvex_file, "--out", str(out)])
