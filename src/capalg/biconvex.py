@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Iterator, Mapping
 
 from .chain import Chain, Level
@@ -47,9 +47,8 @@ from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     canonical_key,
+    capacity_pool,
     enumerate_capacities,
-    necessity_space,
-    possibility_space,
     pushforward,
 )
 from .spaces import FiniteSpace, PointMap, Subset
@@ -299,6 +298,11 @@ def biconvex_from_triple(t: TripleStructure) -> BiconvexStructure:
     return BiconvexStructure(t.carrier, t.chain, t.bjoin, t.bmeet, smeet, sjoin)
 
 
+def _check_match(b: BiconvexStructure, c) -> None:
+    if c.carrier != b.carrier or c.chain != b.chain:
+        raise CarrierMismatchError("capacity and structure do not match")
+
+
 def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> str:
     """Join over points of density(x) * x; checked against the meet-side form.
 
@@ -307,8 +311,7 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
     the distributivity this construction relies on and is raised as a
     law violation with the witness capacity.
     """
-    if c.carrier != b.carrier or c.chain != b.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
+    _check_match(b, c)
     primary = b.join_all(
         b.smeet[(c.density[x], x)] for x in b.carrier.elements
     )
@@ -328,20 +331,16 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
 def structure_map_necessity(b: BiconvexStructure, c: NecessityCapacity) -> str:
     """Meet over points of codensity(x) + x; checked against the join-side form.
 
-    The second form is the join over nonempty subsets F of
-    c(F) * inf(F): each term is a lower bound for every codensity term
+    The second form is ``sugeno_form``, the join over nonempty subsets F
+    of c(F) * inf(F): each term is a lower bound for every codensity term
     (split on whether the point lies in F), and on the distributive
     carriers in scope the bound is attained.
     """
-    if c.carrier != b.carrier or c.chain != b.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
+    _check_match(b, c)
     primary = b.meet_all(
         b.sjoin[(c.codensity[x], x)] for x in b.carrier.elements
     )
-    dual = b.join_all(
-        b.smeet[(c.value(a), b.meet_all(sorted(a, key=b.carrier.index.__getitem__)))]
-        for a in b.carrier.subsets()
-    )
+    dual = sugeno_form(b, c)
     if dual != primary:
         raise LawViolationError(
             f"necessity map forms disagree: {primary} vs {dual}",
@@ -350,27 +349,42 @@ def structure_map_necessity(b: BiconvexStructure, c: NecessityCapacity) -> str:
     return primary
 
 
-@lru_cache(maxsize=None)
-def _necessity_pool(space: FiniteSpace, chain: Chain):
-    """Named necessity capacities with their value vectors over nonempty subsets."""
-    names, assignment = necessity_space(space, chain)
+def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget):
+    """Mixtures over the named capacities of ``kind`` whose multiplication
+    equals c: supports by (size, position), then weight tuples from
+    ``weights`` in lexicographic order, kept when ``outer`` of the tuple is
+    ``pin``.  A mixture multiplies to F -> outer over its names n of
+    inner(weight(n), n(F))."""
+    space, chain = c.carrier, c.chain
+    names, assignment = capacity_pool(space, chain, kind)
     subsets = list(space.subsets())
-    vectors = {
-        n: tuple(assignment[n].value(s).value for s in subsets)
-        for n in names.elements
-    }
-    return names, assignment, subsets, vectors
-
-
-@lru_cache(maxsize=None)
-def _possibility_pool(space: FiniteSpace, chain: Chain):
-    names, assignment = possibility_space(space, chain)
-    subsets = list(space.subsets())
-    vectors = {
-        n: tuple(assignment[n].value(s).value for s in subsets)
-        for n in names.elements
-    }
-    return names, assignment, subsets, vectors
+    target = tuple(c.value(s).value for s in subsets)
+    pool = list(names.elements)
+    vecs = [tuple(assignment[n].value(s).value for s in subsets) for n in pool]
+    hits = []
+    checked = 0
+    nf = len(subsets)
+    for size in range(1, len(pool) + 1):
+        for support in itertools.combinations(range(len(pool)), size):
+            sup_vecs = [vecs[i] for i in support]
+            for values in itertools.product(weights, repeat=size):
+                if outer(values) != pin:
+                    continue
+                checked += 1
+                if checked > budget:
+                    return hits
+                ok = True
+                for fi in range(nf):
+                    best = outer(inner(v, sv[fi]) for v, sv in zip(values, sup_vecs))
+                    if best != target[fi]:
+                        ok = False
+                        break
+                if ok:
+                    dens = {pool[i]: v for i, v in zip(support, values)}
+                    hits.append(mixture(names, chain, dens))
+                    if len(hits) >= limit:
+                        return hits
+    return hits
 
 
 def union_over_intersection_preimages(
@@ -388,37 +402,11 @@ def union_over_intersection_preimages(
     or ``budget`` candidates.  Evaluation never needs it: the mixtures it
     finds are an independent oracle for the closed-form structure map.
     """
-    space, chain = c.carrier, c.chain
-    names, assignment, subsets, vectors = _necessity_pool(space, chain)
-    target = tuple(c.value(s).value for s in subsets)
-    pool = list(names.elements)
-    vecs = [vectors[n] for n in pool]
-    nonzero = [lv.value for lv in chain.levels[1:]]
-    one = chain.one.value
-    hits: list[PossibilityCapacity] = []
-    checked = 0
-    nf = len(subsets)
-    for size in range(1, len(pool) + 1):
-        for support in itertools.combinations(range(len(pool)), size):
-            sup_vecs = [vecs[i] for i in support]
-            for values in itertools.product(nonzero, repeat=size):
-                if max(values) != one:
-                    continue
-                checked += 1
-                if checked > budget:
-                    return hits
-                ok = True
-                for fi in range(nf):
-                    best = max(min(v, sv[fi]) for v, sv in zip(values, sup_vecs))
-                    if best != target[fi]:
-                        ok = False
-                        break
-                if ok:
-                    dens = {pool[i]: v for i, v in zip(support, values)}
-                    hits.append(PossibilityCapacity(names, chain, dens))
-                    if len(hits) >= limit:
-                        return hits
-    return hits
+    levels = c.chain.levels
+    return _mixture_search(
+        c, "intersection", [lv.value for lv in levels[1:]], levels[-1].value,
+        max, min, PossibilityCapacity, limit, budget,
+    )
 
 
 def intersection_over_union_preimages(
@@ -433,37 +421,11 @@ def intersection_over_union_preimages(
     F -> min over p of max(E(p), p(F)); elements with codensity 1 are
     neutral, so the support is the set of names held below 1.
     """
-    space, chain = c.carrier, c.chain
-    names, assignment, subsets, vectors = _possibility_pool(space, chain)
-    target = tuple(c.value(s).value for s in subsets)
-    pool = list(names.elements)
-    vecs = [vectors[n] for n in pool]
-    below_one = [lv.value for lv in chain.levels[:-1]]
-    zero = chain.zero.value
-    hits: list[NecessityCapacity] = []
-    checked = 0
-    nf = len(subsets)
-    for size in range(1, len(pool) + 1):
-        for support in itertools.combinations(range(len(pool)), size):
-            sup_vecs = [vecs[i] for i in support]
-            for values in itertools.product(below_one, repeat=size):
-                if min(values) != zero:
-                    continue
-                checked += 1
-                if checked > budget:
-                    return hits
-                ok = True
-                for fi in range(nf):
-                    best = min(max(v, sv[fi]) for v, sv in zip(values, sup_vecs))
-                    if best != target[fi]:
-                        ok = False
-                        break
-                if ok:
-                    cod = {pool[i]: v for i, v in zip(support, values)}
-                    hits.append(NecessityCapacity(names, chain, cod))
-                    if len(hits) >= limit:
-                        return hits
-    return hits
+    levels = c.chain.levels
+    return _mixture_search(
+        c, "union", [lv.value for lv in levels[:-1]], levels[0].value,
+        min, max, NecessityCapacity, limit, budget,
+    )
 
 
 def _unanimity_image(b: BiconvexStructure, f: Subset) -> str:
@@ -484,6 +446,31 @@ def _point_set_image(b: BiconvexStructure, g: Subset) -> str:
     return got
 
 
+def _mixture_step(b: BiconvexStructure, weighted, image, dual: bool = False) -> str:
+    """One side of a factorization: collect the mixture weights onto the
+    images of their components, then close with the other side's map.
+
+    ``weighted`` yields (component, weight) pairs and ``image`` maps a
+    component to the carrier; images are taken only for non-neutral
+    weights.  The union side skips weight 0, keeps the largest weight per
+    image and closes with the possibility map; the intersection side
+    (``dual``) skips weight 1, keeps the smallest and closes with the
+    necessity map.
+    """
+    chain = b.chain
+    neutral = chain.one if dual else chain.zero
+    acc = dict.fromkeys(b.carrier.elements, neutral)
+    for component, w in weighted:
+        if w == neutral:
+            continue
+        target = image(component)
+        if (w < acc[target]) if dual else (w > acc[target]):
+            acc[target] = w
+    if dual:
+        return structure_map_necessity(b, NecessityCapacity(b.carrier, chain, acc))
+    return structure_map_possibility(b, PossibilityCapacity(b.carrier, chain, acc))
+
+
 def structure_map_full(b: BiconvexStructure, c: CapacityLike) -> str:
     """Value through the canonical union-over-intersection factorization.
 
@@ -494,20 +481,9 @@ def structure_map_full(b: BiconvexStructure, c: CapacityLike) -> str:
     structure the result is the join over F of c(F) * meet(F), which is
     ``sugeno_form``.
     """
-    if c.carrier != b.carrier or c.chain != b.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
-    zero = b.chain.zero
-    dens = dict.fromkeys(b.carrier.elements, zero)
-    for f in b.carrier.subsets():
-        w = c.value(f)
-        if w == zero:
-            continue
-        target = _unanimity_image(b, f)
-        if w > dens[target]:
-            dens[target] = w
-    return structure_map_possibility(
-        b, PossibilityCapacity(b.carrier, b.chain, dens)
-    )
+    _check_match(b, c)
+    weighted = ((f, c.value(f)) for f in b.carrier.subsets())
+    return _mixture_step(b, weighted, partial(_unanimity_image, b))
 
 
 def structure_map_full_dual(b: BiconvexStructure, c: CapacityLike) -> str:
@@ -517,27 +493,15 @@ def structure_map_full_dual(b: BiconvexStructure, c: CapacityLike) -> str:
     c(X minus G) on each possibility capacity pi_G; the mirror of
     ``structure_map_full``.
     """
-    if c.carrier != b.carrier or c.chain != b.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
-    one = b.chain.one
+    _check_match(b, c)
     universe = b.carrier.universe
-    cod = dict.fromkeys(b.carrier.elements, one)
-    for g in b.carrier.subsets():
-        w = c.value(universe - g)
-        if w == one:
-            continue
-        target = _point_set_image(b, g)
-        if w < cod[target]:
-            cod[target] = w
-    return structure_map_necessity(
-        b, NecessityCapacity(b.carrier, b.chain, cod)
-    )
+    weighted = ((g, c.value(universe - g)) for g in b.carrier.subsets())
+    return _mixture_step(b, weighted, partial(_point_set_image, b), dual=True)
 
 
 def sugeno_form(b: BiconvexStructure, c: CapacityLike) -> str:
     """Join over nonempty subsets F of c(F) * meet(F); cross-check only."""
-    if c.carrier != b.carrier or c.chain != b.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
+    _check_match(b, c)
     return b.join_all(
         b.smeet[(c.value(f), b.meet_all(sorted(f, key=b.carrier.index.__getitem__)))]
         for f in b.carrier.subsets()
@@ -659,15 +623,6 @@ def is_full_algebra_morphism(
         if f(xi(c)) != xi2(pushforward(f, c)):
             return False
     return True
-
-
-def morphism_equivalence_full(
-    f: PointMap, xi: CapacityStructureMap, xi2: CapacityStructureMap
-) -> bool:
-    """True when the morphism property and biaffineness agree for f."""
-    morph = is_full_algebra_morphism(f, xi, xi2)
-    biaff = is_biaffine(f, quadruple_from_algebra(xi), quadruple_from_algebra(xi2))
-    return morph == biaff
 
 
 @dataclass

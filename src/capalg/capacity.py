@@ -18,6 +18,7 @@ a such that the outer mass of {inner : inner(F) >= a} is itself >= a.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chain import Chain, Level, complement as level_complement
@@ -34,6 +35,9 @@ _MAX_TABLE_CARRIER = 16
 DEFAULT_MULT_CARRIER_LIMIT = 64
 # default guard for enumeration: (2^|X| - 1) * (k + 1)
 DEFAULT_ENUMERATION_BUDGET = 64
+# capacity_pool entries: a suite works on at most three spaces, each with
+# all three capacity classes
+POOL_SIZE = 9
 
 
 class SetFunction:
@@ -447,49 +451,6 @@ def embed_inclusion_hyperspace(hs: InclusionHyperspace, chain: Chain) -> Capacit
     return Capacity(hs.carrier, chain, table)
 
 
-def _binary_pointwise(a: CapacityLike, b: CapacityLike, op) -> SetFunction:
-    if a.carrier != b.carrier:
-        raise CarrierMismatchError("operands live on different spaces")
-    if a.chain != b.chain:
-        raise ValidationError("operands use different chains")
-    table = {
-        s: op(a.value(s), b.value(s))
-        for s in a.carrier.subsets(include_empty=True)
-    }
-    return SetFunction(a.carrier, a.chain, table)
-
-
-def pointwise_join(a: CapacityLike, b: CapacityLike) -> SetFunction:
-    return _binary_pointwise(a, b, max)
-
-def pointwise_meet(a: CapacityLike, b: CapacityLike) -> SetFunction:
-    return _binary_pointwise(a, b, min)
-
-
-def scale_meet(alpha: Level, c: CapacityLike) -> SetFunction:
-    """Subset-wise min with a constant level."""
-    alpha = c.chain.level(alpha)
-    table = {
-        s: min(alpha, c.value(s))
-        for s in c.carrier.subsets(include_empty=True)
-    }
-    return SetFunction(c.carrier, c.chain, table)
-
-
-def scale_join(alpha: Level, c: CapacityLike) -> SetFunction:
-    """Subset-wise max with a constant level on nonempty subsets.
-
-    The empty set is pinned at 0 so the result stays a set function;
-    every use in the derived formulas meets the result with another
-    capacity, which forces 0 there anyway.
-    """
-    alpha = c.chain.level(alpha)
-    table: dict[Subset, Level] = {frozenset(): c.chain.zero}
-    for s in c.carrier.subsets():
-        table[s] = max(alpha, c.value(s))
-    return SetFunction(c.carrier, c.chain, table)
-
-
 def _check_enumeration_budget(space: FiniteSpace, chain: Chain, budget: int) -> None:
     cost = (2 ** len(space) - 1) * (chain.k + 1)
     if cost > budget:
@@ -572,29 +533,42 @@ def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
     yield from rec(0)
 
 
+_NAME_PREFIX = {"all": "c", "union": "p", "intersection": "n"}
+
+
+def _named(space, chain, kind, budget=DEFAULT_ENUMERATION_BUDGET):
+    caps = list(enumerate_capacities(space, chain, kind, budget))
+    prefix = _NAME_PREFIX[kind]
+    names = FiniteSpace([f"{prefix}{i}" for i in range(len(caps))])
+    return names, {f"{prefix}{i}": c for i, c in enumerate(caps)}
+
+
 def capacity_space(
     space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[FiniteSpace, dict[str, Capacity]]:
     """Name every capacity on the space: c0, c1, ... in enumeration order."""
-    caps = list(enumerate_capacities(space, chain, "all", budget))
-    names = FiniteSpace([f"c{i}" for i in range(len(caps))])
-    return names, {f"c{i}": c for i, c in enumerate(caps)}
+    return _named(space, chain, "all", budget)
 
 
 def possibility_space(
     space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[FiniteSpace, dict[str, PossibilityCapacity]]:
-    caps = list(enumerate_capacities(space, chain, "union", budget))
-    names = FiniteSpace([f"p{i}" for i in range(len(caps))])
-    return names, {f"p{i}": c for i, c in enumerate(caps)}
+    return _named(space, chain, "union", budget)
 
 
 def necessity_space(
     space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[FiniteSpace, dict[str, NecessityCapacity]]:
-    caps = list(enumerate_capacities(space, chain, "intersection", budget))
-    names = FiniteSpace([f"n{i}" for i in range(len(caps))])
-    return names, {f"n{i}": c for i, c in enumerate(caps)}
+    return _named(space, chain, "intersection", budget)
+
+
+@lru_cache(maxsize=POOL_SIZE)
+def capacity_pool(space: FiniteSpace, chain: Chain, kind: str):
+    """Named capacities of one class, as ``capacity_space``,
+    ``possibility_space`` or ``necessity_space`` give them for kind "all",
+    "union" or "intersection"; cached per (space, chain, kind) for the law
+    suites and the preimage searches, so callers must not modify them."""
+    return _named(space, chain, kind)
 
 
 def random_capacity(space: FiniteSpace, chain: Chain, rng) -> Capacity:

@@ -113,9 +113,6 @@ class Chain:
             raise ValidationError(f"{frac} is not a multiple of 1/{self.k} in [0, 1]")
         return got
 
-    def level_at(self, index: int) -> Level:
-        return self.levels[index]
-
 
 def make_chain(k: int) -> Chain:
     return Chain(k)

@@ -24,16 +24,11 @@ from .biconvex import (
     check_biconvex,
     check_triple,
     embedding_search,
-    structure_map_full_dual,
-    structure_map_necessity,
-    structure_map_possibility,
     sugeno_form,
     triple_from_biconvex,
 )
 from .capacity import (
     NecessityCapacity,
-    as_necessity,
-    as_possibility,
     canonical_key,
     capacity_space,
     classify,
@@ -66,8 +61,10 @@ from .serial import (
 )
 from .spaces import FiniteSpace
 from .suites import (
+    CONTINUITY_NOTE,
     SuiteReport,
     capacity_monad_suite,
+    check_full_map_value,
     g_monad_suite,
     _cap_witness,
 )
@@ -144,13 +141,21 @@ def _load_structure(cfg: RunConfig):
     return loaded, chain
 
 
-def _diag_report(name: str, diagnostics: list[str], cases: int) -> SuiteReport:
+def _diagnostics_report(
+    name: str, diagnostics: list[str], note: str | None = None
+) -> SuiteReport:
+    """One finding per diagnostic, keyed by its law prefix, plus one case."""
     rep = SuiteReport(name)
-    rep.cases = cases
     for d in diagnostics:
         rep.check(d.split(":")[0], False, d)
-        rep.cases -= 1
+    rep.cases += 1
+    if note is not None:
+        rep.notes.append(note)
     return rep
+
+
+def _biconvex_report(b: BiconvexStructure) -> SuiteReport:
+    return _diagnostics_report("biconvex-laws", check_biconvex(b), CONTINUITY_NOTE)
 
 
 def _as_biconvex(loaded) -> BiconvexStructure:
@@ -179,43 +184,20 @@ def _run_monad_laws(cfg: RunConfig):
 def _run_algebra_laws(cfg: RunConfig):
     loaded, _ = _load_structure(cfg)
     if isinstance(loaded, ConvexStructure):
-        rep = SuiteReport("combination-axioms")
-        for d in check_ic_axioms(loaded):
-            rep.check(d.split(":")[0], False, d)
-        rep.cases += 1
-        law = SuiteReport("algebra-laws")
-        for d in check_algebra_laws(UnionStructureMap.from_convex(loaded),
-                                    samples=cfg.samples, seed=cfg.seed):
-            law.check(d.split(":")[0], False, d)
-        law.cases += 1
-        return [rep, law], {}
+        axioms = _diagnostics_report("combination-axioms", check_ic_axioms(loaded))
+        laws = check_algebra_laws(UnionStructureMap.from_convex(loaded),
+                                  samples=cfg.samples, seed=cfg.seed)
+        return [axioms, _diagnostics_report("algebra-laws", laws)], {}
     if isinstance(loaded, DualConvexStructure):
-        rep = SuiteReport("dual-combination-axioms")
-        for d in check_ci_axioms(loaded):
-            rep.check(d.split(":")[0], False, d)
-        rep.cases += 1
-        return [rep], {}
+        axioms = check_ci_axioms(loaded)
+        return [_diagnostics_report("dual-combination-axioms", axioms)], {}
     if isinstance(loaded, Semimodule):
-        rep = SuiteReport("semimodule-axioms")
-        for d in check_semimodule_axioms(loaded):
-            rep.check(d.split(":")[0], False, d)
-        rep.cases += 1
-        return [rep], {}
+        axioms = check_semimodule_axioms(loaded)
+        return [_diagnostics_report("semimodule-axioms", axioms)], {}
     if isinstance(loaded, UnionStructureMap):
-        rep = SuiteReport("algebra-laws")
-        for d in check_algebra_laws(loaded, samples=cfg.samples, seed=cfg.seed):
-            rep.check(d.split(":")[0], False, d)
-        rep.cases += 1
-        return [rep], {}
-    b = _as_biconvex(loaded)
-    rep = SuiteReport("biconvex-laws")
-    for d in check_biconvex(b):
-        rep.check(d.split(":")[0], False, d)
-    rep.cases += 1
-    rep.notes.append(
-        "continuity requirements hold vacuously on finite discrete carriers"
-    )
-    return [rep], {}
+        laws = check_algebra_laws(loaded, samples=cfg.samples, seed=cfg.seed)
+        return [_diagnostics_report("algebra-laws", laws)], {}
+    return [_biconvex_report(_as_biconvex(loaded))], {}
 
 
 def _run_roundtrip(cfg: RunConfig):
@@ -241,8 +223,8 @@ def _run_roundtrip(cfg: RunConfig):
             "map -> ic -> map",
         )
     elif isinstance(loaded, DualConvexStructure):
-        ok = True
         for x in loaded.carrier.elements:
+            ok = True
             for a in chain.levels:
                 for y in loaded.carrier.elements:
                     cod = {z: chain.one for z in loaded.carrier.elements}
@@ -273,25 +255,10 @@ def _run_roundtrip(cfg: RunConfig):
 
 def _run_biconvex_laws(cfg: RunConfig):
     loaded, _ = _load_structure(cfg)
-    reports = []
     if isinstance(loaded, TripleStructure):
-        rep = SuiteReport("triple-laws")
-        for d in check_triple(loaded):
-            rep.check(d.split(":")[0], False, d)
-        rep.cases += 1
-        reports.append(rep)
-        b = biconvex_from_triple(loaded)
-    else:
-        b = _as_biconvex(loaded)
-    rep = SuiteReport("biconvex-laws")
-    for d in check_biconvex(b):
-        rep.check(d.split(":")[0], False, d)
-    rep.cases += 1
-    rep.notes.append(
-        "continuity requirements hold vacuously on finite discrete carriers"
-    )
-    reports.append(rep)
-    return reports, {}
+        triple = _diagnostics_report("triple-laws", check_triple(loaded))
+        return [triple, _biconvex_report(biconvex_from_triple(loaded))], {}
+    return [_biconvex_report(_as_biconvex(loaded))], {}
 
 
 def _run_full_xi(cfg: RunConfig):
@@ -306,24 +273,7 @@ def _run_full_xi(cfg: RunConfig):
         try:
             value = xi(c)
             table[canonical_key(c)] = value
-            rep.check(
-                "factorizations-agree",
-                value == structure_map_full_dual(b, c),
-                wit,
-            )
-            flags = classify(c)
-            if flags.is_union:
-                rep.check(
-                    "restricts-to-possibility-map",
-                    value == structure_map_possibility(b, as_possibility(c)),
-                    wit,
-                )
-            if flags.is_intersection:
-                rep.check(
-                    "restricts-to-necessity-map",
-                    value == structure_map_necessity(b, as_necessity(c)),
-                    wit,
-                )
+            check_full_map_value(rep, b, c, value, wit)
             if sugeno_form(b, c) == value:
                 agreements += 1
         except LawViolationError as exc:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .chain import Chain, Level
 from .errors import CarrierMismatchError, ValidationError
@@ -30,6 +31,7 @@ from .capacity import (
     as_possibility,
     mult,
     possibility_space,
+    pushforward,
 )
 from .spaces import FiniteSpace, PointMap
 
@@ -38,184 +40,124 @@ def _format_level(a: Level) -> str:
     return str(a.value)
 
 
-class ConvexStructure:
-    """Carrier + chain + total combination table ic(x, a, y)."""
+class _CombinationTable:
+    """Carrier + chain + a validated total table t(x, a, y), stored under
+    the attribute the subclass names (``ic`` or ``ci``)."""
 
-    __slots__ = ("carrier", "chain", "ic")
+    __slots__ = ("carrier", "chain")
+    _name: str
 
     def __init__(
         self,
         carrier: FiniteSpace,
         chain: Chain,
-        ic: Mapping[tuple[str, Level, str], str],
+        combinations: Mapping[tuple[str, Level, str], str],
     ):
         table: dict[tuple[str, Level, str], str] = {}
         for x in carrier.elements:
             for a in chain.levels:
                 for y in carrier.elements:
                     key = (x, a, y)
-                    if key not in ic:
+                    if key not in combinations:
                         raise ValidationError(f"combination table missing {x}|{a}|{y}")
-                    z = ic[key]
+                    z = combinations[key]
                     if z not in carrier.index:
                         raise ValidationError(f"table value {z!r} is not in the carrier")
                     table[key] = z
         self.carrier = carrier
         self.chain = chain
-        self.ic = table
+        setattr(self, self._name, table)
+
+    @property
+    def _table(self) -> dict[tuple[str, Level, str], str]:
+        return getattr(self, self._name)
 
     def __call__(self, x: str, a: Level, y: str) -> str:
-        return self.ic[(x, self.chain.level(a), y)]
+        return self._table[(x, self.chain.level(a), y)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and other.carrier == self.carrier
+            and other.chain == self.chain
+            and other._table == self._table
+        )
+
+    def __hash__(self):
+        items = tuple(sorted(
+            ((x, a.value, y), z) for (x, a, y), z in self._table.items()
+        ))
+        return hash((self.carrier, self.chain, items))
+
+
+class ConvexStructure(_CombinationTable):
+    """Carrier + chain + total combination table ic(x, a, y)."""
+
+    __slots__ = ("ic",)
+    _name = "ic"
 
     def join(self, x: str, y: str) -> str:
         """Derived semilattice join: the combination at weight 1."""
         return self.ic[(x, self.chain.one, y)]
 
-    def join_all(self, xs) -> str:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.join(acc, x)
-        return acc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvexStructure)
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other.ic == self.ic
-        )
-
-    def __hash__(self):
-        items = tuple(sorted(
-            ((x, a.value, y), z) for (x, a, y), z in self.ic.items()
-        ))
-        return hash((self.carrier, self.chain, items))
-
-
-class DualConvexStructure:
+class DualConvexStructure(_CombinationTable):
     """Carrier + chain + total dual combination table ci(x, a, y)."""
 
-    __slots__ = ("carrier", "chain", "ci")
-
-    def __init__(
-        self,
-        carrier: FiniteSpace,
-        chain: Chain,
-        ci: Mapping[tuple[str, Level, str], str],
-    ):
-        table: dict[tuple[str, Level, str], str] = {}
-        for x in carrier.elements:
-            for a in chain.levels:
-                for y in carrier.elements:
-                    key = (x, a, y)
-                    if key not in ci:
-                        raise ValidationError(f"combination table missing {x}|{a}|{y}")
-                    z = ci[key]
-                    if z not in carrier.index:
-                        raise ValidationError(f"table value {z!r} is not in the carrier")
-                    table[key] = z
-        self.carrier = carrier
-        self.chain = chain
-        self.ci = table
-
-    def __call__(self, x: str, a: Level, y: str) -> str:
-        return self.ci[(x, self.chain.level(a), y)]
+    __slots__ = ("ci",)
+    _name = "ci"
 
     def meet(self, x: str, y: str) -> str:
         """Derived semilattice meet: the dual combination at weight 0."""
         return self.ci[(x, self.chain.zero, y)]
 
-    def meet_all(self, xs) -> str:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.meet(acc, x)
-        return acc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualConvexStructure)
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other.ci == self.ci
-        )
-
-    def __hash__(self):
-        items = tuple(sorted(
-            ((x, a.value, y), z) for (x, a, y), z in self.ci.items()
-        ))
-        return hash((self.carrier, self.chain, items))
+def _check_axioms(s: _CombinationTable, unit: Level, absorb: Level, bound) -> list[str]:
+    """The five combination axioms for a table whose weight ``unit`` keeps
+    the left point and whose weight ``absorb`` is the derived semilattice
+    operation; ``bound`` combines the two weights of axiom 3."""
+    out: list[str] = []
+    name = s._name
+    X = s.carrier.elements
+    levels = s.chain.levels
+    t = s._table
+    u, v = _format_level(unit), _format_level(absorb)
+    for x in X:
+        for a in levels:
+            if t[(x, a, x)] != x:
+                out.append(f"axiom-1: {name}({x},{_format_level(a)},{x}) = {t[(x, a, x)]} != {x}")
+    for x, y in itertools.product(X, repeat=2):
+        if t[(x, absorb, y)] != t[(y, absorb, x)]:
+            out.append(f"axiom-4: {name}({x},{v},{y}) != {name}({y},{v},{x})")
+        if t[(x, unit, y)] != x:
+            out.append(f"axiom-5: {name}({x},{u},{y}) = {t[(x, unit, y)]} != {x}")
+    for x, y, z in itertools.product(X, repeat=3):
+        for a, b in itertools.product(levels, repeat=2):
+            lhs = t[(t[(x, a, y)], b, z)]
+            rhs = t[(t[(x, b, z)], a, y)]
+            if lhs != rhs:
+                out.append(
+                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
+                    f"gives {lhs} vs {rhs}"
+                )
+            lhs3 = t[(x, a, t[(y, b, z)])]
+            rhs3 = t[(t[(x, a, y)], bound(a, b), z)]
+            if lhs3 != rhs3:
+                out.append(
+                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
+                    f"gives {lhs3} vs {rhs3}"
+                )
+    return out
 
 
 def check_ic_axioms(s: ConvexStructure) -> list[str]:
     """Diagnostics for the five combination axioms; empty means valid."""
-    out: list[str] = []
-    X = s.carrier.elements
-    levels = s.chain.levels
-    one, zero = s.chain.one, s.chain.zero
-    ic = s.ic
-    for x in X:
-        for a in levels:
-            if ic[(x, a, x)] != x:
-                out.append(f"axiom-1: ic({x},{_format_level(a)},{x}) = {ic[(x, a, x)]} != {x}")
-    for x, y in itertools.product(X, repeat=2):
-        if ic[(x, one, y)] != ic[(y, one, x)]:
-            out.append(f"axiom-4: ic({x},1,{y}) != ic({y},1,{x})")
-        if ic[(x, zero, y)] != x:
-            out.append(f"axiom-5: ic({x},0,{y}) = {ic[(x, zero, y)]} != {x}")
-    for x, y, z in itertools.product(X, repeat=3):
-        for a, b in itertools.product(levels, repeat=2):
-            lhs = ic[(ic[(x, a, y)], b, z)]
-            rhs = ic[(ic[(x, b, z)], a, y)]
-            if lhs != rhs:
-                out.append(
-                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
-                    f"gives {lhs} vs {rhs}"
-                )
-            lhs3 = ic[(x, a, ic[(y, b, z)])]
-            rhs3 = ic[(ic[(x, a, y)], min(a, b), z)]
-            if lhs3 != rhs3:
-                out.append(
-                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
-                    f"gives {lhs3} vs {rhs3}"
-                )
-    return out
+    return _check_axioms(s, s.chain.zero, s.chain.one, min)
 
 
 def check_ci_axioms(s: DualConvexStructure) -> list[str]:
     """Dual axioms: joins and meets, 0 and 1 exchanged throughout."""
-    out: list[str] = []
-    X = s.carrier.elements
-    levels = s.chain.levels
-    one, zero = s.chain.one, s.chain.zero
-    ci = s.ci
-    for x in X:
-        for a in levels:
-            if ci[(x, a, x)] != x:
-                out.append(f"axiom-1: ci({x},{_format_level(a)},{x}) = {ci[(x, a, x)]} != {x}")
-    for x, y in itertools.product(X, repeat=2):
-        if ci[(x, zero, y)] != ci[(y, zero, x)]:
-            out.append(f"axiom-4: ci({x},0,{y}) != ci({y},0,{x})")
-        if ci[(x, one, y)] != x:
-            out.append(f"axiom-5: ci({x},1,{y}) = {ci[(x, one, y)]} != {x}")
-    for x, y, z in itertools.product(X, repeat=3):
-        for a, b in itertools.product(levels, repeat=2):
-            lhs = ci[(ci[(x, a, y)], b, z)]
-            rhs = ci[(ci[(x, b, z)], a, y)]
-            if lhs != rhs:
-                out.append(
-                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
-                    f"gives {lhs} vs {rhs}"
-                )
-            lhs3 = ci[(x, a, ci[(y, b, z)])]
-            rhs3 = ci[(ci[(x, a, y)], max(a, b), z)]
-            if lhs3 != rhs3:
-                out.append(
-                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
-                    f"gives {lhs3} vs {rhs3}"
-                )
-    return out
+    return _check_axioms(s, s.chain.one, s.chain.zero, max)
 
 
 def nary_combination(s: ConvexStructure, coeffs, points) -> str:
@@ -293,6 +235,31 @@ class UnionStructureMap:
         }
 
 
+def _fold(s, c, weights: str, anchor: Level, label: str, admitted, base_point):
+    """Fold t(x0, a, x) over points x and the levels a that ``admitted``
+    picks for weight(x), from a base point x0 of weight ``anchor``.
+
+    ``anchor`` is also the weight at which the table is the derived
+    semilattice operation that combines the terms: 1 (join) for ic and
+    0 (meet) for ci.  Points and levels are visited in carrier and chain
+    order.
+    """
+    if c.carrier != s.carrier or c.chain != s.chain:
+        raise CarrierMismatchError("capacity and structure do not match")
+    w = getattr(c, weights)
+    if base_point is None:
+        base_point = next(x for x in s.carrier.elements if w[x] == anchor)
+    elif w.get(base_point) != anchor:
+        raise ValidationError(f"base point {base_point!r} does not have {label}")
+    t = s._table
+    levels = s.chain.levels
+    acc = base_point
+    for x in s.carrier.elements:
+        for a in admitted(w[x], levels):
+            acc = t[(acc, anchor, t[(base_point, a, x)])]
+    return acc
+
+
 def structure_map_from_ic(
     s: ConvexStructure, c: PossibilityCapacity, base_point: str | None = None
 ) -> str:
@@ -301,22 +268,10 @@ def structure_map_from_ic(
     x0 is a point of density 1 (the first such in carrier order unless
     given); the result does not depend on the choice.
     """
-    if c.carrier != s.carrier or c.chain != s.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
-    if base_point is None:
-        base_point = next(
-            x for x in s.carrier.elements if c.density[x] == s.chain.one
-        )
-    elif c.density.get(base_point) != s.chain.one:
-        raise ValidationError(f"base point {base_point!r} does not have density 1")
-    acc = base_point
-    for x in s.carrier.elements:
-        dx = c.density[x]
-        for a in s.chain.levels:
-            if a > dx:
-                break
-            acc = s.join(acc, s.ic[(base_point, a, x)])
-    return acc
+    return _fold(
+        s, c, "density", s.chain.one, "density 1",
+        lambda dx, levels: levels[:bisect_right(levels, dx)], base_point,
+    )
 
 
 def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
@@ -331,14 +286,6 @@ def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
                     dens[y] = a
                 table[(x, a, y)] = xi(PossibilityCapacity(carrier, chain, dens))
     return ConvexStructure(carrier, chain, table)
-
-
-def pushforward_density(f: PointMap, c: PossibilityCapacity) -> PossibilityCapacity:
-    dens: dict[str, Level] = {}
-    for y in f.target.elements:
-        vals = [c.density[x] for x in f.source.elements if f(x) == y]
-        dens[y] = max(vals) if vals else c.chain.zero
-    return PossibilityCapacity(f.target, c.chain, dens)
 
 
 def _map_along(xi: UnionStructureMap, outer, assignment) -> PossibilityCapacity:
@@ -418,18 +365,9 @@ def is_affine(f: PointMap, s: ConvexStructure, s2: ConvexStructure) -> bool:
 def is_algebra_morphism(f: PointMap, xi: UnionStructureMap, xi2: UnionStructureMap) -> bool:
     """Does f intertwine the two structure maps on every density?"""
     for p in possibility_space(xi.carrier, xi.chain)[1].values():
-        if f(xi(p)) != xi2(pushforward_density(f, p)):
+        if f(xi(p)) != xi2(pushforward(f, p)):
             return False
     return True
-
-
-def morphism_equivalence_check(
-    f: PointMap, xi: UnionStructureMap, xi2: UnionStructureMap
-) -> bool:
-    """True when the morphism property and affineness agree for f."""
-    morph = is_algebra_morphism(f, xi, xi2)
-    affine = is_affine(f, ic_from_structure_map(xi), ic_from_structure_map(xi2))
-    return morph == affine
 
 
 def dual_structure_map(
@@ -440,22 +378,10 @@ def dual_structure_map(
     x0 is a point of codensity 0; independence from the choice mirrors
     the possibility side.
     """
-    if c.carrier != s.carrier or c.chain != s.chain:
-        raise CarrierMismatchError("capacity and structure do not match")
-    if base_point is None:
-        base_point = next(
-            x for x in s.carrier.elements if c.codensity[x] == s.chain.zero
-        )
-    elif c.codensity.get(base_point) != s.chain.zero:
-        raise ValidationError(f"base point {base_point!r} does not have codensity 0")
-    acc = base_point
-    for x in s.carrier.elements:
-        cx = c.codensity[x]
-        for a in s.chain.levels:
-            if a < cx:
-                continue
-            acc = s.meet(acc, s.ci[(base_point, a, x)])
-    return acc
+    return _fold(
+        s, c, "codensity", s.chain.zero, "codensity 0",
+        lambda cx, levels: levels[bisect_left(levels, cx):], base_point,
+    )
 
 
 class Semimodule:

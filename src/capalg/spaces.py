@@ -138,9 +138,6 @@ class SubsetFamily:
         names = [self.carrier.sorted_names(s) for s in self.sets]
         return f"SubsetFamily({sorted(names)!r})"
 
-    def sorted_sets(self) -> list[Subset]:
-        return sorted(self.sets, key=self.carrier.subset_key)
-
 
 def exp_space(space: FiniteSpace) -> SubsetFamily:
     """The hyperspace of all nonempty subsets (closed sets minus the empty one)."""
@@ -215,9 +212,6 @@ class InclusionHyperspace:
         for s in self.carrier.subsets():
             if s in self:
                 yield s
-
-    def to_family(self) -> SubsetFamily:
-        return SubsetFamily(self.carrier, self.members())
 
 
 def g_unit(space: FiniteSpace, x: str) -> InclusionHyperspace:

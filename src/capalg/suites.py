@@ -19,8 +19,7 @@ from .biconvex import (
     BiconvexStructure,
     CapacityStructureMap,
     TripleStructure,
-    _necessity_pool,
-    _possibility_pool,
+    _mixture_step,
     biconvex_from_triple,
     chain_model,
     check_biconvex,
@@ -45,16 +44,14 @@ from .capacity import (
     PossibilityCapacity,
     canonical_key,
     capacity_equal,
-    capacity_space,
     classify,
     as_capacity,
     as_necessity,
     as_possibility,
+    capacity_pool,
     dirac_density,
     kappa_dual,
     mult,
-    necessity_space,
-    possibility_space,
     pushforward,
     unit_dirac,
 )
@@ -71,7 +68,6 @@ from .convexity import (
     ic_from_structure_map,
     is_affine,
     nary_combination,
-    pushforward_density,
     quotient_semimodule,
     structure_map_from_ic,
 )
@@ -91,6 +87,7 @@ from .spaces import (
 )
 
 INDEPENDENCE_SEARCH_BUDGET = 100_000
+CONTINUITY_NOTE = "continuity requirements hold vacuously on finite discrete carriers"
 
 
 @dataclass
@@ -151,29 +148,19 @@ def desk_spaces(max_size: int = 3) -> tuple[FiniteSpace, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+# cached enumerations: the acceptance suites use spaces of 1-3 points at
+# k = 1 and 2
+ENUMERATION_CACHE_SIZE = 6
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def convex_structures(space: FiniteSpace, chain: Chain):
     return tuple(enumerate_convex_structures(space, chain))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def biconvex_structures(space: FiniteSpace, chain: Chain):
     return tuple(enumerate_biconvex_structures(space, chain))
-
-
-@lru_cache(maxsize=None)
-def _capacity_pool(space: FiniteSpace, chain: Chain):
-    return capacity_space(space, chain)
-
-
-@lru_cache(maxsize=None)
-def _poss_pool(space: FiniteSpace, chain: Chain):
-    return possibility_space(space, chain)
-
-
-@lru_cache(maxsize=None)
-def _necc_pool(space: FiniteSpace, chain: Chain):
-    return necessity_space(space, chain)
 
 
 def _compact(obj) -> str:
@@ -497,7 +484,7 @@ def capacity_monad_suite(
     """Unit laws exhaustively; associativity, naturality, submonad closure,
     and the conjugation isomorphism on seeded samples."""
     rep = SuiteReport("capacity-monad", "mixed")
-    names, lookup = _capacity_pool(space, chain)
+    names, lookup = capacity_pool(space, chain, "all")
     rep.counts["capacities"] = len(names)
     name_of = {canonical_key(c): n for n, c in lookup.items()}
 
@@ -556,8 +543,8 @@ def capacity_monad_suite(
         )
 
     # conjugation: unit fixed, multiplication intertwined, classes swapped
-    poss_names, poss_lookup = _poss_pool(space, chain)
-    necc_names, necc_lookup = _necc_pool(space, chain)
+    poss_names, poss_lookup = capacity_pool(space, chain, "union")
+    necc_names, necc_lookup = capacity_pool(space, chain, "intersection")
     necc_name_of = {canonical_key(c): n for n, c in necc_lookup.items()}
     kappa_hat = PointMap(
         poss_names,
@@ -636,7 +623,7 @@ def convex_roundtrip_suite(space: FiniteSpace, chain: Chain) -> SuiteReport:
     rep = SuiteReport("convex-roundtrips")
     structs = convex_structures(space, chain)
     rep.counts["structures"] = len(structs)
-    _, poss_lookup = _poss_pool(space, chain)
+    _, poss_lookup = capacity_pool(space, chain, "union")
     densities = list(poss_lookup.values())
     for s in structs:
         wit = _convex_witness(s)
@@ -701,7 +688,7 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
     by_space = {
         sp: (
             list(convex_structures(sp, chain)),
-            list(_poss_pool(sp, chain)[1].values()),
+            list(capacity_pool(sp, chain, "union")[1].values()),
         )
         for sp in spaces
     }
@@ -716,7 +703,7 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
         for sp2, (structs2, _) in by_space.items():
             for f in _all_maps(sp1, sp2):
                 pushed = [
-                    density_key(pushforward_density(f, p)) for p in densities
+                    density_key(pushforward(f, p)) for p in densities
                 ]
                 for s1 in structs1:
                     tab1 = tabs[id(s1)]
@@ -739,7 +726,11 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
 
     bstructs = [b for sp in spaces for b in biconvex_structures(sp, chain)]
     full = [
-        (b, CapacityStructureMap.from_biconvex(b), list(_capacity_pool(b.carrier, chain)[1].values()))
+        (
+            b,
+            CapacityStructureMap.from_biconvex(b),
+            list(capacity_pool(b.carrier, chain, "all")[1].values()),
+        )
         for b in bstructs
     ]
     for b1, xi1, caps in full:
@@ -804,7 +795,7 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
             all(
                 f(structure_map_full(b, c))
                 == structure_map_full(b, as_capacity(pushforward(f, c)))
-                for c in _capacity_pool(b.carrier, chain)[1].values()
+                for c in capacity_pool(b.carrier, chain, "all")[1].values()
             ),
             "max(x,1/2)",
         )
@@ -843,27 +834,44 @@ def quotient_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
 
 
 def _xi_via_union_mixture(b: BiconvexStructure, mixture: PossibilityCapacity) -> str:
-    _, assignment, _, _ = _necessity_pool(b.carrier, b.chain)
-    dens = {x: b.chain.zero for x in b.carrier.elements}
-    for n, w in mixture.density.items():
-        if w == b.chain.zero:
-            continue
-        target = structure_map_necessity(b, assignment[n])
-        if w > dens[target]:
-            dens[target] = w
-    return structure_map_possibility(b, PossibilityCapacity(b.carrier, b.chain, dens))
+    _, assignment = capacity_pool(b.carrier, b.chain, "intersection")
+    return _mixture_step(
+        b, mixture.density.items(), lambda n: structure_map_necessity(b, assignment[n])
+    )
 
 
 def _xi_via_intersection_mixture(b: BiconvexStructure, mixture: NecessityCapacity) -> str:
-    _, assignment, _, _ = _possibility_pool(b.carrier, b.chain)
-    cod = {x: b.chain.one for x in b.carrier.elements}
-    for p, w in mixture.codensity.items():
-        if w == b.chain.one:
-            continue
-        target = structure_map_possibility(b, assignment[p])
-        if w < cod[target]:
-            cod[target] = w
-    return structure_map_necessity(b, NecessityCapacity(b.carrier, b.chain, cod))
+    _, assignment = capacity_pool(b.carrier, b.chain, "union")
+    return _mixture_step(
+        b,
+        mixture.codensity.items(),
+        lambda p: structure_map_possibility(b, assignment[p]),
+        dual=True,
+    )
+
+
+def check_full_map_value(
+    rep: SuiteReport, b: BiconvexStructure, c, value: str, witness
+) -> str:
+    """Check the full structure map's value on c against the dual
+    factorization and, on a possibility or necessity capacity, against
+    the one-sided map; returns the dual factorization's value."""
+    dual = structure_map_full_dual(b, c)
+    rep.check("factorizations-agree", value == dual, witness)
+    flags = classify(c)
+    if flags.is_union:
+        rep.check(
+            "restricts-to-possibility-map",
+            value == structure_map_possibility(b, as_possibility(c)),
+            witness,
+        )
+    if flags.is_intersection:
+        rep.check(
+            "restricts-to-necessity-map",
+            value == structure_map_necessity(b, as_necessity(c)),
+            witness,
+        )
+    return dual
 
 
 def _all_phis(chain: Chain) -> list[dict]:
@@ -890,11 +898,9 @@ def full_map_suite(
     rep = SuiteReport("biconvex-structure-maps", "mixed")
     structs = biconvex_structures(space, chain)
     rep.counts["structures"] = len(structs)
-    _, poss_lookup = _poss_pool(space, chain)
-    _, necc_lookup = _necc_pool(space, chain)
-    necc_names = _necc_pool(space, chain)[0]
-    poss_names = _poss_pool(space, chain)[0]
-    _, caps = _capacity_pool(space, chain)
+    poss_names, poss_lookup = capacity_pool(space, chain, "union")
+    necc_names, necc_lookup = capacity_pool(space, chain, "intersection")
+    _, caps = capacity_pool(space, chain, "all")
 
     union_hits = {
         n: union_over_intersection_preimages(
@@ -960,22 +966,8 @@ def full_map_suite(
         xi = CapacityStructureMap.from_biconvex(b)
         for n, c in caps.items():
             value = xi(c)
-            dual = structure_map_full_dual(b, c)
             wc = lambda c=c: _cap_witness(c)
-            rep.check("factorizations-agree", value == dual, wc)
-            flags = classify(c)
-            if flags.is_union:
-                rep.check(
-                    "restricts-to-possibility-map",
-                    value == structure_map_possibility(b, as_possibility(c)),
-                    wc,
-                )
-            if flags.is_intersection:
-                rep.check(
-                    "restricts-to-necessity-map",
-                    value == structure_map_necessity(b, as_necessity(c)),
-                    wc,
-                )
+            dual = check_full_map_value(rep, b, c, value, wc)
             hits = union_hits[n]
             if hits:
                 rep.check(
@@ -1043,9 +1035,7 @@ def full_map_suite(
             )
             rep.bump("cube-instances")
 
-    rep.notes.append(
-        "continuity requirements hold vacuously on finite discrete carriers"
-    )
+    rep.notes.append(CONTINUITY_NOTE)
     rep.notes.append(
         f"preimage searches for the independence sweep are bounded to "
         f"{INDEPENDENCE_SEARCH_BUDGET} candidates each"
@@ -1072,7 +1062,7 @@ def sugeno_suite(chain: Chain, max_size: int = 2, with_chain_model: bool = True)
     first_diff = None
     mixtures: dict[FiniteSpace, dict] = {}  # the search depends only on the capacity
     for b in targets:
-        caps = _capacity_pool(b.carrier, chain)[1]
+        caps = capacity_pool(b.carrier, chain, "all")[1]
         if b.carrier not in mixtures:
             mixtures[b.carrier] = {
                 n: union_over_intersection_preimages(c) for n, c in caps.items()

@@ -18,6 +18,7 @@ from capalg.capacity import (
     as_capacity,
     as_necessity,
     as_possibility,
+    capacity_pool,
     classify,
     enumerate_capacities,
     mult,
@@ -47,8 +48,6 @@ from capalg.biconvex import (
     triple_from_biconvex,
     union_over_intersection_preimages,
     _coordinate_candidates,
-    _necessity_pool,
-    _possibility_pool,
 )
 from capalg.suites import _all_phis, _xi_via_intersection_mixture, _xi_via_union_mixture
 
@@ -247,11 +246,11 @@ def test_preimage_searches_invert_multiplication():
     for c in enumerate_capacities(X3, K2):
         mixtures = union_over_intersection_preimages(c, limit=1)
         assert mixtures, "every capacity factors as a possibility over necessities"
-        _, assignment, _, _ = _necessity_pool(X3, K2)
+        _, assignment = capacity_pool(X3, K2, "intersection")
         assert capacity_equal(mult(mixtures[0], assignment), as_capacity(c))
         duals = intersection_over_union_preimages(c, limit=1)
         assert duals
-        _, passign, _, _ = _possibility_pool(X3, K2)
+        _, passign = capacity_pool(X3, K2, "union")
         assert capacity_equal(mult(duals[0], passign), as_capacity(c))
 
 
@@ -264,7 +263,7 @@ def test_preimage_search_is_deterministic():
 
 def test_full_map_is_independent_of_the_chosen_mixture():
     b = chain_model(K2)
-    _, assignment, _, _ = _necessity_pool(b.carrier, K2)
+    _, assignment = capacity_pool(b.carrier, K2, "intersection")
     for c in list(enumerate_capacities(b.carrier, K2))[::7]:
         hits = union_over_intersection_preimages(c, limit=4, budget=60_000)
         values = set()

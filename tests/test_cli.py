@@ -1,5 +1,6 @@
 """Exit codes, report determinism, and subcommand behavior of the capalg CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -211,3 +212,189 @@ def test_enumerate_emits_class_forms(tmp_path):
     items = report["items"]
     assert len(items) == 5
     assert all("density" in item for item in items)
+
+
+# ------------------------------------------------ golden reports on unlawful input
+#
+# Inputs that no benchmark job draws, each run once from the working
+# directory with relative file names so the echoed command is stable.  The
+# sha256 of every --out report was recorded before the ic/ci and report
+# code were merged; a change here means the report bytes changed.
+
+LEVELS_K2 = ["0", "1/2", "1"]
+
+
+def _k2(op):
+    """op (max or min) on level strings, as a level string."""
+    return lambda *args: str(op(Fraction(v) for v in args))
+
+
+def _chain_model_quadruple():
+    join, meet = _k2(max), _k2(min)
+    pairs = [(x, y) for x in LEVELS_K2 for y in LEVELS_K2]
+    return {
+        "chain_k": 2,
+        "elements": LEVELS_K2,
+        "bjoin": {f"{x}|{y}": join(x, y) for x, y in pairs},
+        "bmeet": {f"{x}|{y}": meet(x, y) for x, y in pairs},
+        "smeet": {f"{a}|{x}": meet(a, x) for a, x in pairs},
+        "sjoin": {f"{a}|{x}": join(a, x) for a, x in pairs},
+    }
+
+
+def _chain_model_triple():
+    quad = _chain_model_quadruple()
+    identity = {a: a for a in LEVELS_K2}
+    return {
+        "chain_k": 2,
+        "elements": LEVELS_K2,
+        "bjoin": quad["bjoin"],
+        "bmeet": quad["bmeet"],
+        "p": dict(identity),
+        "m": dict(identity),
+    }
+
+
+def _chain_model_tables(key, combine):
+    return {
+        "chain_k": 2,
+        "elements": LEVELS_K2,
+        key: {
+            f"{x}|{a}|{y}": combine(x, a, y)
+            for x in LEVELS_K2 for a in LEVELS_K2 for y in LEVELS_K2
+        },
+    }
+
+
+def _golden_ic():
+    # x join (a meet y), with the join of 0 and 1 moved down
+    obj = _chain_model_tables("ic", lambda x, a, y: _k2(max)(x, _k2(min)(a, y)))
+    obj["ic"]["0|1|1"] = "1/2"
+    return obj
+
+
+def _golden_ci():
+    # x meet (a join y), the order dual, with one interior cell moved up
+    obj = _chain_model_tables("ci", lambda x, a, y: _k2(min)(x, _k2(max)(a, y)))
+    obj["ci"]["1|1/2|0"] = "1"
+    return obj
+
+
+def _golden_semimodule():
+    pairs = [(x, y) for x in "ab" for y in "ab"]
+    return {
+        "chain_k": 2,
+        "elements": ["a", "b"],
+        "add": {f"{x}|{y}": "a" for x, y in pairs},
+        "scale": {f"{a}|{x}": "a" for a in LEVELS_K2 for x in "ab"},
+        "zero": "b",
+    }
+
+
+def _golden_union_map():
+    # densities (d_a, d_b) with maximum 1: the join for b below a, except
+    # that weight 1/2 on b already reaches b
+    keys = [(0, 1), (Fraction(1, 2), 1), (1, 0), (1, Fraction(1, 2)), (1, 1)]
+    return {
+        "chain_k": 2,
+        "elements": ["a", "b"],
+        "xi": {f"{da},{db}": ("a" if da >= db and db != Fraction(1, 2) else "b") for da, db in keys},
+    }
+
+
+def _golden_triple():
+    obj = _chain_model_triple()
+    obj["p"]["1/2"] = "1"
+    return obj
+
+
+def _golden_quadruple(table, cell, value):
+    obj = _chain_model_quadruple()
+    obj[table][cell] = value
+    return obj
+
+
+GOLDEN_INPUTS = {
+    "algebra-laws-ic": (
+        ["algebra-laws", "--structure", "in.json", "--samples", "20"], _golden_ic
+    ),
+    "algebra-laws-ci": (["algebra-laws", "--structure", "in.json"], _golden_ci),
+    "algebra-laws-semimodule": (
+        ["algebra-laws", "--structure", "in.json"], _golden_semimodule
+    ),
+    "algebra-laws-union-map": (
+        ["algebra-laws", "--structure", "in.json"], _golden_union_map
+    ),
+    "biconvex-laws-triple": (["biconvex-laws", "--structure", "in.json"], _golden_triple),
+    "biconvex-laws-quadruple": (
+        ["biconvex-laws", "--structure", "in.json"],
+        lambda: _golden_quadruple("smeet", "1/2|1", "0"),
+    ),
+    "full-xi-corrupted-action": (
+        ["full-xi", "--structure", "in.json"],
+        lambda: _golden_quadruple("smeet", "1/2|0", "1/2"),
+    ),
+}
+
+GOLDEN_REPORTS = {
+    "algebra-laws-ci": (
+        1,
+        "24382c6b4576b4fed2b88df4e1c86e79dc9e9d846a8f2966e8501cbc45701f40",
+    ),
+    "algebra-laws-ic": (
+        1,
+        "9021de268c61c8b0d33b1b658f159678b0bfa1510c49d050e7d74512ed897a91",
+    ),
+    "algebra-laws-semimodule": (
+        1,
+        "87eaecf6634bc3b334b3a5a2645e0517446bbf9dbe3b7c420a37e56895a06ff1",
+    ),
+    "algebra-laws-union-map": (
+        1,
+        "56978ae819a1ddbc27ff81d507065cd11b332985cca97ecebf23f9403ce74c86",
+    ),
+    "biconvex-laws-quadruple": (
+        1,
+        "4e4940255705e5c57d2c8da1ba14e3cdd5ec03b3d8ea64819223183459381092",
+    ),
+    "biconvex-laws-triple": (
+        1,
+        "18466405580fa78b0e0c43c56a50e92cc61a37ceba9810612fb8f6560f52bbec",
+    ),
+    "full-xi-corrupted-action": (
+        1,
+        "14170a49f52a287aac14a501d0b2f16b3614881ffe35b4cc5881df5e3fae0ff2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_unlawful_input_reports_match_their_golden_digests(name, tmp_path, monkeypatch):
+    argv, build = GOLDEN_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(build(), sort_keys=True))
+    code = main(argv + ["--out", "report.json"])
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert (code, digest) == GOLDEN_REPORTS[name]
+
+
+def test_dual_roundtrip_reports_only_the_corrupted_row(tmp_path, monkeypatch):
+    obj = _chain_model_tables("ci", lambda x, a, y: _k2(min)(x, _k2(max)(a, y)))
+    assert obj["ci"]["0|1|0"] == "0"
+    obj["ci"]["0|1|0"] = "1/2"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(obj))
+    code = main(["roundtrip", "--structure", "in.json", "--out", "report.json"])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"] == {"cases": 3, "passed": 2, "failed": 1}
+    assert [(w["law"], w["witness"]) for w in report["witnesses"]] == [
+        ("dual-table-roundtrip", "x=0")
+    ]
+
+
+def test_dual_roundtrip_passes_on_the_chain_model(tmp_path, monkeypatch):
+    obj = _chain_model_tables("ci", lambda x, a, y: _k2(min)(x, _k2(max)(a, y)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(obj))
+    assert main(["roundtrip", "--structure", "in.json"]) == 0

@@ -4,10 +4,12 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain, complement
-from capalg.errors import ValidationError
+from capalg.errors import CarrierMismatchError, ValidationError
 from capalg.spaces import FiniteSpace, PointMap
 from capalg.capacity import (
     NecessityCapacity,
@@ -338,3 +340,173 @@ def test_structure_validation():
         list(enumerate_convex_structures(FiniteSpace(list("abcd")), K2))
     with pytest.raises(ValidationError):
         list(enumerate_union_algebras(X3, K2))
+
+
+# ------------------------------------------- oracles for the shared ic/ci code
+#
+# The two checkers and the two folds as they stood when ic and ci had one
+# copy each; the shared implementation must give the same diagnostics in
+# the same order, and the same values and errors, on any total table.
+
+
+def _format_level(a):
+    return str(a.value)
+
+
+def oracle_check_ic_axioms(s) -> list[str]:
+    """Diagnostics for the five combination axioms; empty means valid."""
+    out: list[str] = []
+    X = s.carrier.elements
+    levels = s.chain.levels
+    one, zero = s.chain.one, s.chain.zero
+    ic = s.ic
+    for x in X:
+        for a in levels:
+            if ic[(x, a, x)] != x:
+                out.append(f"axiom-1: ic({x},{_format_level(a)},{x}) = {ic[(x, a, x)]} != {x}")
+    for x, y in itertools.product(X, repeat=2):
+        if ic[(x, one, y)] != ic[(y, one, x)]:
+            out.append(f"axiom-4: ic({x},1,{y}) != ic({y},1,{x})")
+        if ic[(x, zero, y)] != x:
+            out.append(f"axiom-5: ic({x},0,{y}) = {ic[(x, zero, y)]} != {x}")
+    for x, y, z in itertools.product(X, repeat=3):
+        for a, b in itertools.product(levels, repeat=2):
+            lhs = ic[(ic[(x, a, y)], b, z)]
+            rhs = ic[(ic[(x, b, z)], a, y)]
+            if lhs != rhs:
+                out.append(
+                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
+                    f"gives {lhs} vs {rhs}"
+                )
+            lhs3 = ic[(x, a, ic[(y, b, z)])]
+            rhs3 = ic[(ic[(x, a, y)], min(a, b), z)]
+            if lhs3 != rhs3:
+                out.append(
+                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
+                    f"gives {lhs3} vs {rhs3}"
+                )
+    return out
+
+
+def oracle_check_ci_axioms(s) -> list[str]:
+    """Dual axioms: joins and meets, 0 and 1 exchanged throughout."""
+    out: list[str] = []
+    X = s.carrier.elements
+    levels = s.chain.levels
+    one, zero = s.chain.one, s.chain.zero
+    ci = s.ci
+    for x in X:
+        for a in levels:
+            if ci[(x, a, x)] != x:
+                out.append(f"axiom-1: ci({x},{_format_level(a)},{x}) = {ci[(x, a, x)]} != {x}")
+    for x, y in itertools.product(X, repeat=2):
+        if ci[(x, zero, y)] != ci[(y, zero, x)]:
+            out.append(f"axiom-4: ci({x},0,{y}) != ci({y},0,{x})")
+        if ci[(x, one, y)] != x:
+            out.append(f"axiom-5: ci({x},1,{y}) = {ci[(x, one, y)]} != {x}")
+    for x, y, z in itertools.product(X, repeat=3):
+        for a, b in itertools.product(levels, repeat=2):
+            lhs = ci[(ci[(x, a, y)], b, z)]
+            rhs = ci[(ci[(x, b, z)], a, y)]
+            if lhs != rhs:
+                out.append(
+                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
+                    f"gives {lhs} vs {rhs}"
+                )
+            lhs3 = ci[(x, a, ci[(y, b, z)])]
+            rhs3 = ci[(ci[(x, a, y)], max(a, b), z)]
+            if lhs3 != rhs3:
+                out.append(
+                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
+                    f"gives {lhs3} vs {rhs3}"
+                )
+    return out
+
+
+def oracle_structure_map_from_ic(s, c, base_point=None) -> str:
+    """Join of ic(x0, a, x) over points x and weights a <= density(x).
+
+    x0 is a point of density 1 (the first such in carrier order unless
+    given); the result does not depend on the choice.
+    """
+    if c.carrier != s.carrier or c.chain != s.chain:
+        raise CarrierMismatchError("capacity and structure do not match")
+    if base_point is None:
+        base_point = next(
+            x for x in s.carrier.elements if c.density[x] == s.chain.one
+        )
+    elif c.density.get(base_point) != s.chain.one:
+        raise ValidationError(f"base point {base_point!r} does not have density 1")
+    acc = base_point
+    for x in s.carrier.elements:
+        dx = c.density[x]
+        for a in s.chain.levels:
+            if a > dx:
+                break
+            acc = s.join(acc, s.ic[(base_point, a, x)])
+    return acc
+
+
+def oracle_dual_structure_map(s, c, base_point=None) -> str:
+    """Meet of ci(x0, a, x) over points x and weights a >= codensity(x).
+
+    x0 is a point of codensity 0; independence from the choice mirrors
+    the possibility side.
+    """
+    if c.carrier != s.carrier or c.chain != s.chain:
+        raise CarrierMismatchError("capacity and structure do not match")
+    if base_point is None:
+        base_point = next(
+            x for x in s.carrier.elements if c.codensity[x] == s.chain.zero
+        )
+    elif c.codensity.get(base_point) != s.chain.zero:
+        raise ValidationError(f"base point {base_point!r} does not have codensity 0")
+    acc = base_point
+    for x in s.carrier.elements:
+        cx = c.codensity[x]
+        for a in s.chain.levels:
+            if a < cx:
+                continue
+            acc = s.meet(acc, s.ci[(base_point, a, x)])
+    return acc
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+@strat.composite
+def total_tables(draw):
+    """A random total combination table on 1-3 points at k <= 2."""
+    space = FiniteSpace(list("abc"[: draw(strat.integers(1, 3))]))
+    chain = Chain(draw(strat.integers(1, 2)))
+    cells = list(itertools.product(space.elements, chain.levels, space.elements))
+    values = draw(strat.lists(
+        strat.sampled_from(space.elements), min_size=len(cells), max_size=len(cells)
+    ))
+    return space, chain, dict(zip(cells, values))
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(total_tables())
+def test_shared_checker_and_fold_match_the_oracles_on_random_tables(drawn):
+    space, chain, table = drawn
+    s = ConvexStructure(space, chain, table)
+    d = DualConvexStructure(space, chain, table)
+    assert check_ic_axioms(s) == oracle_check_ic_axioms(s)
+    assert check_ci_axioms(d) == oracle_check_ci_axioms(d)
+    for p in enumerate_capacities(space, chain, "union"):
+        assert structure_map_from_ic(s, p) == oracle_structure_map_from_ic(s, p)
+        for x0 in space.elements:
+            assert _outcome(structure_map_from_ic, s, p, x0) == _outcome(
+                oracle_structure_map_from_ic, s, p, x0
+            )
+    for n in enumerate_capacities(space, chain, "intersection"):
+        assert dual_structure_map(d, n) == oracle_dual_structure_map(d, n)
+        for x0 in space.elements:
+            assert _outcome(dual_structure_map, d, n, x0) == _outcome(
+                oracle_dual_structure_map, d, n, x0
+            )
