@@ -95,6 +95,18 @@ class Capacity(SetFunction):
         if problems:
             raise ValidationError("; ".join(problems))
 
+    @classmethod
+    def _trusted(cls, carrier, chain, table: dict[Subset, Level]) -> "Capacity":
+        """Wrap a table known to be a capacity, without re-checking it.
+
+        ``table`` must hold a level of ``chain`` for every subset, in
+        ``carrier.subsets(include_empty=True)`` order, and be monotone and
+        normalized.
+        """
+        c = object.__new__(cls)
+        c.carrier, c.chain, c.table = carrier, chain, table
+        return c
+
 
 class PossibilityCapacity:
     """Capacity determined by a point density with maximum 1."""
@@ -385,7 +397,7 @@ def classify(c: CapacityLike) -> ClassFlags:
     intersection has value 0, so min(c(A), c(B)) must be 0.
     """
     subsets = list(c.carrier.subsets(include_empty=True))
-    values = {s: c.value(s) for s in subsets}
+    values = {s: c.value(s).i for s in subsets}
     is_union = True
     is_intersection = True
     for a, b in itertools.combinations_with_replacement(subsets, 2):
@@ -500,36 +512,24 @@ def _graded_tuples(n: int, chain: Chain, pin: Level, need_max=False, need_min=Fa
 
 
 def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
-    subsets = sorted(space.subsets(), key=space.subset_key)
-    proper = subsets[:-1]
-    universe = space.universe
-    assignment: dict[Subset, Level] = {frozenset(): chain.zero, universe: chain.one}
-
-    def floor_for(s: Subset) -> Level:
-        lo = chain.zero
-        for x in s:
-            sub = s - {x}
-            v = assignment[sub]
-            if v > lo:
-                lo = v
-        return lo
+    order = list(space.subsets(include_empty=True))
+    proper = order[1:-1]
+    # the immediate subsets of each proper subset; their values bound it below
+    covered = [[s - {x} for x in s] for s in proper]
+    levels = chain.levels
+    assignment: dict[Subset, Level] = {order[0]: chain.zero, order[-1]: chain.one}
 
     def rec(i: int) -> Iterator[Capacity]:
         if i == len(proper):
-            yield Capacity(space, chain, dict(assignment))
+            yield Capacity._trusted(space, chain, {s: assignment[s] for s in order})
             return
         s = proper[i]
-        lo = floor_for(s)
-        for lv in chain.levels:
-            if lv < lo:
-                continue
+        lo = max(assignment[t].i for t in covered[i])
+        for lv in levels[lo:]:
             assignment[s] = lv
             yield from rec(i + 1)
         del assignment[s]
 
-    if not proper:  # one-point space: only the Dirac
-        yield Capacity(space, chain, dict(assignment))
-        return
     yield from rec(0)
 
 

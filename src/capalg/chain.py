@@ -9,20 +9,28 @@ exact (fractions.Fraction); floats are never accepted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import ChainMismatchError, InvalidResolutionError, ValidationError
 
 
-@total_ordering
 class Level:
-    """One truth level of a chain.  Immutable, ordered, hashable."""
+    """One truth level of a chain.  Immutable, ordered, hashable.
 
-    __slots__ = ("chain", "value")
+    A level compares and hashes through its integer rank ``i = value * k``
+    on its chain; the exact ``value`` is kept for the API and serialization.
+    """
+
+    __slots__ = ("chain", "value", "i", "k", "_hash")
 
     def __init__(self, chain: "Chain", value: Fraction):
+        k = chain.k
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "i", int(value * k))
+        object.__setattr__(self, "k", k)
+        # dict and set iteration order, and so every report byte, depends on
+        # this staying exactly the hash of (k, value)
+        object.__setattr__(self, "_hash", hash((k, value)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Level is immutable")
@@ -30,22 +38,46 @@ class Level:
     def __eq__(self, other):
         if not isinstance(other, Level):
             return NotImplemented
-        return self.chain.k == other.chain.k and self.value == other.value
+        return self.k == other.k and self.i == other.i
+
+    def __ne__(self, other):
+        if not isinstance(other, Level):
+            return NotImplemented
+        return self.k != other.k or self.i != other.i
 
     def __lt__(self, other):
         if not isinstance(other, Level):
             return NotImplemented
-        if self.chain.k != other.chain.k:
-            raise ChainMismatchError(
-                f"cannot compare levels of chain_{self.chain.k} and chain_{other.chain.k}"
-            )
-        return self.value < other.value
+        if self.k != other.k:
+            _order_mismatch(self, other)
+        return self.i < other.i
+
+    def __le__(self, other):
+        if not isinstance(other, Level):
+            return NotImplemented
+        if self.k != other.k:
+            _order_mismatch(self, other)
+        return self.i <= other.i
+
+    def __gt__(self, other):
+        if not isinstance(other, Level):
+            return NotImplemented
+        if self.k != other.k:
+            _order_mismatch(self, other)
+        return self.i > other.i
+
+    def __ge__(self, other):
+        if not isinstance(other, Level):
+            return NotImplemented
+        if self.k != other.k:
+            _order_mismatch(self, other)
+        return self.i >= other.i
 
     def __hash__(self):
-        return hash((self.chain.k, self.value))
+        return self._hash
 
     def __repr__(self):
-        return f"Level({self.value!s}, chain_{self.chain.k})"
+        return f"Level({self.value!s}, chain_{self.k})"
 
     def __str__(self):
         return str(self.value)
@@ -53,7 +85,11 @@ class Level:
     @property
     def index(self) -> int:
         """Position on the chain: value * k."""
-        return int(self.value * self.chain.k)
+        return self.i
+
+
+def _order_mismatch(a: Level, b: Level):
+    raise ChainMismatchError(f"cannot compare levels of chain_{a.k} and chain_{b.k}")
 
 
 class Chain:
@@ -97,9 +133,9 @@ class Chain:
         Floats are rejected: they would silently break exactness.
         """
         if isinstance(value, Level):
-            if value.chain.k != self.k:
+            if value.k != self.k:
                 raise ChainMismatchError(
-                    f"level of chain_{value.chain.k} used with chain_{self.k}"
+                    f"level of chain_{value.k} used with chain_{self.k}"
                 )
             return value
         if isinstance(value, float):
@@ -119,22 +155,20 @@ def make_chain(k: int) -> Chain:
 
 
 def _require_same_chain(a: Level, b: Level) -> None:
-    if a.chain.k != b.chain.k:
-        raise ChainMismatchError(
-            f"operands on chain_{a.chain.k} and chain_{b.chain.k}"
-        )
+    if a.k != b.k:
+        raise ChainMismatchError(f"operands on chain_{a.k} and chain_{b.k}")
 
 
 def join(a: Level, b: Level) -> Level:
     _require_same_chain(a, b)
-    return a if a.value >= b.value else b
+    return a if a.i >= b.i else b
 
 def meet(a: Level, b: Level) -> Level:
     _require_same_chain(a, b)
-    return a if a.value <= b.value else b
+    return a if a.i <= b.i else b
 
 def complement(a: Level) -> Level:
-    return a.chain._by_value[1 - a.value]
+    return a.chain.levels[a.k - a.i]
 
 
 def level_to_string(a: Level) -> str:

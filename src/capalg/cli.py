@@ -279,11 +279,11 @@ def _run_full_xi(cfg: RunConfig):
         except LawViolationError as exc:
             rep.check("factorization", False, f"{wit()}: {exc}")
     for x in b.carrier.elements:
-        rep.check(
-            "algebra-unit-law",
-            xi(unit_dirac(b.carrier, b.chain, x)) == x,
-            f"x={x}",
-        )
+        try:
+            ok, witness = xi(unit_dirac(b.carrier, b.chain, x)) == x, f"x={x}"
+        except LawViolationError as exc:
+            ok, witness = False, f"x={x}: {exc}"
+        rep.check("algebra-unit-law", ok, witness)
     rep.counts["capacities"] = len(table)
     rep.counts["sugeno-agreements"] = agreements
     rep.notes.append(

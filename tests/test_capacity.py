@@ -113,6 +113,33 @@ def test_capacity_counts_match_brute_force_oracle():
         assert keys == oracle_keys
 
 
+def test_enumeration_stream_is_the_brute_force_oracle_in_order():
+    # the enumeration builds its tables without validating them: pin that
+    # each one is a capacity, keyed in subset order, and that the stream is
+    # the oracle's lexicographic order of value tuples
+    for space in (FiniteSpace(["a"]), X2, X3):
+        for chain in (Chain(1), K2):
+            stream = list(enumerate_capacities(space, chain))
+            oracle = brute_force_capacities(space, chain)
+            assert [canonical_key(c) for c in stream] == [
+                tuple(t[s].value for s in space.subsets()) for t in oracle
+            ]
+            for c in stream:
+                assert type(c) is Capacity
+                assert list(c.table) == list(space.subsets(include_empty=True))
+                assert validate(c, require_normalized=True) == []
+                assert c == Capacity(space, chain, c.table)
+
+
+def test_enumeration_on_four_points_yields_only_capacities():
+    x4 = FiniteSpace(list("abcd"))
+    count = 0
+    for c in enumerate_capacities(x4, K2):
+        assert validate(c, require_normalized=True) == []
+        count += 1
+    assert count == 7246
+
+
 def test_class_counts_match_density_oracle():
     for space in (X2, X3):
         n, k = len(space), K2.k

@@ -148,3 +148,59 @@ def test_levels_are_immutable_and_hashable():
         half.value = Fraction(1)
     assert len({lv for lv in chain}) == 3
     assert half.index == 1
+
+
+def test_ordering_across_chains_raises_and_equality_is_false():
+    a = Chain(2).level("1/2")
+    b = Chain(4).level("1/2")
+    for order in (
+        lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b,
+        lambda: b < a, lambda: b >= a,
+    ):
+        with pytest.raises(ChainMismatchError):
+            order()
+    # the same value on another resolution is another level
+    assert not (a == b)
+    assert a != b
+
+
+def test_levels_against_non_levels():
+    half = Chain(2).level("1/2")
+    with pytest.raises(TypeError):
+        half < 1
+    with pytest.raises(TypeError):
+        half >= 0
+    assert half != 1
+    assert not (half == 1)
+    assert half != Fraction(1, 2)
+
+
+def test_levels_of_separate_chain_instances_agree():
+    for k in range(1, 5):
+        for a, b in zip(Chain(k).levels, Chain(k).levels):
+            assert a == b and not (a != b)
+            assert a <= b and a >= b and not (a < b) and not (a > b)
+            assert hash(a) == hash(b)
+
+
+def test_level_hash_is_the_hash_of_resolution_and_value():
+    # dict and set iteration order, and with it every report byte, depends
+    # on this exact hash: changing it reorders reports
+    for chain in CHAINS:
+        for lv in chain:
+            assert hash(lv) == hash((chain.k, lv.value))
+
+
+def test_rank_index_and_complement():
+    for chain in CHAINS:
+        for i, lv in enumerate(chain.levels):
+            assert lv.index == lv.i == i
+            assert complement(complement(lv)) is lv
+            assert complement(lv).i == chain.k - i
+        for a, b in itertools.product(chain, repeat=2):
+            assert (a < b) == (a.value < b.value)
+            assert (a <= b) == (a.value <= b.value)
+            assert (a > b) == (a.value > b.value)
+            assert (a >= b) == (a.value >= b.value)
+            assert (a == b) == (a.value == b.value)
+            assert (a != b) == (a.value != b.value)

@@ -1,9 +1,15 @@
 """Exit codes, report determinism, and subcommand behavior of the capalg CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
@@ -398,3 +404,127 @@ def test_dual_roundtrip_passes_on_the_chain_model(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "in.json").write_text(json.dumps(obj))
     assert main(["roundtrip", "--structure", "in.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "table, cell, value, tabulated, raising_diracs",
+    [("smeet", "0|0", "1/2", 0, 3), ("sjoin", "1|1", "1/2", 115, 1)],
+)
+def test_full_xi_keeps_its_report_when_a_dirac_evaluation_raises(
+    table, cell, value, tabulated, raising_diracs, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(_golden_quadruple(table, cell, value)))
+    code = main(["full-xi", "--structure", "in.json", "--out", "report.json"])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["xi_full"]["xi_full"]) == tabulated
+    laws = [w["law"] for w in report["witnesses"]]
+    assert laws.count("factorization") == 129  # every capacity on three points
+    unit = [w["witness"] for w in report["witnesses"] if w["law"] == "algebra-unit-law"]
+    assert len(unit) == raising_diracs
+    assert all("map forms disagree" in w for w in unit)
+
+
+# ------------------------------------------------ malformed input, fuzzed
+#
+# Every document below breaks the loaders' input contract in one place, so
+# each structure command must exit 2 with a one-line error, never a
+# traceback (an exception escaping ``main``) and never a report.
+
+STRUCTURE_COMMANDS = ["algebra-laws", "biconvex-laws", "full-xi", "roundtrip"]
+
+WELL_FORMED = {
+    "ic": lambda: _chain_model_tables("ic", lambda x, a, y: _k2(max)(x, _k2(min)(a, y))),
+    "ci": lambda: _chain_model_tables("ci", lambda x, a, y: _k2(min)(x, _k2(max)(a, y))),
+    "quadruple": _chain_model_quadruple,
+    "triple": _chain_model_triple,
+    "semimodule": _golden_semimodule,
+    "union-map": _golden_union_map,
+}
+# the tables of each document, and which part of their keys is a level
+# (None: keys are element names only)
+TABLE_LEVEL_PART = {
+    "ic": 1, "ci": 1, "bjoin": None, "bmeet": None, "smeet": 0, "sjoin": 0,
+    "p": 0, "m": 0, "add": None, "scale": 0, "xi": 0,
+}
+NOT_AN_OBJECT = strat.one_of(
+    strat.lists(strat.integers(), max_size=2), strat.text(max_size=3),
+    strat.integers(), strat.none(), strat.booleans(),
+)
+BAD_LEVELS = ["2", "-1", "1/3", "1/0", "0.3", "abc", "", "½"]
+
+
+@strat.composite
+def malformed_documents(draw):
+    # a fresh copy: the builders share their element lists
+    obj = json.loads(json.dumps(WELL_FORMED[draw(strat.sampled_from(sorted(WELL_FORMED)))]()))
+    tables = sorted(t for t in TABLE_LEVEL_PART if t in obj)
+    how = draw(strat.sampled_from([
+        "top-level", "space", "elements-type", "elements-entry", "duplicate-name",
+        "chain-k", "table-type", "key-arity", "key-level", "cell-value",
+    ]))
+    hypothesis.event(how)
+    if how == "top-level":
+        return draw(NOT_AN_OBJECT)
+    if how == "space":
+        # a space document, well-formed or not, has no structure tables
+        return {"elements": draw(strat.one_of(
+            NOT_AN_OBJECT, strat.lists(strat.sampled_from(["a", "b", 1, None]), max_size=3),
+        ))}
+    if how == "elements-type":
+        obj["elements"] = draw(strat.one_of(
+            strat.text(max_size=3), strat.integers(), strat.none(),
+            strat.dictionaries(strat.text(max_size=2), strat.integers(), max_size=2),
+        ))
+    elif how == "elements-entry":
+        i = draw(strat.integers(0, len(obj["elements"]) - 1))
+        obj["elements"][i] = draw(strat.one_of(strat.integers(), strat.none(),
+                                               strat.lists(strat.integers(), max_size=1)))
+    elif how == "duplicate-name":
+        obj["elements"].append(draw(strat.sampled_from(obj["elements"])))
+    elif how == "chain-k":
+        bad = draw(strat.sampled_from([0, -1, 1, 3, "2", 2.0, None, True, [2], "missing"]))
+        if bad == "missing":
+            del obj["chain_k"]
+        else:
+            obj["chain_k"] = bad
+    else:
+        name = draw(strat.sampled_from(tables))
+        table = obj[name]
+        key = draw(strat.sampled_from(sorted(table)))
+        sep = "," if name == "xi" else "|"
+        parts = key.split(sep)
+        if how == "table-type":
+            obj[name] = draw(NOT_AN_OBJECT)
+        elif how == "key-arity":
+            parts = parts + ["0"] if draw(strat.booleans()) or len(parts) == 1 else parts[:-1]
+            table[sep.join(parts)] = table.pop(key)
+        elif how == "key-level":
+            part = TABLE_LEVEL_PART[name]
+            hypothesis.assume(part is not None)
+            parts[part] = draw(strat.sampled_from(BAD_LEVELS))
+            table[sep.join(parts)] = table.pop(key)
+        else:
+            table[key] = draw(strat.one_of(
+                strat.just("zz"), strat.integers(), strat.none(),
+                strat.lists(strat.integers(), max_size=1),
+            ))
+    return obj
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.example({"elements": "ab"})
+@hypothesis.example({"chain_k": 2, "elements": ["a", "b"], "ic": []})
+@hypothesis.given(malformed_documents())
+def test_malformed_structures_exit_two_without_a_traceback(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(document))
+        for command in STRUCTURE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--structure", str(path)])
+            assert code == 2, (command, document, out.getvalue())
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
