@@ -37,7 +37,6 @@ from typing import Iterator, Mapping
 
 from .chain import Chain, Level
 from .errors import (
-    BudgetExceededError,
     CarrierMismatchError,
     LawViolationError,
     ValidationError,
@@ -56,6 +55,31 @@ from .spaces import FiniteSpace, PointMap, Subset
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
+def _check_cells(carrier, keys, **tables) -> None:
+    """Every table has a cell at every key, and every cell is a carrier element."""
+    for label, table in tables.items():
+        for key in keys:
+            cell = "|".join(map(str, key)) if isinstance(key, tuple) else key
+            if key not in table:
+                raise ValidationError(f"{label} table missing {cell}")
+            if table[key] not in carrier.index:
+                raise ValidationError(f"{label} value {table[key]!r} at {cell} not in carrier")
+
+
+def _fold(table, xs) -> str:
+    """xs folded from the left through a binary lattice table."""
+    it = iter(xs)
+    acc = next(it)
+    for x in it:
+        acc = table[(acc, x)]
+    return acc
+
+
+def _bounds(carrier, bjoin, bmeet) -> tuple[str, str]:
+    """(bottom, top): the meet and the join of the whole carrier."""
+    return _fold(bmeet, carrier.elements), _fold(bjoin, carrier.elements)
+
+
 class BiconvexStructure:
     """Lattice tables plus the two chain actions, all explicit.
 
@@ -70,19 +94,10 @@ class BiconvexStructure:
     )
 
     def __init__(self, carrier, chain, bjoin, bmeet, smeet, sjoin):
-        for table, label in ((bjoin, "bjoin"), (bmeet, "bmeet")):
-            for x, y in itertools.product(carrier.elements, repeat=2):
-                if (x, y) not in table:
-                    raise ValidationError(f"{label} table missing {x}|{y}")
-                if table[(x, y)] not in carrier.index:
-                    raise ValidationError(f"{label} value {table[(x, y)]!r} not in carrier")
-        for table, label in ((smeet, "smeet"), (sjoin, "sjoin")):
-            for a in chain.levels:
-                for x in carrier.elements:
-                    if (a, x) not in table:
-                        raise ValidationError(f"{label} table missing {a}|{x}")
-                    if table[(a, x)] not in carrier.index:
-                        raise ValidationError(f"{label} value {table[(a, x)]!r} not in carrier")
+        pairs = list(itertools.product(carrier.elements, repeat=2))
+        _check_cells(carrier, pairs, bjoin=bjoin, bmeet=bmeet)
+        cells = list(itertools.product(chain.levels, carrier.elements))
+        _check_cells(carrier, cells, smeet=smeet, sjoin=sjoin)
         self.carrier = carrier
         self.chain = chain
         self.bjoin = dict(bjoin)
@@ -93,18 +108,10 @@ class BiconvexStructure:
         self._join_images: dict[Subset, str] = {}
 
     def join_all(self, xs) -> str:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.bjoin[(acc, x)]
-        return acc
+        return _fold(self.bjoin, xs)
 
     def meet_all(self, xs) -> str:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.bmeet[(acc, x)]
-        return acc
+        return _fold(self.bmeet, xs)
 
     @property
     def bottom(self) -> str:
@@ -158,6 +165,13 @@ def _lattice_diagnostics(carrier, bjoin, bmeet) -> list[str]:
             out.append(f"lattice: join associativity fails at ({x},{y},{z})")
         if bmeet[(bmeet[(x, y)], z)] != bmeet[(x, bmeet[(y, z)])]:
             out.append(f"lattice: meet associativity fails at ({x},{y},{z})")
+    if out:
+        return out  # distributivity presupposes the lattice laws
+    # a lattice is distributive iff it has no N5 or M3 sublattice (Birkhoff,
+    # Lattice Theory); the structure maps rely on it
+    for x, y, z in itertools.product(X, repeat=3):
+        if bmeet[(x, bjoin[(y, z)])] != bjoin[(bmeet[(x, y)], bmeet[(x, z)])]:
+            out.append(f"lattice: distributivity fails at ({x},{y},{z})")
     return out
 
 
@@ -230,16 +244,9 @@ class TripleStructure:
     __slots__ = ("carrier", "chain", "bjoin", "bmeet", "p", "m")
 
     def __init__(self, carrier, chain, bjoin, bmeet, p: Mapping[Level, str], m: Mapping[Level, str]):
-        for table, label in ((bjoin, "bjoin"), (bmeet, "bmeet")):
-            for x, y in itertools.product(carrier.elements, repeat=2):
-                if (x, y) not in table:
-                    raise ValidationError(f"{label} table missing {x}|{y}")
-        for fn, label in ((p, "p"), (m, "m")):
-            for a in chain.levels:
-                if a not in fn:
-                    raise ValidationError(f"{label} missing level {a}")
-                if fn[a] not in carrier.index:
-                    raise ValidationError(f"{label}({a}) = {fn[a]!r} not in carrier")
+        pairs = list(itertools.product(carrier.elements, repeat=2))
+        _check_cells(carrier, pairs, bjoin=bjoin, bmeet=bmeet)
+        _check_cells(carrier, chain.levels, p=p, m=m)
         self.carrier = carrier
         self.chain = chain
         self.bjoin = dict(bjoin)
@@ -248,31 +255,51 @@ class TripleStructure:
         self.m = dict(m)
 
 
+def _level_map_diagnostics(chain, bjoin, bmeet, bot, top, p, m) -> Iterator[str]:
+    """The four conditions tying p and m to a lattice, lazily: p(1) is the
+    top, m(0) the bottom, p preserves joins and m meets, and m(a) meet
+    p(c) = p(min(a, c)), m(a) join p(c) = m(max(a, c))."""
+    if p[chain.one] != top:
+        yield f"p-top: p(1) = {p[chain.one]} != top"
+    if m[chain.zero] != bot:
+        yield f"m-bottom: m(0) = {m[chain.zero]} != bottom"
+    for a, c in itertools.product(chain.levels, repeat=2):
+        if p[max(a, c)] != bjoin[(p[a], p[c])]:
+            yield f"p-join: p(max({a},{c})) != p({a}) join p({c})"
+        if m[min(a, c)] != bmeet[(m[a], m[c])]:
+            yield f"m-meet: m(min({a},{c})) != m({a}) meet m({c})"
+        if bmeet[(m[a], p[c])] != p[min(a, c)]:
+            yield f"pm-meet: m({a}) meet p({c}) != p(min({a},{c}))"
+        if bjoin[(m[a], p[c])] != m[max(a, c)]:
+            yield f"pm-join: m({a}) join p({c}) != m(max({a},{c}))"
+
+
 def check_triple(t: TripleStructure) -> list[str]:
     """Lattice laws plus the four conditions tying p and m to the lattice."""
     out = _lattice_diagnostics(t.carrier, t.bjoin, t.bmeet)
     if out:
         return out
-    top = t.bjoin[(t.carrier.elements[0], t.carrier.elements[0])]
-    for x in t.carrier.elements:
-        top = t.bjoin[(top, x)]
-    bot = t.carrier.elements[0]
-    for x in t.carrier.elements:
-        bot = t.bmeet[(bot, x)]
-    if t.p[t.chain.one] != top:
-        out.append(f"p-top: p(1) = {t.p[t.chain.one]} != top")
-    if t.m[t.chain.zero] != bot:
-        out.append(f"m-bottom: m(0) = {t.m[t.chain.zero]} != bottom")
-    for a, c in itertools.product(t.chain.levels, repeat=2):
-        if t.p[max(a, c)] != t.bjoin[(t.p[a], t.p[c])]:
-            out.append(f"p-join: p(max({a},{c})) != p({a}) join p({c})")
-        if t.m[min(a, c)] != t.bmeet[(t.m[a], t.m[c])]:
-            out.append(f"m-meet: m(min({a},{c})) != m({a}) meet m({c})")
-        if t.bmeet[(t.m[a], t.p[c])] != t.p[min(a, c)]:
-            out.append(f"pm-meet: m({a}) meet p({c}) != p(min({a},{c}))")
-        if t.bjoin[(t.m[a], t.p[c])] != t.m[max(a, c)]:
-            out.append(f"pm-join: m({a}) join p({c}) != m(max({a},{c}))")
-    return out
+    bot, top = _bounds(t.carrier, t.bjoin, t.bmeet)
+    return list(_level_map_diagnostics(t.chain, t.bjoin, t.bmeet, bot, top, t.p, t.m))
+
+
+def enumerate_lawful_triples(carrier, chain, bjoin, bmeet) -> Iterator[TripleStructure]:
+    """Every lawful triple on the given lattice tables, none if they fail
+    the lattice laws.
+
+    (p, m) runs over X^(k+1) x X^(k+1) in itertools.product order, p
+    first, each map listing its values at the levels from 0 up; a pair is
+    kept when it passes the conditions that ``check_triple`` applies.
+    """
+    if _lattice_diagnostics(carrier, bjoin, bmeet):
+        return
+    bot, top = _bounds(carrier, bjoin, bmeet)
+    levels = chain.levels
+    images = list(itertools.product(carrier.elements, repeat=len(levels)))
+    for p_img, m_img in itertools.product(images, repeat=2):
+        p, m = dict(zip(levels, p_img)), dict(zip(levels, m_img))
+        if next(_level_map_diagnostics(chain, bjoin, bmeet, bot, top, p, m), None) is None:
+            yield TripleStructure(carrier, chain, bjoin, bmeet, p, m)
 
 
 def triple_from_biconvex(b: BiconvexStructure) -> TripleStructure:
@@ -354,13 +381,13 @@ def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget)
     equals c: supports by (size, position), then weight tuples from
     ``weights`` in lexicographic order, kept when ``outer`` of the tuple is
     ``pin``.  A mixture multiplies to F -> outer over its names n of
-    inner(weight(n), n(F))."""
+    inner(weight(n), n(F)).  Weights, pin and values are level ranks."""
     space, chain = c.carrier, c.chain
     names, assignment = capacity_pool(space, chain, kind)
     subsets = list(space.subsets())
-    target = tuple(c.value(s).value for s in subsets)
+    target = tuple(c.value(s).i for s in subsets)
     pool = list(names.elements)
-    vecs = [tuple(assignment[n].value(s).value for s in subsets) for n in pool]
+    vecs = [tuple(assignment[n].value(s).i for s in subsets) for n in pool]
     hits = []
     checked = 0
     nf = len(subsets)
@@ -380,7 +407,7 @@ def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget)
                         ok = False
                         break
                 if ok:
-                    dens = {pool[i]: v for i, v in zip(support, values)}
+                    dens = {pool[i]: chain.levels[v] for i, v in zip(support, values)}
                     hits.append(mixture(names, chain, dens))
                     if len(hits) >= limit:
                         return hits
@@ -404,7 +431,7 @@ def union_over_intersection_preimages(
     """
     levels = c.chain.levels
     return _mixture_search(
-        c, "intersection", [lv.value for lv in levels[1:]], levels[-1].value,
+        c, "intersection", [lv.i for lv in levels[1:]], levels[-1].i,
         max, min, PossibilityCapacity, limit, budget,
     )
 
@@ -423,7 +450,7 @@ def intersection_over_union_preimages(
     """
     levels = c.chain.levels
     return _mixture_search(
-        c, "union", [lv.value for lv in levels[:-1]], levels[0].value,
+        c, "union", [lv.i for lv in levels[:-1]], levels[0].i,
         min, max, NecessityCapacity, limit, budget,
     )
 
@@ -574,12 +601,7 @@ def quadruple_from_algebra(xi: CapacityStructureMap) -> BiconvexStructure:
     """Full biconvex structure recovered from a structure map."""
     carrier, chain = xi.carrier, xi.chain
     bjoin, bmeet = lattice_from_algebra(xi)
-    bot = carrier.elements[0]
-    for x in carrier.elements:
-        bot = bmeet[(bot, x)]
-    top = carrier.elements[0]
-    for x in carrier.elements:
-        top = bjoin[(top, x)]
+    bot, top = _bounds(carrier, bjoin, bmeet)
     smeet: dict[tuple[Level, str], str] = {}
     sjoin: dict[tuple[Level, str], str] = {}
     for a in chain.levels:
@@ -632,6 +654,16 @@ class CubeStructure:
     structure: BiconvexStructure
     phis: list[dict[Level, Level]]
     coords: dict[str, tuple]  # element name -> level tuple
+
+
+def weight_maps(chain: Chain) -> list[dict[Level, Level]]:
+    """Every non-decreasing level map fixing 0 and 1, in lexicographic
+    order of its interior values."""
+    interior = chain.levels[1:-1]
+    return [
+        {chain.zero: chain.zero, chain.one: chain.one, **dict(zip(interior, combo))}
+        for combo in itertools.combinations_with_replacement(chain.levels, len(interior))
+    ]
 
 
 def _validate_phi(chain: Chain, phi: Mapping[Level, Level]) -> dict[Level, Level]:
@@ -741,7 +773,6 @@ def _coordinate_candidates(b: BiconvexStructure) -> list[tuple[dict, dict]]:
     X = b.carrier.elements
     pos = b.carrier.index
     levels = chain.levels
-    interior = levels[1:-1]
     n = len(X)
     # equations keyed by the carrier position where their last cell is
     # assigned; cells are carrier positions and g values level indices
@@ -757,14 +788,8 @@ def _coordinate_candidates(b: BiconvexStructure) -> list[tuple[dict, dict]]:
                 cells = (pos[table[(a, x)]], pos[x])
                 action[max(cells)].append((op, cells[0], ai, cells[1]))
     out = []
-    for phi_vals in itertools.product(levels, repeat=len(interior)):
-        phi = {chain.zero: chain.zero, chain.one: chain.one}
-        for a, v in zip(interior, phi_vals):
-            phi[a] = v
-        ordered = [phi[a] for a in levels]
-        if any(u > v for u, v in zip(ordered, ordered[1:])):
-            continue
-        weight = [lv.index for lv in ordered]
+    for phi in weight_maps(chain):
+        weight = [phi[a].i for a in levels]
         g = [0] * n
 
         def holds(p: int) -> bool:
@@ -832,9 +857,10 @@ def enumerate_biconvex_structures(
     """All valid biconvex structures on the carrier-order chain lattice.
 
     Carriers up to 3 elements are always chain lattices up to
-    relabeling, so the lattice is pinned to the element order and only
-    the interior action rows vary; every candidate pair is filtered
-    through the full law check.
+    relabeling, so the lattice is pinned to the element order.  The
+    actions are the closed forms a*x = m(a) meet x and a+x = p(a) join x
+    of the lawful triples on it, in ``enumerate_lawful_triples`` order;
+    each structure is re-checked against the full law list.
     """
     if len(space) > 3 or chain.k > 2:
         raise ValidationError("biconvex enumeration is limited to |X| <= 3, k <= 2")
@@ -848,17 +874,7 @@ def enumerate_biconvex_structures(
         (x, y): (x if idx[x] <= idx[y] else y)
         for x, y in itertools.product(X, repeat=2)
     }
-    bot, top = X[0], X[-1]
-    interior = chain.levels[1:-1]
-    cells = [(a, x) for a in interior for x in X]
-    for smeet_vals in itertools.product(X, repeat=len(cells)):
-        smeet = {(chain.one, x): x for x in X}
-        smeet.update({(chain.zero, x): bot for x in X})
-        smeet.update(dict(zip(cells, smeet_vals)))
-        for sjoin_vals in itertools.product(X, repeat=len(cells)):
-            sjoin = {(chain.zero, x): x for x in X}
-            sjoin.update({(chain.one, x): top for x in X})
-            sjoin.update(dict(zip(cells, sjoin_vals)))
-            b = BiconvexStructure(space, chain, bjoin, bmeet, smeet, sjoin)
-            if not check_biconvex(b):
-                yield b
+    for t in enumerate_lawful_triples(space, chain, bjoin, bmeet):
+        b = biconvex_from_triple(t)
+        if not check_biconvex(b):
+            yield b

@@ -13,24 +13,22 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .biconvex import (
     BiconvexStructure,
-    CapacityStructureMap,
     CubeStructure,
     TripleStructure,
     biconvex_from_triple,
     check_biconvex,
     check_triple,
     embedding_search,
+    structure_map_full,
     sugeno_form,
     triple_from_biconvex,
 )
 from .capacity import (
     NecessityCapacity,
     canonical_key,
-    capacity_space,
     classify,
     enumerate_capacities,
     possibility_space,
@@ -69,29 +67,33 @@ from .suites import (
     _cap_witness,
 )
 
-COMMANDS = (
-    "monad-laws",
-    "algebra-laws",
-    "roundtrip",
-    "biconvex-laws",
-    "full-xi",
-    "embed-search",
-    "enumerate",
-)
+# add_argument parameters of every flag
+_FLAGS = {
+    "--space": dict(dest="space_path", default=None,
+                    help="JSON file with {\"elements\": [...]}"),
+    "--structure": dict(dest="structure_path", default=None,
+                        help="JSON file with a serialized structure"),
+    "--chain": dict(dest="chain_k", type=int, default=2,
+                    help="chain resolution k (levels i/k)"),
+    "--mode": dict(choices=("exhaustive", "random"), default="exhaustive"),
+    "--samples": dict(type=int, default=500),
+    "--seed": dict(type=int, default=0),
+    "--max-a": dict(dest="max_arity", type=int, default=2,
+                    help="largest coordinate count for embedding searches"),
+    "--capacity-class": dict(choices=("all", "union", "intersection"), default="all"),
+    "--out": dict(default=None, help="path for the JSON report"),
+}
 
-
-@dataclass
-class RunConfig:
-    command: str
-    space_path: str | None
-    structure_path: str | None
-    chain_k: int
-    mode: str
-    samples: int
-    seed: int
-    max_arity: int
-    capacity_class: str
-    out: str | None
+# the flags each command reads; every command also takes --out
+COMMANDS = {
+    "monad-laws": ("--space", "--chain", "--mode", "--samples", "--seed"),
+    "algebra-laws": ("--structure", "--samples", "--seed"),
+    "roundtrip": ("--structure",),
+    "biconvex-laws": ("--structure",),
+    "full-xi": ("--structure",),
+    "embed-search": ("--structure", "--max-a"),
+    "enumerate": ("--space", "--chain", "--capacity-class"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,23 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Law suites and searches for chain-valued capacity algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--space", dest="space_path", default=None,
-                       help="JSON file with {\"elements\": [...]}")
-        p.add_argument("--structure", dest="structure_path", default=None,
-                       help="JSON file with a serialized structure")
-        p.add_argument("--chain", dest="chain_k", type=int, default=2,
-                       help="chain resolution k (levels i/k)")
-        p.add_argument("--mode", choices=("exhaustive", "random"),
-                       default="exhaustive")
-        p.add_argument("--samples", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-a", dest="max_arity", type=int, default=2,
-                       help="largest coordinate count for embedding searches")
-        p.add_argument("--capacity-class",
-                       choices=("all", "union", "intersection"), default="all")
-        p.add_argument("--out", default=None, help="path for the JSON report")
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -125,16 +114,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_space(cfg: RunConfig) -> FiniteSpace:
-    if cfg.space_path is None:
+def _load_space(args: argparse.Namespace) -> FiniteSpace:
+    if args.space_path is None:
         return FiniteSpace(["a", "b"])
-    return space_from_json(_load_json(cfg.space_path))
+    return space_from_json(_load_json(args.space_path))
 
 
-def _load_structure(cfg: RunConfig):
-    if cfg.structure_path is None:
-        raise CapalgError(f"{cfg.command} needs --structure")
-    loaded = structure_from_json(_load_json(cfg.structure_path))
+def _load_structure(args: argparse.Namespace):
+    if args.structure_path is None:
+        raise CapalgError(f"{args.command} needs --structure")
+    loaded = structure_from_json(_load_json(args.structure_path))
     chain = getattr(loaded, "chain", None)
     if chain is None and isinstance(loaded, CubeStructure):
         chain = loaded.structure.chain
@@ -171,22 +160,22 @@ def _as_biconvex(loaded) -> BiconvexStructure:
     )
 
 
-def _run_monad_laws(cfg: RunConfig):
-    space = _load_space(cfg)
-    chain = make_chain(cfg.chain_k)
+def _run_monad_laws(args: argparse.Namespace):
+    space = _load_space(args)
+    chain = make_chain(args.chain_k)
     reports = [
-        g_monad_suite(space, cfg.mode, cfg.samples, cfg.seed),
-        capacity_monad_suite(space, chain, cfg.samples, cfg.seed),
+        g_monad_suite(space, args.mode, args.samples, args.seed),
+        capacity_monad_suite(space, chain, args.samples, args.seed),
     ]
     return reports, {}
 
 
-def _run_algebra_laws(cfg: RunConfig):
-    loaded, _ = _load_structure(cfg)
+def _run_algebra_laws(args: argparse.Namespace):
+    loaded, _ = _load_structure(args)
     if isinstance(loaded, ConvexStructure):
         axioms = _diagnostics_report("combination-axioms", check_ic_axioms(loaded))
         laws = check_algebra_laws(UnionStructureMap.from_convex(loaded),
-                                  samples=cfg.samples, seed=cfg.seed)
+                                  samples=args.samples, seed=args.seed)
         return [axioms, _diagnostics_report("algebra-laws", laws)], {}
     if isinstance(loaded, DualConvexStructure):
         axioms = check_ci_axioms(loaded)
@@ -195,13 +184,13 @@ def _run_algebra_laws(cfg: RunConfig):
         axioms = check_semimodule_axioms(loaded)
         return [_diagnostics_report("semimodule-axioms", axioms)], {}
     if isinstance(loaded, UnionStructureMap):
-        laws = check_algebra_laws(loaded, samples=cfg.samples, seed=cfg.seed)
+        laws = check_algebra_laws(loaded, samples=args.samples, seed=args.seed)
         return [_diagnostics_report("algebra-laws", laws)], {}
     return [_biconvex_report(_as_biconvex(loaded))], {}
 
 
-def _run_roundtrip(cfg: RunConfig):
-    loaded, chain = _load_structure(cfg)
+def _run_roundtrip(args: argparse.Namespace):
+    loaded, chain = _load_structure(args)
     rep = SuiteReport("roundtrip")
     if isinstance(loaded, ConvexStructure):
         xi = UnionStructureMap.from_convex(loaded)
@@ -253,25 +242,24 @@ def _run_roundtrip(cfg: RunConfig):
     return [rep], {}
 
 
-def _run_biconvex_laws(cfg: RunConfig):
-    loaded, _ = _load_structure(cfg)
+def _run_biconvex_laws(args: argparse.Namespace):
+    loaded, _ = _load_structure(args)
     if isinstance(loaded, TripleStructure):
         triple = _diagnostics_report("triple-laws", check_triple(loaded))
         return [triple, _biconvex_report(biconvex_from_triple(loaded))], {}
     return [_biconvex_report(_as_biconvex(loaded))], {}
 
 
-def _run_full_xi(cfg: RunConfig):
-    loaded, _ = _load_structure(cfg)
+def _run_full_xi(args: argparse.Namespace):
+    loaded, _ = _load_structure(args)
     b = _as_biconvex(loaded)
     rep = SuiteReport("full-structure-map")
-    xi = CapacityStructureMap.from_biconvex(b)
     table = {}
     agreements = 0
-    for c in capacity_space(b.carrier, b.chain)[1].values():
+    for c in enumerate_capacities(b.carrier, b.chain):
         wit = lambda c=c: _cap_witness(c)
         try:
-            value = xi(c)
+            value = structure_map_full(b, c)
             table[canonical_key(c)] = value
             check_full_map_value(rep, b, c, value, wit)
             if sugeno_form(b, c) == value:
@@ -280,7 +268,8 @@ def _run_full_xi(cfg: RunConfig):
             rep.check("factorization", False, f"{wit()}: {exc}")
     for x in b.carrier.elements:
         try:
-            ok, witness = xi(unit_dirac(b.carrier, b.chain, x)) == x, f"x={x}"
+            ok = structure_map_full(b, unit_dirac(b.carrier, b.chain, x)) == x
+            witness = f"x={x}"
         except LawViolationError as exc:
             ok, witness = False, f"x={x}: {exc}"
         rep.check("algebra-unit-law", ok, witness)
@@ -289,13 +278,13 @@ def _run_full_xi(cfg: RunConfig):
     rep.notes.append(
         f"join-of-weighted-meets agrees on {agreements} of {len(table)} capacities"
     )
-    return [rep], {"xi_full": full_map_to_json(xi, table)}
+    return [rep], {"xi_full": full_map_to_json(b, table)}
 
 
-def _run_embed_search(cfg: RunConfig):
-    loaded, _ = _load_structure(cfg)
+def _run_embed_search(args: argparse.Namespace):
+    loaded, _ = _load_structure(args)
     b = _as_biconvex(loaded)
-    res = embedding_search(b, max_arity=cfg.max_arity)
+    res = embedding_search(b, max_arity=args.max_arity)
     rep = SuiteReport("embedding-search")
     rep.cases = 1
     rep.counts["found"] = int(res.found)
@@ -310,10 +299,10 @@ def _run_embed_search(cfg: RunConfig):
     return [rep], {"embedding": embedding_result_to_json(res)}
 
 
-def _run_enumerate(cfg: RunConfig):
-    space = _load_space(cfg)
-    chain = make_chain(cfg.chain_k)
-    caps = list(enumerate_capacities(space, chain, cfg.capacity_class))
+def _run_enumerate(args: argparse.Namespace):
+    space = _load_space(args)
+    chain = make_chain(args.chain_k)
+    caps = list(enumerate_capacities(space, chain, args.capacity_class))
     rep = SuiteReport("enumerate-capacities")
     rep.cases = len(caps)
     rep.counts["count"] = len(caps)
@@ -335,15 +324,15 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig, argv: list[str]) -> tuple[int, dict]:
+def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
     """Execute one command; returns (exit_code, report_payload)."""
     t0 = time.perf_counter()
     try:
-        reports, payload = _HANDLERS[cfg.command](cfg)
+        reports, payload = _HANDLERS[args.command](args)
     except LawViolationError as exc:
         # a law broke somewhere no handler expected: still a failure, not
         # a configuration problem
-        rep = SuiteReport(cfg.command)
+        rep = SuiteReport(args.command)
         rep.check("law-violation", False, str(exc))
         reports, payload = [rep], {}
     elapsed = time.perf_counter() - t0
@@ -367,46 +356,31 @@ def run(cfg: RunConfig, argv: list[str]) -> tuple[int, dict]:
     }
     report.update(payload)
 
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(report))
 
-    print(f"capalg {cfg.command}")
+    print(f"capalg {args.command}")
     for r in reports:
         print(f"  {r.name}: {r.cases} cases, {len(r.findings)} failures")
         for note in r.notes:
             print(f"    note: {note}")
     for w in witnesses[:10]:
         print(f"  FAIL {w['suite']}/{w['law']}: {w['witness'][:160]}")
-    where = f" (report written to {cfg.out})" if cfg.out else ""
+    where = f" (report written to {args.out})" if args.out else ""
     print(f"verdict: {report['verdict']} in {elapsed:.2f}s{where}")
     return (0 if failed == 0 else 1), report
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        space_path=args.space_path,
-        structure_path=args.structure_path,
-        chain_k=args.chain_k,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        max_arity=args.max_arity,
-        capacity_class=args.capacity_class,
-        out=args.out,
-    )
-    if cfg.chain_k < 1:
-        print("error: --chain must be a positive integer", file=sys.stderr)
-        return 2
-    if cfg.samples < 1:
-        print("error: --samples must be a positive integer", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
+    for dest, flag in (("chain_k", "--chain"), ("samples", "--samples")):
+        if getattr(args, dest, 1) < 1:
+            print(f"error: {flag} must be a positive integer", file=sys.stderr)
+            return 2
     try:
-        code, _ = run(cfg, [cfg.command] + argv[1:])
+        code, _ = run(args, [args.command] + argv[1:])
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2

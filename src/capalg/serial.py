@@ -348,8 +348,11 @@ def cube_from_json(obj: Mapping) -> CubeStructure:
     return cube_structure(chain, phis)
 
 
-def full_map_to_json(xi: CapacityStructureMap, table: Mapping[tuple, str]) -> dict:
-    """Tabulated full structure map; keys are capacity value vectors."""
+def full_map_to_json(
+    xi: CapacityStructureMap | BiconvexStructure, table: Mapping[tuple, str]
+) -> dict:
+    """Tabulated full structure map of xi, or of the structure behind it;
+    keys are capacity value vectors."""
     out = _header(xi.carrier, xi.chain, joins_names=False)
     out["xi_full"] = {
         ",".join(str(v) for v in key): val for key, val in sorted(table.items())

@@ -18,7 +18,6 @@ from functools import lru_cache
 from .biconvex import (
     BiconvexStructure,
     CapacityStructureMap,
-    TripleStructure,
     _mixture_step,
     biconvex_from_triple,
     chain_model,
@@ -28,6 +27,7 @@ from .biconvex import (
     diamond_structure,
     embedding_search,
     enumerate_biconvex_structures,
+    enumerate_lawful_triples,
     intersection_over_union_preimages,
     is_biaffine,
     quadruple_from_algebra,
@@ -38,6 +38,7 @@ from .biconvex import (
     sugeno_form,
     triple_from_biconvex,
     union_over_intersection_preimages,
+    weight_maps,
 )
 from .capacity import (
     NecessityCapacity,
@@ -874,15 +875,7 @@ def check_full_map_value(
     return dual
 
 
-def _all_phis(chain: Chain) -> list[dict]:
-    inner = chain.levels[1:-1]
-    out = []
-    for combo in itertools.product(chain.levels, repeat=len(inner)):
-        if all(combo[i] <= combo[i + 1] for i in range(len(combo) - 1)):
-            phi = {chain.zero: chain.zero, chain.one: chain.one}
-            phi.update(dict(zip(inner, combo)))
-            out.append(phi)
-    return out
+_all_phis = weight_maps  # the name the tests import
 
 
 def full_map_suite(
@@ -922,31 +915,15 @@ def full_map_suite(
         t = triple_from_biconvex(b)
         rep.check("triple-laws", not check_triple(t), wit)
         rep.check("quadruple-roundtrip", biconvex_from_triple(t) == b, wit)
-        for p_img in itertools.product(b.carrier.elements, repeat=chain.k + 1):
-            for m_img in itertools.product(b.carrier.elements, repeat=chain.k + 1):
-                cand = TripleStructure(
-                    b.carrier,
-                    chain,
-                    b.bjoin,
-                    b.bmeet,
-                    dict(zip(chain.levels, p_img)),
-                    dict(zip(chain.levels, m_img)),
-                )
-                if check_triple(cand):
-                    continue
-                derived = biconvex_from_triple(cand)
-                rep.check(
-                    "triple-to-quadruple-laws",
-                    not check_biconvex(derived),
-                    f"{wit} p={p_img} m={m_img}",
-                )
-                back = triple_from_biconvex(derived)
-                rep.check(
-                    "triple-roundtrip",
-                    back.p == cand.p and back.m == cand.m,
-                    f"{wit} p={p_img} m={m_img}",
-                )
-                rep.bump("triples-on-lattice")
+        for cand in enumerate_lawful_triples(b.carrier, chain, b.bjoin, b.bmeet):
+            cw = lambda cand=cand: (
+                f"{wit} p={tuple(cand.p.values())} m={tuple(cand.m.values())}"
+            )
+            derived = biconvex_from_triple(cand)
+            rep.check("triple-to-quadruple-laws", not check_biconvex(derived), cw)
+            back = triple_from_biconvex(derived)
+            rep.check("triple-roundtrip", back.p == cand.p and back.m == cand.m, cw)
+            rep.bump("triples-on-lattice")
 
         for c in poss_lookup.values():
             try:
@@ -1020,7 +997,7 @@ def full_map_suite(
         rep.check("quadruple-recovered-from-map", quadruple_from_algebra(xi) == b, wit)
 
     for arity in (1, 2):
-        for phis in itertools.product(_all_phis(chain), repeat=arity):
+        for phis in itertools.product(weight_maps(chain), repeat=arity):
             cube = cube_structure(chain, list(phis))
             w = f"arity={arity} phi=" + ";".join(
                 ",".join(f"{a}->{phi[a]}" for a in chain.levels) for phi in phis
@@ -1116,7 +1093,7 @@ def embedding_suite(chain: Chain | None = None) -> SuiteReport:
     for k in (1, 2):
         ch = make_chain(k)
         for arity in (1, 2):
-            for phis in itertools.product(_all_phis(ch), repeat=arity):
+            for phis in itertools.product(weight_maps(ch), repeat=arity):
                 cube = cube_structure(ch, list(phis))
                 got = embedding_search(cube.structure, max_arity=arity)
                 w = f"k={k} arity={arity} phi=" + ";".join(

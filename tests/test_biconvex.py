@@ -36,6 +36,7 @@ from capalg.biconvex import (
     diamond_structure,
     embedding_search,
     enumerate_biconvex_structures,
+    enumerate_lawful_triples,
     intersection_over_union_preimages,
     is_biaffine,
     is_full_algebra_morphism,
@@ -82,6 +83,98 @@ def brute_force_action_pairs(space, chain):
 
 # frozen counts on the pinned chain lattice, (|X|, k) -> count
 BICONVEX_COUNTS = {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 2, (3, 1): 1, (3, 2): 3}
+
+
+def action_table_product(space, chain):
+    """Content-and-order oracle: the product of the interior action rows
+    on the pinned chain lattice, filtered through the full law check."""
+    X = space.elements
+    idx = space.index
+    bjoin = {
+        (x, y): (x if idx[x] >= idx[y] else y)
+        for x, y in itertools.product(X, repeat=2)
+    }
+    bmeet = {
+        (x, y): (x if idx[x] <= idx[y] else y)
+        for x, y in itertools.product(X, repeat=2)
+    }
+    bot, top = X[0], X[-1]
+    interior = chain.levels[1:-1]
+    cells = [(a, x) for a in interior for x in X]
+    for smeet_vals in itertools.product(X, repeat=len(cells)):
+        smeet = {(chain.one, x): x for x in X}
+        smeet.update({(chain.zero, x): bot for x in X})
+        smeet.update(dict(zip(cells, smeet_vals)))
+        for sjoin_vals in itertools.product(X, repeat=len(cells)):
+            sjoin = {(chain.zero, x): x for x in X}
+            sjoin.update({(chain.one, x): top for x in X})
+            sjoin.update(dict(zip(cells, sjoin_vals)))
+            b = BiconvexStructure(space, chain, bjoin, bmeet, smeet, sjoin)
+            if not check_biconvex(b):
+                yield b
+
+
+def test_triple_enumeration_matches_the_action_table_product_in_order():
+    for (n, k) in BICONVEX_COUNTS:
+        space, chain = FiniteSpace(["a", "b", "c"][:n]), Chain(k)
+        assert structures(space, chain) == tuple(action_table_product(space, chain))
+
+
+def lawful_triples_by_filter(carrier, chain, bjoin, bmeet):
+    """Oracle: every (p, m) pair, p first, kept when check_triple passes."""
+    images = list(itertools.product(carrier.elements, repeat=chain.k + 1))
+    for p_img, m_img in itertools.product(images, repeat=2):
+        t = TripleStructure(
+            carrier, chain, bjoin, bmeet,
+            dict(zip(chain.levels, p_img)), dict(zip(chain.levels, m_img)),
+        )
+        if not check_triple(t):
+            yield t
+
+
+def test_lawful_triples_match_the_check_triple_filter_in_order():
+    for b in (diamond_structure(K1), diamond_structure(K2), chain_model(K2)):
+        got = list(enumerate_lawful_triples(b.carrier, b.chain, b.bjoin, b.bmeet))
+        want = list(lawful_triples_by_filter(b.carrier, b.chain, b.bjoin, b.bmeet))
+        assert got
+        assert [(t.p, t.m) for t in got] == [(t.p, t.m) for t in want]
+
+
+def five_element_lattice(*strict):
+    """0 below and 1 above the middle elements a, b, c, which are
+    incomparable except for the ``strict`` pairs (x, y) with x below y,
+    and the trivial k=1 actions: N5 is ("a", "b"), M3 has no pairs."""
+    X = ["0", "a", "b", "c", "1"]
+    le = {(x, y) for x in X for y in X if x == y or x == "0" or y == "1"} | set(strict)
+    pairs = list(itertools.product(X, repeat=2))
+    bjoin = {(x, y): y if (x, y) in le else x if (y, x) in le else "1" for x, y in pairs}
+    bmeet = {(x, y): x if (x, y) in le else y if (y, x) in le else "0" for x, y in pairs}
+    smeet = {(a, x): x if a == K1.one else "0" for a in K1.levels for x in X}
+    sjoin = {(a, x): "1" if a == K1.one else x for a in K1.levels for x in X}
+    return BiconvexStructure(FiniteSpace(X), K1, bjoin, bmeet, smeet, sjoin)
+
+
+N5 = five_element_lattice(("a", "b"))
+M3 = five_element_lattice()
+
+
+@pytest.mark.parametrize("b", [N5, M3], ids=["N5", "M3"])
+def test_non_distributive_lattices_are_rejected(b):
+    for problems in (check_biconvex(b), check_triple(triple_from_biconvex(b))):
+        assert problems
+        assert all(p.startswith("lattice: distributivity fails at") for p in problems)
+    assert list(enumerate_lawful_triples(b.carrier, b.chain, b.bjoin, b.bmeet)) == []
+    # every other lattice law holds, and the witness is a real failure
+    x, y, z = problems[0].split("(")[1].rstrip(")").split(",")
+    assert b.bmeet[(x, b.bjoin[(y, z)])] != b.bjoin[(b.bmeet[(x, y)], b.bmeet[(x, z)])]
+
+
+def test_triple_with_an_out_of_carrier_lattice_value_fails_at_load():
+    t = triple_from_biconvex(chain_model(K2))
+    bjoin = dict(t.bjoin)
+    bjoin[("0", "1")] = "2"
+    with pytest.raises(ValidationError, match="bjoin value '2' at 0[|]1 not in carrier"):
+        TripleStructure(t.carrier, K2, bjoin, t.bmeet, t.p, t.m)
 
 
 def test_biconvex_count_matches_brute_force_on_two_points():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -96,7 +97,7 @@ def test_roundtrip_handles_triples_too(tmp_path):
 
 
 def test_law_violation_exits_one_with_witnesses(convex_file, tmp_path, capsys):
-    obj = json.loads(open(convex_file).read())
+    obj = json.loads(Path(convex_file).read_text())
     obj["ic"]["0|1/2|0"] = "1"  # break the self-combination axiom
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -145,6 +146,70 @@ def test_bad_flag_values_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# the flags each command reads, besides --out and --help
+READ_FLAGS = {
+    "monad-laws": {"--space", "--chain", "--mode", "--samples", "--seed"},
+    "algebra-laws": {"--structure", "--samples", "--seed"},
+    "roundtrip": {"--structure"},
+    "biconvex-laws": {"--structure"},
+    "full-xi": {"--structure"},
+    "embed-search": {"--structure", "--max-a"},
+    "enumerate": {"--space", "--chain", "--capacity-class"},
+}
+ALL_FLAGS = set().union(*READ_FLAGS.values())
+FLAG_VALUES = {
+    "--space": "space.json", "--structure": "in.json", "--chain": "1",
+    "--mode": "random", "--samples": "5", "--seed": "1", "--max-a": "1",
+    "--capacity-class": "union",
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_every_command_rejects_the_flags_it_does_not_read(command, capsys):
+    for flag in sorted(ALL_FLAGS - READ_FLAGS[command]):
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, FLAG_VALUES[flag]])
+        assert info.value.code == 2, (command, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_help_lists_exactly_the_flags_a_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == READ_FLAGS[command] | {"--out", "--help"}
+
+
+def five_element_lattice_document(*strict):
+    """N5 (strict=("a", "b")) or M3 (no pairs) with the trivial k=1 actions."""
+    X = ["0", "a", "b", "c", "1"]
+    le = {(x, y) for x in X for y in X if x == y or x == "0" or y == "1"} | set(strict)
+    return {
+        "chain_k": 1,
+        "elements": X,
+        "bjoin": {f"{x}|{y}": y if (x, y) in le else x if (y, x) in le else "1"
+                  for x in X for y in X},
+        "bmeet": {f"{x}|{y}": x if (x, y) in le else y if (y, x) in le else "0"
+                  for x in X for y in X},
+        "smeet": {f"{a}|{x}": x if a == "1" else "0" for a in "01" for x in X},
+        "sjoin": {f"{a}|{x}": "1" if a == "1" else x for a in "01" for x in X},
+    }
+
+
+@pytest.mark.parametrize("strict", [[("a", "b")], []], ids=["N5", "M3"])
+def test_biconvex_laws_reject_non_distributive_lattices(strict, tmp_path):
+    path, out = tmp_path / "in.json", tmp_path / "report.json"
+    path.write_text(json.dumps(five_element_lattice_document(*strict)))
+    assert main(["biconvex-laws", "--structure", str(path), "--out", str(out)]) == 1
+    witnesses = json.loads(out.read_text())["witnesses"]
+    assert witnesses
+    for w in witnesses:
+        assert w["law"] == "lattice"
+        assert w["witness"].startswith("lattice: distributivity fails at")
 
 
 def test_biconvex_laws_and_embed_search(biconvex_file, tmp_path):
