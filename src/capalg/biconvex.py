@@ -22,6 +22,9 @@ the necessity-side map closes the collected codensity.  The images of
 u_F and pi_G depend only on the structure and are computed once per
 structure.
 
+Each necessity-side fold is the possibility-side fold, cell for cell,
+on the order dual ``b.op`` at the conjugate capacity F -> 1 - c(X minus F).
+
 The value does not depend on the chosen mixture, and both factorization
 orders agree.  The bounded preimage searches find other mixtures; they
 serve only as an independent oracle for the closed form and for the
@@ -48,6 +51,7 @@ from .capacity import (
     canonical_key,
     capacity_pool,
     enumerate_capacities,
+    kappa_dual,
     pushforward,
 )
 from .spaces import FiniteSpace, PointMap, Subset
@@ -83,14 +87,14 @@ def _bounds(carrier, bjoin, bmeet) -> tuple[str, str]:
 class BiconvexStructure:
     """Lattice tables plus the two chain actions, all explicit.
 
-    The full structure maps keep the images of the unanimity capacities
-    (keyed by F) and of the point-set possibility capacities (keyed by G)
-    here, filled in on first use.
+    The full structure map keeps the images of the unanimity capacities
+    (keyed by F) here, filled in on first use; the order dual keeps its
+    own, which are the images of the point-set possibility capacities.
     """
 
     __slots__ = (
         "carrier", "chain", "bjoin", "bmeet", "smeet", "sjoin",
-        "_meet_images", "_join_images",
+        "_meet_images", "_op", "_side",
     )
 
     def __init__(self, carrier, chain, bjoin, bmeet, smeet, sjoin):
@@ -105,7 +109,25 @@ class BiconvexStructure:
         self.smeet = dict(smeet)
         self.sjoin = dict(sjoin)
         self._meet_images: dict[Subset, str] = {}
-        self._join_images: dict[Subset, str] = {}
+        self._op: BiconvexStructure | None = None
+        self._side = "possibility"
+
+    @property
+    def op(self) -> "BiconvexStructure":
+        """The order dual: bjoin and bmeet swap, and smeet(a, x) and
+        sjoin(1 - a, x) swap; built once, and ``b.op.op is b``.  Its
+        possibility side is this structure's necessity side, by name too.
+        """
+        if self._op is None:
+            flip = dict(zip(self.chain.levels, reversed(self.chain.levels)))
+            op = object.__new__(BiconvexStructure)
+            op.carrier, op.chain = self.carrier, self.chain
+            op.bjoin, op.bmeet = self.bmeet, self.bjoin
+            op.smeet = {(flip[a], x): z for (a, x), z in self.sjoin.items()}
+            op.sjoin = {(flip[a], x): z for (a, x), z in self.smeet.items()}
+            op._meet_images, op._op, op._side = {}, self, "necessity"
+            self._op = op
+        return self._op
 
     def join_all(self, xs) -> str:
         return _fold(self.bjoin, xs)
@@ -287,19 +309,20 @@ def enumerate_lawful_triples(carrier, chain, bjoin, bmeet) -> Iterator[TripleStr
     """Every lawful triple on the given lattice tables, none if they fail
     the lattice laws.
 
-    (p, m) runs over X^(k+1) x X^(k+1) in itertools.product order, p
-    first, each map listing its values at the levels from 0 up; a pair is
-    kept when it passes the conditions that ``check_triple`` applies.
+    The conditions force m = p (pm-meet at c = 1 reads m(a) meet p(1) =
+    p(a), and p(1) is the top), so p alone runs over X^(k+1) in
+    itertools.product order, its values at the levels from 0 up, and is
+    kept with m = p when the pair passes the conditions of ``check_triple``:
+    the same triples in the same order as a p-first scan of all (p, m).
     """
     if _lattice_diagnostics(carrier, bjoin, bmeet):
         return
     bot, top = _bounds(carrier, bjoin, bmeet)
     levels = chain.levels
-    images = list(itertools.product(carrier.elements, repeat=len(levels)))
-    for p_img, m_img in itertools.product(images, repeat=2):
-        p, m = dict(zip(levels, p_img)), dict(zip(levels, m_img))
-        if next(_level_map_diagnostics(chain, bjoin, bmeet, bot, top, p, m), None) is None:
-            yield TripleStructure(carrier, chain, bjoin, bmeet, p, m)
+    for img in itertools.product(carrier.elements, repeat=len(levels)):
+        p = dict(zip(levels, img))
+        if next(_level_map_diagnostics(chain, bjoin, bmeet, bot, top, p, p), None) is None:
+            yield TripleStructure(carrier, chain, bjoin, bmeet, p, p)
 
 
 def triple_from_biconvex(b: BiconvexStructure) -> TripleStructure:
@@ -336,7 +359,8 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
     The second form runs over nonempty subsets A: the meet of
     c(X minus A) + sup(A).  Disagreement means the carrier lattice lacks
     the distributivity this construction relies on and is raised as a
-    law violation with the witness capacity.
+    law violation with the witness capacity; on an order dual, with the
+    necessity side's name and capacity, the conjugate of c.
     """
     _check_match(b, c)
     primary = b.join_all(
@@ -349,8 +373,8 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
     )
     if dual != primary:
         raise LawViolationError(
-            f"possibility map forms disagree: {primary} vs {dual}",
-            witness=canonical_key(c),
+            f"{b._side} map forms disagree: {primary} vs {dual}",
+            witness=canonical_key(kappa_dual(c) if b._side == "necessity" else c),
         )
     return primary
 
@@ -358,22 +382,13 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
 def structure_map_necessity(b: BiconvexStructure, c: NecessityCapacity) -> str:
     """Meet over points of codensity(x) + x; checked against the join-side form.
 
-    The second form is ``sugeno_form``, the join over nonempty subsets F
+    It is the possibility map of ``b.op`` at the density 1 - codensity,
+    whose second form is ``sugeno_form``, the join over nonempty subsets F
     of c(F) * inf(F): each term is a lower bound for every codensity term
     (split on whether the point lies in F), and on the distributive
     carriers in scope the bound is attained.
     """
-    _check_match(b, c)
-    primary = b.meet_all(
-        b.sjoin[(c.codensity[x], x)] for x in b.carrier.elements
-    )
-    dual = sugeno_form(b, c)
-    if dual != primary:
-        raise LawViolationError(
-            f"necessity map forms disagree: {primary} vs {dual}",
-            witness=canonical_key(c),
-        )
-    return primary
+    return structure_map_possibility(b.op, kappa_dual(c))
 
 
 def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget):
@@ -464,37 +479,24 @@ def _unanimity_image(b: BiconvexStructure, f: Subset) -> str:
     return got
 
 
-def _point_set_image(b: BiconvexStructure, g: Subset) -> str:
-    """Possibility-side image of pi_G, the join of G; once per structure."""
-    got = b._join_images.get(g)
-    if got is None:
-        pi = PossibilityCapacity(b.carrier, b.chain, {x: b.chain.one for x in g})
-        got = b._join_images[g] = structure_map_possibility(b, pi)
-    return got
-
-
-def _mixture_step(b: BiconvexStructure, weighted, image, dual: bool = False) -> str:
+def _mixture_step(b: BiconvexStructure, weighted, image) -> str:
     """One side of a factorization: collect the mixture weights onto the
-    images of their components, then close with the other side's map.
+    images of their components, then close with the possibility map.
 
     ``weighted`` yields (component, weight) pairs and ``image`` maps a
-    component to the carrier; images are taken only for non-neutral
-    weights.  The union side skips weight 0, keeps the largest weight per
-    image and closes with the possibility map; the intersection side
-    (``dual``) skips weight 1, keeps the smallest and closes with the
-    necessity map.
+    component to the carrier; weight 0 is skipped without taking an
+    image, and each image keeps its largest weight.  On the order dual,
+    with weights 1 - w, this is the intersection side: weight 1 skipped,
+    the smallest kept, the necessity map closing.
     """
     chain = b.chain
-    neutral = chain.one if dual else chain.zero
-    acc = dict.fromkeys(b.carrier.elements, neutral)
+    acc = dict.fromkeys(b.carrier.elements, chain.zero)
     for component, w in weighted:
-        if w == neutral:
+        if w == chain.zero:
             continue
         target = image(component)
-        if (w < acc[target]) if dual else (w > acc[target]):
+        if w > acc[target]:
             acc[target] = w
-    if dual:
-        return structure_map_necessity(b, NecessityCapacity(b.carrier, chain, acc))
     return structure_map_possibility(b, PossibilityCapacity(b.carrier, chain, acc))
 
 
@@ -517,13 +519,11 @@ def structure_map_full_dual(b: BiconvexStructure, c: CapacityLike) -> str:
     """Value through the canonical intersection-over-union factorization.
 
     c is the multiplication of the necessity mixture with codensity
-    c(X minus G) on each possibility capacity pi_G; the mirror of
-    ``structure_map_full``.
+    c(X minus G) on each possibility capacity pi_G.  Conjugated, that is
+    the union-over-intersection factorization of 1 - c(X minus F) on the
+    order dual, whose unanimity images are the joins of G.
     """
-    _check_match(b, c)
-    universe = b.carrier.universe
-    weighted = ((g, c.value(universe - g)) for g in b.carrier.subsets())
-    return _mixture_step(b, weighted, partial(_point_set_image, b), dual=True)
+    return structure_map_full(b.op, kappa_dual(c))
 
 
 def sugeno_form(b: BiconvexStructure, c: CapacityLike) -> str:
@@ -587,8 +587,7 @@ def lattice_from_algebra(xi: CapacityStructureMap):
     bmeet: dict[tuple[str, str], str] = {}
     for x, y in itertools.product(carrier.elements, repeat=2):
         bjoin[(x, y)] = xi(PossibilityCapacity(carrier, chain, {x: chain.one, y: chain.one}))
-        cod = {z: (chain.zero if z in (x, y) else chain.one) for z in carrier.elements}
-        bmeet[(x, y)] = xi(NecessityCapacity(carrier, chain, cod))
+        bmeet[(x, y)] = xi(NecessityCapacity(carrier, chain, {x: chain.zero, y: chain.zero}))
     problems = _lattice_diagnostics(carrier, bjoin, bmeet)
     if problems:
         raise LawViolationError(
@@ -610,8 +609,7 @@ def quadruple_from_algebra(xi: CapacityStructureMap) -> BiconvexStructure:
             if x != bot:
                 dens[x] = a
             smeet[(a, x)] = xi(PossibilityCapacity(carrier, chain, dens))
-            cod = {z: chain.one for z in carrier.elements}
-            cod[top] = chain.zero
+            cod = {top: chain.zero}
             if x != top:
                 cod[x] = a
             sjoin[(a, x)] = xi(NecessityCapacity(carrier, chain, cod))

@@ -108,21 +108,56 @@ class Capacity(SetFunction):
         return c
 
 
-class PossibilityCapacity:
-    """Capacity determined by a point density with maximum 1."""
+class _PointwiseCapacity:
+    """Carrier + chain + one validated level per point under the attribute
+    ``_name`` (``density`` or ``codensity``); missing points get the level
+    ``_fill`` (0 or 1), and ``_bound`` (max or min) of all must be 1 - _fill.
+    """
 
-    __slots__ = ("carrier", "chain", "density")
+    __slots__ = ("carrier", "chain")
+    _bound = staticmethod(max)
 
-    def __init__(self, carrier: FiniteSpace, chain: Chain, density: Mapping[str, Level]):
-        for x in density:
+    def __init__(self, carrier: FiniteSpace, chain: Chain, weights: Mapping[str, Level]):
+        for x in weights:
             if x not in carrier.index:
-                raise ValidationError(f"density key {x!r} is not in the carrier")
-        dens = {x: chain.level(density.get(x, 0)) for x in carrier.elements}
-        if max(dens.values()) != chain.one:
-            raise ValidationError("a possibility density must attain 1")
+                raise ValidationError(f"{self._name} key {x!r} is not in the carrier")
+        fill, pin = self._ends(chain)
+        fixed = {x: chain.level(weights.get(x, fill)) for x in carrier.elements}
+        if self._bound(fixed.values()) != pin:
+            raise ValidationError(f"a {self._side} {self._name} must attain {pin}")
         self.carrier = carrier
         self.chain = chain
-        self.density = dens
+        setattr(self, self._name, fixed)
+
+    @classmethod
+    def _ends(cls, chain: Chain) -> tuple[Level, Level]:
+        return (chain.one, chain.zero) if cls._fill else (chain.zero, chain.one)
+
+    @property
+    def _weights(self) -> dict[str, Level]:
+        return getattr(self, self._name)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and other.carrier == self.carrier
+            and other.chain == self.chain
+            and other._weights == self._weights
+        )
+
+    def __hash__(self):
+        return hash((self.carrier, self.chain, tuple(self._weights[x] for x in self.carrier.elements)))
+
+    def __repr__(self):
+        parts = [f"{x}:{self._weights[x]}" for x in self.carrier.elements]
+        return f"{type(self).__name__}({', '.join(parts)})"
+
+
+class PossibilityCapacity(_PointwiseCapacity):
+    """Capacity determined by a point density with maximum 1."""
+
+    __slots__ = ("density",)
+    _side, _name, _fill = "possibility", "density", 0
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -133,37 +168,13 @@ class PossibilityCapacity:
             return self.chain.zero
         return max(self.density[x] for x in members)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PossibilityCapacity)
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other.density == self.density
-        )
 
-    def __hash__(self):
-        return hash((self.carrier, self.chain, tuple(self.density[x] for x in self.carrier.elements)))
-
-    def __repr__(self):
-        parts = [f"{x}:{self.density[x]}" for x in self.carrier.elements]
-        return f"PossibilityCapacity({', '.join(parts)})"
-
-
-class NecessityCapacity:
+class NecessityCapacity(_PointwiseCapacity):
     """Capacity determined by its values on complements of points (codensity, min 0)."""
 
-    __slots__ = ("carrier", "chain", "codensity")
-
-    def __init__(self, carrier: FiniteSpace, chain: Chain, codensity: Mapping[str, Level]):
-        for x in codensity:
-            if x not in carrier.index:
-                raise ValidationError(f"codensity key {x!r} is not in the carrier")
-        cod = {x: chain.level(codensity.get(x, 1)) for x in carrier.elements}
-        if min(cod.values()) != chain.zero:
-            raise ValidationError("a necessity codensity must attain 0")
-        self.carrier = carrier
-        self.chain = chain
-        self.codensity = cod
+    __slots__ = ("codensity",)
+    _side, _name, _fill = "necessity", "codensity", 1
+    _bound = staticmethod(min)
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -177,20 +188,9 @@ class NecessityCapacity:
             return self.chain.one
         return min(self.codensity[x] for x in outside)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NecessityCapacity)
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other.codensity == self.codensity
-        )
 
-    def __hash__(self):
-        return hash((self.carrier, self.chain, tuple(self.codensity[x] for x in self.carrier.elements)))
-
-    def __repr__(self):
-        parts = [f"{x}:{self.codensity[x]}" for x in self.carrier.elements]
-        return f"NecessityCapacity({', '.join(parts)})"
+# the capacity classes of the one-dimensional forms
+_POINTWISE = {"union": PossibilityCapacity, "intersection": NecessityCapacity}
 
 
 class PushforwardView:
@@ -318,18 +318,14 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     if c.carrier != f.source:
         raise CarrierMismatchError("capacity carrier differs from the map source")
     chain = c.chain
-    if isinstance(c, PossibilityCapacity):
-        dens: dict[str, Level] = {}
-        for y in f.target.elements:
-            fiber = [x for x in f.source.elements if f(x) == y]
-            dens[y] = max((c.density[x] for x in fiber), default=chain.zero)
-        return PossibilityCapacity(f.target, chain, dens)
-    if isinstance(c, NecessityCapacity):
-        cod: dict[str, Level] = {}
-        for y in f.target.elements:
-            fiber = [x for x in f.source.elements if f(x) == y]
-            cod[y] = min((c.codensity[x] for x in fiber), default=chain.one)
-        return NecessityCapacity(f.target, chain, cod)
+    if isinstance(c, _PointwiseCapacity):
+        # a point's weight is the bound over its fiber, the neutral level
+        # when the fiber is empty
+        w, (fill, _) = c._weights, c._ends(chain)
+        return type(c)(f.target, chain, {
+            y: c._bound((w[x] for x in f.source.elements if f(x) == y), default=fill)
+            for y in f.target.elements
+        })
     if len(f.target) > _MAX_TABLE_CARRIER:
         return PushforwardView(f, c)
     table = {
@@ -410,27 +406,25 @@ def classify(c: CapacityLike) -> ClassFlags:
     return ClassFlags(is_union, is_intersection)
 
 
+def _as_pointwise(cls, c: CapacityLike, at, law: str):
+    """The ``cls`` form of c, read at ``at(universe, x)`` for each point x."""
+    if isinstance(c, cls):
+        return c
+    universe = c.carrier.universe
+    cand = cls(c.carrier, c.chain, {x: c.value(at(universe, x)) for x in c.carrier.elements})
+    if not capacity_equal(cand, c):
+        raise ValidationError(f"capacity does not satisfy the {law} law")
+    return cand
+
+
 def as_possibility(c: CapacityLike) -> PossibilityCapacity:
     """Density form of a capacity satisfying the union law."""
-    if isinstance(c, PossibilityCapacity):
-        return c
-    dens = {x: c.value(frozenset([x])) for x in c.carrier.elements}
-    cand = PossibilityCapacity(c.carrier, c.chain, dens)
-    if not capacity_equal(cand, c):
-        raise ValidationError("capacity does not satisfy the union law")
-    return cand
+    return _as_pointwise(PossibilityCapacity, c, lambda _, x: frozenset([x]), "union")
 
 
 def as_necessity(c: CapacityLike) -> NecessityCapacity:
     """Codensity form of a capacity satisfying the intersection law."""
-    if isinstance(c, NecessityCapacity):
-        return c
-    universe = c.carrier.universe
-    cod = {x: c.value(universe - {x}) for x in c.carrier.elements}
-    cand = NecessityCapacity(c.carrier, c.chain, cod)
-    if not capacity_equal(cand, c):
-        raise ValidationError("capacity does not satisfy the intersection law")
-    return cand
+    return _as_pointwise(NecessityCapacity, c, lambda universe, x: universe - {x}, "intersection")
 
 
 def kappa_dual(c: CapacityLike) -> CapacityLike:
@@ -438,15 +432,17 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
 
     Density-backed inputs stay one-dimensional: the conjugate of a
     possibility density d is the necessity codensity 1 - d, and back.
+    The conjugate of a ``Capacity`` is monotone and normalized, so it is
+    not checked again; other tables are.
     """
     chain = c.chain
-    if isinstance(c, PossibilityCapacity):
-        cod = {x: level_complement(v) for x, v in c.density.items()}
-        return NecessityCapacity(c.carrier, chain, cod)
-    if isinstance(c, NecessityCapacity):
-        dens = {x: level_complement(v) for x, v in c.codensity.items()}
-        return PossibilityCapacity(c.carrier, chain, dens)
+    if isinstance(c, _PointwiseCapacity):
+        other = NecessityCapacity if isinstance(c, PossibilityCapacity) else PossibilityCapacity
+        return other(c.carrier, chain, {x: level_complement(v) for x, v in c._weights.items()})
     universe = c.carrier.universe
+    if isinstance(c, Capacity):
+        t = c.table  # in subset order, as _trusted needs
+        return Capacity._trusted(c.carrier, chain, {s: level_complement(t[universe - s]) for s in t})
     table = {
         s: level_complement(c.value(universe - s))
         for s in c.carrier.subsets(include_empty=True)
@@ -488,27 +484,14 @@ def enumerate_capacities(
     _check_enumeration_budget(space, chain, budget)
     if kind == "all":
         yield from _enumerate_all(space, chain)
-    elif kind == "union":
-        for dens in _graded_tuples(len(space), chain, chain.one, need_max=True):
-            yield PossibilityCapacity(
-                space, chain, dict(zip(space.elements, dens))
-            )
-    elif kind == "intersection":
-        for cod in _graded_tuples(len(space), chain, chain.zero, need_min=True):
-            yield NecessityCapacity(
-                space, chain, dict(zip(space.elements, cod))
-            )
-    else:
+        return
+    cls = _POINTWISE.get(kind)
+    if cls is None:
         raise ValidationError(f"unknown capacity class {kind!r}")
-
-
-def _graded_tuples(n: int, chain: Chain, pin: Level, need_max=False, need_min=False):
-    for combo in itertools.product(chain.levels, repeat=n):
-        if need_max and max(combo) != pin:
-            continue
-        if need_min and min(combo) != pin:
-            continue
-        yield combo
+    _, pin = cls._ends(chain)
+    for combo in itertools.product(chain.levels, repeat=len(space)):
+        if cls._bound(combo) == pin:
+            yield cls(space, chain, dict(zip(space.elements, combo)))
 
 
 def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:

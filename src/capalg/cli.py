@@ -375,7 +375,8 @@ def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
-    for dest, flag in (("chain_k", "--chain"), ("samples", "--samples")):
+    positive = (("chain_k", "--chain"), ("samples", "--samples"), ("max_arity", "--max-a"))
+    for dest, flag in positive:
         if getattr(args, dest, 1) < 1:
             print(f"error: {flag} must be a positive integer", file=sys.stderr)
             return 2

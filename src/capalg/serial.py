@@ -124,14 +124,8 @@ def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
 
 def capacity_to_json(c: CapacityLike) -> dict:
     base = _header(c.carrier, c.chain)
-    if isinstance(c, PossibilityCapacity):
-        base["density"] = {
-            x: level_to_string(c.density[x]) for x in c.carrier.elements
-        }
-    elif isinstance(c, NecessityCapacity):
-        base["codensity"] = {
-            x: level_to_string(c.codensity[x]) for x in c.carrier.elements
-        }
+    if isinstance(c, (PossibilityCapacity, NecessityCapacity)):
+        base[c._name] = {x: level_to_string(v) for x, v in c._weights.items()}
     else:
         values = {"": level_to_string(c.value(frozenset()))}
         for s in c.carrier.subsets():
@@ -142,12 +136,10 @@ def capacity_to_json(c: CapacityLike) -> dict:
 
 def capacity_from_json(obj: Mapping) -> CapacityLike:
     space, chain = _space_chain_from(obj)
-    if "density" in obj:
-        dens = {x: level_from_string(chain, v) for x, v in _table(obj, "density").items()}
-        return PossibilityCapacity(space, chain, dens)
-    if "codensity" in obj:
-        cod = {x: level_from_string(chain, v) for x, v in _table(obj, "codensity").items()}
-        return NecessityCapacity(space, chain, cod)
+    for cls in (PossibilityCapacity, NecessityCapacity):
+        if cls._name in obj:
+            weights = _table(obj, cls._name).items()
+            return cls(space, chain, {x: level_from_string(chain, v) for x, v in weights})
     if "values" in obj:
         table = {
             subset_from_key(space, key): level_from_string(chain, v)

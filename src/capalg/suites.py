@@ -454,26 +454,22 @@ def g_monad_suite(
 # ---------------------------------------------------------- capacity monad
 
 
-def _random_density(carrier, chain, rng, max_support=4) -> PossibilityCapacity:
+def _random_pointwise(cls, carrier, chain, rng, max_support=4):
+    """Seeded ``cls`` capacity: non-neutral levels on a random support of
+    at most ``max_support`` points, one of them at the far end (1 for a
+    density, 0 for a codensity)."""
     size = rng.randint(1, min(max_support, len(carrier)))
     support = rng.sample(carrier.elements, size)
-    dens = {n: rng.choice(chain.levels[1:]) for n in support}
-    dens[rng.choice(support)] = chain.one
-    return PossibilityCapacity(carrier, chain, dens)
-
-
-def _random_codensity(carrier, chain, rng, max_support=4) -> NecessityCapacity:
-    size = rng.randint(1, min(max_support, len(carrier)))
-    support = rng.sample(carrier.elements, size)
-    cod = {n: rng.choice(chain.levels[:-1]) for n in support}
-    cod[rng.choice(support)] = chain.zero
-    return NecessityCapacity(carrier, chain, cod)
+    fill, pin = cls._ends(chain)
+    levels = [lv for lv in chain.levels if lv != fill]
+    weights = {n: rng.choice(levels) for n in support}
+    weights[rng.choice(support)] = pin
+    return cls(carrier, chain, weights)
 
 
 def _random_mixed(carrier, chain, rng, max_support=4):
-    if rng.random() < 0.5:
-        return _random_density(carrier, chain, rng, max_support)
-    return _random_codensity(carrier, chain, rng, max_support)
+    cls = PossibilityCapacity if rng.random() < 0.5 else NecessityCapacity
+    return _random_pointwise(cls, carrier, chain, rng, max_support)
 
 
 def capacity_monad_suite(
@@ -574,7 +570,10 @@ def capacity_monad_suite(
         rep.counts["conjugation-sweep"] = len(outers)
     else:
         rng2 = random.Random(seed + 1)
-        outers = [_random_density(poss_names, chain, rng2) for _ in range(samples)]
+        outers = [
+            _random_pointwise(PossibilityCapacity, poss_names, chain, rng2)
+            for _ in range(samples)
+        ]
         rep.counts["conjugation-sweep"] = samples
     for outer in outers:
         flat = as_capacity(mult(outer, poss_lookup))
@@ -844,10 +843,9 @@ def _xi_via_union_mixture(b: BiconvexStructure, mixture: PossibilityCapacity) ->
 def _xi_via_intersection_mixture(b: BiconvexStructure, mixture: NecessityCapacity) -> str:
     _, assignment = capacity_pool(b.carrier, b.chain, "union")
     return _mixture_step(
-        b,
-        mixture.codensity.items(),
+        b.op,
+        kappa_dual(mixture).density.items(),
         lambda p: structure_map_possibility(b, assignment[p]),
-        dual=True,
     )
 
 
@@ -859,19 +857,13 @@ def check_full_map_value(
     the one-sided map; returns the dual factorization's value."""
     dual = structure_map_full_dual(b, c)
     rep.check("factorizations-agree", value == dual, witness)
-    flags = classify(c)
-    if flags.is_union:
-        rep.check(
-            "restricts-to-possibility-map",
-            value == structure_map_possibility(b, as_possibility(c)),
-            witness,
-        )
-    if flags.is_intersection:
-        rep.check(
-            "restricts-to-necessity-map",
-            value == structure_map_necessity(b, as_necessity(c)),
-            witness,
-        )
+    sides = (
+        ("possibility", as_possibility, structure_map_possibility),
+        ("necessity", as_necessity, structure_map_necessity),
+    )
+    for holds, (side, form, closed_form) in zip(classify(c), sides):
+        if holds:
+            rep.check(f"restricts-to-{side}-map", value == closed_form(b, form(c)), witness)
     return dual
 
 
@@ -891,22 +883,18 @@ def full_map_suite(
     rep = SuiteReport("biconvex-structure-maps", "mixed")
     structs = biconvex_structures(space, chain)
     rep.counts["structures"] = len(structs)
-    poss_names, poss_lookup = capacity_pool(space, chain, "union")
-    necc_names, necc_lookup = capacity_pool(space, chain, "intersection")
     _, caps = capacity_pool(space, chain, "all")
-
-    union_hits = {
-        n: union_over_intersection_preimages(
-            c, limit=2, budget=INDEPENDENCE_SEARCH_BUDGET
-        )
-        for n, c in caps.items()
-    }
-    inter_hits = {
-        n: intersection_over_union_preimages(
-            c, limit=2, budget=INDEPENDENCE_SEARCH_BUDGET
-        )
-        for n, c in caps.items()
-    }
+    pools = {kind: capacity_pool(space, chain, kind) for kind in ("union", "intersection")}
+    # per side: mixture class and kind, the value through such a mixture,
+    # and the law-name suffix; a side's mixtures range over the other kind
+    routes = (
+        (PossibilityCapacity, "union", _xi_via_union_mixture, ""),
+        (NecessityCapacity, "intersection", _xi_via_intersection_mixture, "-dual"),
+    )
+    hits = [
+        {n: search(c, limit=2, budget=INDEPENDENCE_SEARCH_BUDGET) for n, c in caps.items()}
+        for search in (union_over_intersection_preimages, intersection_over_union_preimages)
+    ]
 
     for b in structs:
         wit = _biconvex_witness(b)
@@ -925,50 +913,31 @@ def full_map_suite(
             rep.check("triple-roundtrip", back.p == cand.p and back.m == cand.m, cw)
             rep.bump("triples-on-lattice")
 
-        for c in poss_lookup.values():
-            try:
-                structure_map_possibility(b, c)
-                ok = True
-            except LawViolationError:
-                ok = False
-            rep.check("possibility-closed-forms-agree", ok, lambda c=c: _cap_witness(c))
-        for c in necc_lookup.values():
-            try:
-                structure_map_necessity(b, c)
-                ok = True
-            except LawViolationError:
-                ok = False
-            rep.check("necessity-closed-forms-agree", ok, lambda c=c: _cap_witness(c))
+        for kind, closed_form in (
+            ("union", structure_map_possibility), ("intersection", structure_map_necessity)
+        ):
+            for c in pools[kind][1].values():
+                try:
+                    closed_form(b, c)
+                    ok = True
+                except LawViolationError:
+                    ok = False
+                rep.check(f"{c._side}-closed-forms-agree", ok, lambda c=c: _cap_witness(c))
 
         xi = CapacityStructureMap.from_biconvex(b)
         for n, c in caps.items():
             value = xi(c)
             wc = lambda c=c: _cap_witness(c)
-            dual = check_full_map_value(rep, b, c, value, wc)
-            hits = union_hits[n]
-            if hits:
-                rep.check(
-                    "closed-form-matches-search",
-                    value == _xi_via_union_mixture(b, hits[0]),
-                    wc,
-                )
-            hits2 = inter_hits[n]
-            if hits2:
-                rep.check(
-                    "closed-form-matches-search-dual",
-                    dual == _xi_via_intersection_mixture(b, hits2[0]),
-                    wc,
-                )
-            if len(hits) >= 2:
-                routed = {_xi_via_union_mixture(b, mix) for mix in hits}
-                rep.check("preimage-independence", len(routed) == 1, wc)
-                rep.bump("multiple-union-preimages")
-            if len(hits2) >= 2:
-                routed = {_xi_via_intersection_mixture(b, mix) for mix in hits2}
-                rep.check(
-                    "preimage-independence-dual", len(routed) == 1, wc
-                )
-                rep.bump("multiple-intersection-preimages")
+            # each side's routes must give its own factorization's value
+            values = (value, check_full_map_value(rep, b, c, value, wc))
+            for (_, kind, via, suffix), side_hits, ref in zip(routes, hits, values):
+                found = side_hits[n]
+                if found:
+                    rep.check("closed-form-matches-search" + suffix, ref == via(b, found[0]), wc)
+                if len(found) >= 2:
+                    routed = {via(b, mix) for mix in found}
+                    rep.check("preimage-independence" + suffix, len(routed) == 1, wc)
+                    rep.bump(f"multiple-{kind}-preimages")
 
         for x in space.elements:
             rep.check(
@@ -978,22 +947,15 @@ def full_map_suite(
             )
         rng = random.Random(seed)
         for trial in range(samples):
-            outer = _random_density(necc_names, chain, rng, max_support=3)
-            flat = mult(outer, necc_lookup)
-            lhs = xi(as_capacity(flat))
-            rhs = _xi_via_union_mixture(b, outer)
-            rep.check(
-                "algebra-multiplication-law", lhs == rhs, f"seed-trial={trial}"
-            )
-            outer2 = _random_codensity(poss_names, chain, rng, max_support=3)
-            flat2 = mult(outer2, poss_lookup)
-            lhs2 = xi(as_capacity(flat2))
-            rhs2 = _xi_via_intersection_mixture(b, outer2)
-            rep.check(
-                "algebra-multiplication-law-dual",
-                lhs2 == rhs2,
-                f"seed-trial={trial}",
-            )
+            for (cls, _, via, suffix), (_, inner, _, _) in zip(routes, reversed(routes)):
+                names, lookup = pools[inner]
+                outer = _random_pointwise(cls, names, chain, rng, max_support=3)
+                lhs = xi(as_capacity(mult(outer, lookup)))
+                rep.check(
+                    "algebra-multiplication-law" + suffix,
+                    lhs == via(b, outer),
+                    f"seed-trial={trial}",
+                )
         rep.check("quadruple-recovered-from-map", quadruple_from_algebra(xi) == b, wit)
 
     for arity in (1, 2):

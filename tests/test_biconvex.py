@@ -18,6 +18,7 @@ from capalg.capacity import (
     as_capacity,
     as_necessity,
     as_possibility,
+    canonical_key,
     capacity_pool,
     classify,
     enumerate_capacities,
@@ -48,6 +49,7 @@ from capalg.biconvex import (
     sugeno_form,
     triple_from_biconvex,
     union_over_intersection_preimages,
+    _check_match,
     _coordinate_candidates,
 )
 from capalg.suites import _all_phis, _xi_via_intersection_mixture, _xi_via_union_mixture
@@ -548,15 +550,9 @@ def test_coordinate_candidates_match_brute_force_on_unlawful_tables():
                     assert_same_candidates(b)
 
 
-@hypothesis.settings(deadline=None)
-@hypothesis.given(
-    strat.integers(min_value=2, max_value=3),
-    strat.integers(min_value=1, max_value=2),
-    strat.data(),
-)
-def test_coordinate_candidates_match_brute_force_on_random_tables(n, k, data):
-    # a lawful chain with weights acting as 0 or 1, then any number of
-    # cells overwritten: from a few corrupted cells to fully random tables
+def overwritten_tables(n, k, data):
+    """A lawful chain with weights acting as 0 or 1, then any number of
+    cells overwritten: from a few corrupted cells to fully random tables."""
     space = FiniteSpace(["a", "b", "c"][:n])
     chain = Chain(k)
     X = space.elements
@@ -572,7 +568,122 @@ def test_coordinate_candidates_match_brute_force_on_random_tables(n, k, data):
     ))
     for (label, cell), value in overwrites:
         tables[label][cell] = value
-    assert_same_candidates(BiconvexStructure(space, chain, **tables))
+    return BiconvexStructure(space, chain, **tables)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    strat.integers(min_value=2, max_value=3),
+    strat.integers(min_value=1, max_value=2),
+    strat.data(),
+)
+def test_coordinate_candidates_match_brute_force_on_random_tables(n, k, data):
+    assert_same_candidates(overwritten_tables(n, k, data))
+
+
+# The necessity side as it was written out before it became the
+# possibility side of the order dual; kept as the oracle for that route.
+
+
+def written_out_necessity(b, c):
+    _check_match(b, c)
+    primary = b.meet_all(
+        b.sjoin[(c.codensity[x], x)] for x in b.carrier.elements
+    )
+    dual = sugeno_form(b, c)
+    if dual != primary:
+        raise LawViolationError(
+            f"necessity map forms disagree: {primary} vs {dual}",
+            witness=canonical_key(c),
+        )
+    return primary
+
+
+def written_out_point_set_image(b, g, images):
+    got = images.get(g)
+    if got is None:
+        pi = PossibilityCapacity(b.carrier, b.chain, {x: b.chain.one for x in g})
+        got = images[g] = structure_map_possibility(b, pi)
+    return got
+
+
+def written_out_mixture_step(b, weighted, image, dual=False):
+    chain = b.chain
+    neutral = chain.one if dual else chain.zero
+    acc = dict.fromkeys(b.carrier.elements, neutral)
+    for component, w in weighted:
+        if w == neutral:
+            continue
+        target = image(component)
+        if (w < acc[target]) if dual else (w > acc[target]):
+            acc[target] = w
+    if dual:
+        return written_out_necessity(b, NecessityCapacity(b.carrier, chain, acc))
+    return structure_map_possibility(b, PossibilityCapacity(b.carrier, chain, acc))
+
+
+def written_out_full_dual(b, c, images):
+    _check_match(b, c)
+    universe = b.carrier.universe
+    weighted = ((g, c.value(universe - g)) for g in b.carrier.subsets())
+    return written_out_mixture_step(
+        b, weighted, lambda g: written_out_point_set_image(b, g, images), dual=True
+    )
+
+
+def written_out_intersection_mixture(b, mixture):
+    _, assignment = capacity_pool(b.carrier, b.chain, "union")
+    return written_out_mixture_step(
+        b,
+        mixture.codensity.items(),
+        lambda p: structure_map_possibility(b, assignment[p]),
+        dual=True,
+    )
+
+
+def outcome(route, *args):
+    """(value, None) or (None, (message, witness)) of a law violation."""
+    try:
+        return route(*args), None
+    except LawViolationError as exc:
+        return None, (str(exc), exc.witness)
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=1, max_value=2),
+    strat.data(),
+)
+def test_necessity_side_through_the_order_dual_matches_the_written_out_side(n, k, data):
+    b = overwritten_tables(n, k, data)
+    assert b.op.op is b
+    images = {}
+    _, necessities = capacity_pool(b.carrier, b.chain, "intersection")
+    for c in necessities.values():
+        assert outcome(structure_map_necessity, b, c) == outcome(written_out_necessity, b, c)
+    for c in capacity_pool(b.carrier, b.chain, "all")[1].values():
+        assert outcome(structure_map_full_dual, b, c) == outcome(
+            written_out_full_dual, b, c, images
+        )
+    names, _ = capacity_pool(b.carrier, b.chain, "union")
+    levels = b.chain.levels
+    for _ in range(5):
+        cod = dict(zip(names.elements, data.draw(strat.lists(
+            strat.sampled_from(levels), min_size=len(names), max_size=len(names),
+        ))))
+        cod[data.draw(strat.sampled_from(names.elements))] = b.chain.zero
+        mixture = NecessityCapacity(names, b.chain, cod)
+        assert outcome(_xi_via_intersection_mixture, b, mixture) == outcome(
+            written_out_intersection_mixture, b, mixture
+        )
+
+
+def test_order_dual_of_the_named_models_is_lawful():
+    for b in (chain_model(K1), chain_model(K2), diamond_structure(K1), diamond_structure(K2)):
+        assert b.op is b.op and b.op.op is b
+        assert check_biconvex(b.op) == []
+        assert b.op.bjoin == b.bmeet and b.op.bmeet == b.bjoin
 
 
 def test_collapsing_weight_map_acts_through_its_image():

@@ -284,12 +284,24 @@ def test_conjugation_is_an_involution_swapping_classes():
         dual = kappa_dual(c)
         for s in X3.subsets(include_empty=True):
             assert dual.value(s).value == 1 - c.value(universe - s).value
-        assert capacity_equal(kappa_dual(dual), c)
+        # the conjugate of a capacity is wrapped unchecked: it must pass the check
+        assert Capacity(X3, K2, dual.table) == dual
+        assert list(dual.table) == list(X3.subsets(include_empty=True))
+        assert kappa_dual(dual) == c
         flags, dual_flags = classify(c), classify(dual)
         assert flags.is_union == dual_flags.is_intersection
         assert flags.is_intersection == dual_flags.is_union
     for x in X3.elements:
         assert capacity_equal(kappa_dual(unit_dirac(X3, K2, x)), unit_dirac(X3, K2, x))
+
+
+def test_conjugate_of_a_table_that_is_not_a_capacity_is_checked():
+    # 1 on points and 0 on pairs: its conjugate is 1 on pairs and 0 on points
+    bumpy = SetFunction(X3, K2, {
+        s: K2.one if len(s) in (1, 3) else K2.zero for s in X3.subsets(include_empty=True)
+    })
+    with pytest.raises(ValidationError, match="monotonicity"):
+        kappa_dual(bumpy)
 
 
 def test_conjugation_keeps_one_dimensional_forms():

@@ -235,6 +235,12 @@ def test_embed_search_miss_is_not_a_failure(tmp_path):
     assert report["embedding"]["found"] is False
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_embed_search_needs_a_positive_bound(biconvex_file, bound, capsys):
+    assert main(["embed-search", "--structure", biconvex_file, "--max-a", bound]) == 2
+    assert "--max-a must be a positive integer" in capsys.readouterr().err
+
+
 def test_embed_search_embeds_the_k3_identity_square(tmp_path):
     k3 = Chain(3)
     identity = {a: a for a in k3.levels}
