@@ -54,20 +54,9 @@ from .capacity import (
     kappa_dual,
     pushforward,
 )
-from .spaces import FiniteSpace, PointMap, Subset
+from .spaces import FiniteSpace, PointMap, Subset, TableStructure
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-
-def _check_cells(carrier, keys, **tables) -> None:
-    """Every table has a cell at every key, and every cell is a carrier element."""
-    for label, table in tables.items():
-        for key in keys:
-            cell = "|".join(map(str, key)) if isinstance(key, tuple) else key
-            if key not in table:
-                raise ValidationError(f"{label} table missing {cell}")
-            if table[key] not in carrier.index:
-                raise ValidationError(f"{label} value {table[key]!r} at {cell} not in carrier")
 
 
 def _fold(table, xs) -> str:
@@ -84,7 +73,11 @@ def _bounds(carrier, bjoin, bmeet) -> tuple[str, str]:
     return _fold(bmeet, carrier.elements), _fold(bjoin, carrier.elements)
 
 
-class BiconvexStructure:
+# the lattice tables shared by the quadruple and the triple
+_LATTICE = {"bjoin": "xx", "bmeet": "xx"}
+
+
+class BiconvexStructure(TableStructure):
     """Lattice tables plus the two chain actions, all explicit.
 
     The full structure map keeps the images of the unanimity capacities
@@ -92,22 +85,11 @@ class BiconvexStructure:
     own, which are the images of the point-set possibility capacities.
     """
 
-    __slots__ = (
-        "carrier", "chain", "bjoin", "bmeet", "smeet", "sjoin",
-        "_meet_images", "_op", "_side",
-    )
+    _tables = {**_LATTICE, "smeet": "ax", "sjoin": "ax"}
+    __slots__ = (*_tables, "_meet_images", "_op", "_side")
 
     def __init__(self, carrier, chain, bjoin, bmeet, smeet, sjoin):
-        pairs = list(itertools.product(carrier.elements, repeat=2))
-        _check_cells(carrier, pairs, bjoin=bjoin, bmeet=bmeet)
-        cells = list(itertools.product(chain.levels, carrier.elements))
-        _check_cells(carrier, cells, smeet=smeet, sjoin=sjoin)
-        self.carrier = carrier
-        self.chain = chain
-        self.bjoin = dict(bjoin)
-        self.bmeet = dict(bmeet)
-        self.smeet = dict(smeet)
-        self.sjoin = dict(sjoin)
+        super().__init__(carrier, chain, bjoin, bmeet, smeet, sjoin)
         self._meet_images: dict[Subset, str] = {}
         self._op: BiconvexStructure | None = None
         self._side = "possibility"
@@ -142,27 +124,6 @@ class BiconvexStructure:
     @property
     def top(self) -> str:
         return self.join_all(self.carrier.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiconvexStructure)
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other.bjoin == self.bjoin
-            and other.bmeet == self.bmeet
-            and other.smeet == self.smeet
-            and other.sjoin == self.sjoin
-        )
-
-    def __hash__(self):
-        return hash((
-            self.carrier,
-            self.chain,
-            tuple(sorted(self.bjoin.items())),
-            tuple(sorted(self.bmeet.items())),
-            tuple(sorted((a.value, x, z) for (a, x), z in self.smeet.items())),
-            tuple(sorted((a.value, x, z) for (a, x), z in self.sjoin.items())),
-        ))
 
 
 def _lattice_diagnostics(carrier, bjoin, bmeet) -> list[str]:
@@ -260,21 +221,11 @@ def check_biconvex(b: BiconvexStructure) -> list[str]:
     return out
 
 
-class TripleStructure:
+class TripleStructure(TableStructure):
     """Lattice tables plus level maps p (scaled bottoms) and m (scaled tops)."""
 
-    __slots__ = ("carrier", "chain", "bjoin", "bmeet", "p", "m")
-
-    def __init__(self, carrier, chain, bjoin, bmeet, p: Mapping[Level, str], m: Mapping[Level, str]):
-        pairs = list(itertools.product(carrier.elements, repeat=2))
-        _check_cells(carrier, pairs, bjoin=bjoin, bmeet=bmeet)
-        _check_cells(carrier, chain.levels, p=p, m=m)
-        self.carrier = carrier
-        self.chain = chain
-        self.bjoin = dict(bjoin)
-        self.bmeet = dict(bmeet)
-        self.p = dict(p)
-        self.m = dict(m)
+    _tables = {**_LATTICE, "p": "a", "m": "a"}
+    __slots__ = tuple(_tables)
 
 
 def _level_map_diagnostics(chain, bjoin, bmeet, bot, top, p, m) -> Iterator[str]:
@@ -558,6 +509,9 @@ class CapacityStructureMap:
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]) -> "CapacityStructureMap":
+        for z in table.values():
+            if z not in carrier.index:
+                raise ValidationError(f"table value {z!r} is not in the carrier")
         return cls(carrier, chain, table=table)
 
     @property

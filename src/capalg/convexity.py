@@ -33,40 +33,21 @@ from .capacity import (
     possibility_space,
     pushforward,
 )
-from .spaces import FiniteSpace, PointMap
+from .spaces import FiniteSpace, PointMap, TableStructure
 
 
 def _format_level(a: Level) -> str:
     return str(a.value)
 
 
-class _CombinationTable:
-    """Carrier + chain + a validated total table t(x, a, y), stored under
-    the attribute the subclass names (``ic`` or ``ci``)."""
+class _CombinationTable(TableStructure):
+    """Carrier + chain + a total table t(x, a, y), under the one name the
+    subclass declares (``ic`` or ``ci``)."""
 
-    __slots__ = ("carrier", "chain")
-    _name: str
+    __slots__ = ()
 
-    def __init__(
-        self,
-        carrier: FiniteSpace,
-        chain: Chain,
-        combinations: Mapping[tuple[str, Level, str], str],
-    ):
-        table: dict[tuple[str, Level, str], str] = {}
-        for x in carrier.elements:
-            for a in chain.levels:
-                for y in carrier.elements:
-                    key = (x, a, y)
-                    if key not in combinations:
-                        raise ValidationError(f"combination table missing {x}|{a}|{y}")
-                    z = combinations[key]
-                    if z not in carrier.index:
-                        raise ValidationError(f"table value {z!r} is not in the carrier")
-                    table[key] = z
-        self.carrier = carrier
-        self.chain = chain
-        setattr(self, self._name, table)
+    def __init_subclass__(cls):
+        (cls._name,) = cls._tables
 
     @property
     def _table(self) -> dict[tuple[str, Level, str], str]:
@@ -75,26 +56,12 @@ class _CombinationTable:
     def __call__(self, x: str, a: Level, y: str) -> str:
         return self._table[(x, self.chain.level(a), y)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and other.carrier == self.carrier
-            and other.chain == self.chain
-            and other._table == self._table
-        )
-
-    def __hash__(self):
-        items = tuple(sorted(
-            ((x, a.value, y), z) for (x, a, y), z in self._table.items()
-        ))
-        return hash((self.carrier, self.chain, items))
-
 
 class ConvexStructure(_CombinationTable):
     """Carrier + chain + total combination table ic(x, a, y)."""
 
-    __slots__ = ("ic",)
-    _name = "ic"
+    _tables = {"ic": "xax"}
+    __slots__ = tuple(_tables)
 
     def join(self, x: str, y: str) -> str:
         """Derived semilattice join: the combination at weight 1."""
@@ -104,8 +71,8 @@ class ConvexStructure(_CombinationTable):
 class DualConvexStructure(_CombinationTable):
     """Carrier + chain + total dual combination table ci(x, a, y)."""
 
-    __slots__ = ("ci",)
-    _name = "ci"
+    _tables = {"ci": "xax"}
+    __slots__ = tuple(_tables)
 
     def meet(self, x: str, y: str) -> str:
         """Derived semilattice meet: the dual combination at weight 0."""
@@ -288,16 +255,6 @@ def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
     return ConvexStructure(carrier, chain, table)
 
 
-def _map_along(xi: UnionStructureMap, outer, assignment) -> PossibilityCapacity:
-    """Pushforward of a possibility capacity on named densities along xi."""
-    dens: dict[str, Level] = {x: xi.chain.zero for x in xi.carrier.elements}
-    for name in outer.carrier.elements:
-        target = xi(assignment[name])
-        if outer.density[name] > dens[target]:
-            dens[target] = outer.density[name]
-    return PossibilityCapacity(xi.carrier, xi.chain, dens)
-
-
 def check_algebra_laws(
     xi: UnionStructureMap,
     samples: int = 200,
@@ -318,6 +275,8 @@ def check_algebra_laws(
         if got != x:
             out.append(f"unit-law: xi(dirac {x}) = {got}")
     names, assignment = possibility_space(carrier, chain)
+    # M xi, on the right of xi . mu = xi . M xi: each named density goes to its value
+    along = PointMap(names, carrier, {n: xi(assignment[n]) for n in names.elements})
     m = len(names)
     total = (chain.k + 1) ** m - chain.k ** m
     if total <= exhaustive_limit:
@@ -339,7 +298,7 @@ def check_algebra_laws(
         # as_possibility re-validates that closure on every case
         flattened = as_possibility(mult(outer, assignment))
         lhs = xi(flattened)
-        rhs = xi(_map_along(xi, outer, assignment))
+        rhs = xi(pushforward(along, outer))
         if lhs != rhs:
             dens_str = ",".join(str(outer.density[n]) for n in names.elements)
             out.append(
@@ -384,30 +343,11 @@ def dual_structure_map(
     )
 
 
-class Semimodule:
+class Semimodule(TableStructure):
     """Explicit (join, scale) tables over the chain with a designated zero."""
 
-    __slots__ = ("carrier", "chain", "add", "scale", "zero")
-
-    def __init__(self, carrier, chain, add, scale, zero):
-        for x, y in itertools.product(carrier.elements, repeat=2):
-            if (x, y) not in add:
-                raise ValidationError(f"add table missing {x}|{y}")
-            if add[(x, y)] not in carrier.index:
-                raise ValidationError(f"add value {add[(x, y)]!r} not in carrier")
-        for a in chain.levels:
-            for x in carrier.elements:
-                if (a, x) not in scale:
-                    raise ValidationError(f"scale table missing {a}|{x}")
-                if scale[(a, x)] not in carrier.index:
-                    raise ValidationError(f"scale value {scale[(a, x)]!r} not in carrier")
-        if zero not in carrier.index:
-            raise ValidationError(f"zero {zero!r} not in carrier")
-        self.carrier = carrier
-        self.chain = chain
-        self.add = dict(add)
-        self.scale = dict(scale)
-        self.zero = zero
+    _tables = {"add": "xx", "scale": "ax", "zero": ""}
+    __slots__ = tuple(_tables)
 
 
 def check_semimodule_axioms(m: Semimodule) -> list[str]:

@@ -3,20 +3,23 @@
 All level values are strings holding exact fractions ("0", "1/2", "1"),
 never floats; the chain is declared by an integer "chain_k" field and
 the carrier by an "elements" list.  Set-valued keys join element names
-with commas (empty string for the empty set); operation-table keys join
-arguments with pipes.  Serialization is canonical: sorted keys and a
-fixed element order, so equal structures produce equal bytes.
+with commas (empty string for the empty set); value-vector keys join
+levels with commas.  Operation-table keys join arguments with pipes,
+following the key shape each table structure declares in ``_tables``;
+densities, codensities and phi maps use the same table codec.  Element
+cells are kept as given, never coerced, and levels are parsed only from
+their strings.  Serialization is canonical: ``dumps_canonical`` sorts
+keys, and element order is fixed, so equal structures produce equal bytes.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
-from .chain import Chain, Level, level_from_string, level_to_string, make_chain
+from .chain import Chain, level_from_string, level_to_string, make_chain
 from .errors import ValidationError
-from .spaces import FiniteSpace, InclusionHyperspace, Subset
+from .spaces import FiniteSpace, InclusionHyperspace, Subset, TableStructure
 from .capacity import (
     Capacity,
     CapacityLike,
@@ -72,6 +75,12 @@ def _table(obj: Mapping, key: str) -> Mapping:
     return _object(obj[key], repr(key))
 
 
+def _field(obj: Mapping, key: str):
+    if key not in obj:
+        raise ValidationError(f"structure JSON needs a {key!r} field")
+    return obj[key]
+
+
 def _list(obj: Mapping, key: str) -> list:
     if key not in obj:
         raise ValidationError(f"JSON needs a list under {key!r}")
@@ -83,9 +92,8 @@ def _list(obj: Mapping, key: str) -> list:
 
 def _space_chain_from(obj: Mapping) -> tuple[FiniteSpace, Chain]:
     _object(obj, "structure JSON")
-    if "chain_k" not in obj:
-        raise ValidationError("structure JSON needs a 'chain_k' field")
-    return FiniteSpace(_list(obj, "elements")), make_chain(obj["chain_k"])
+    k = _field(obj, "chain_k")
+    return FiniteSpace(_list(obj, "elements")), make_chain(k)
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -122,15 +130,75 @@ def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
     return InclusionHyperspace(space, [space.subset(m) for m in _list(obj, "min_sets")])
 
 
+def _cell_to_json(kind: str, v):
+    return level_to_string(v) if kind == "a" else v
+
+
+def _cell_from_json(chain: Chain, kind: str, v):
+    return level_from_string(chain, v) if kind == "a" else v
+
+
+def _table_to_json(table: Mapping, shape: str, value: str = "x") -> dict:
+    """A table whose keys have ``shape`` (``x`` an element, ``a`` a level,
+    one letter per argument) and whose cells are of kind ``value``."""
+    return {
+        "|".join(map(_cell_to_json, shape, key if len(shape) > 1 else (key,))):
+            _cell_to_json(value, v)
+        for key, v in table.items()
+    }
+
+
+def _table_from_json(chain: Chain, obj: Mapping, name: str, shape: str, value: str = "x") -> dict:
+    """The inverse of ``_table_to_json``; ``name`` labels its errors."""
+    table = {}
+    for text, v in obj.items():
+        parts = text.split("|")
+        if len(parts) != len(shape):
+            raise ValidationError(f"bad {name} key {text!r}")
+        key = tuple(_cell_from_json(chain, kind, p) for kind, p in zip(shape, parts))
+        table[key if len(shape) > 1 else key[0]] = _cell_from_json(chain, value, v)
+    return table
+
+
+def _vectors_to_json(table: Mapping[tuple, str]) -> dict:
+    """A table keyed by vectors of exact level values, joined by commas."""
+    return {",".join(map(str, key)): v for key, v in table.items()}
+
+
+def _vectors_from_json(chain: Chain, obj: Mapping, name: str, arity: int) -> dict:
+    table = {}
+    for text, v in _table(obj, name).items():
+        parts = text.split(",")
+        if len(parts) != arity:
+            raise ValidationError(f"{name} key {text!r} has the wrong arity")
+        table[tuple(level_from_string(chain, p).value for p in parts)] = v
+    return table
+
+
+def _structure_to_json(s: TableStructure) -> dict:
+    out = _header(s.carrier, s.chain)
+    for name, shape in s._tables.items():
+        out[name] = _table_to_json(getattr(s, name), shape) if shape else getattr(s, name)
+    return out
+
+
+def _structure_from_json(cls: type[TableStructure], obj: Mapping):
+    space, chain = _space_chain_from(obj)
+    return cls(space, chain, *(
+        _table_from_json(chain, _table(obj, name), name, shape) if shape else _field(obj, name)
+        for name, shape in cls._tables.items()
+    ))
+
+
 def capacity_to_json(c: CapacityLike) -> dict:
     base = _header(c.carrier, c.chain)
     if isinstance(c, (PossibilityCapacity, NecessityCapacity)):
-        base[c._name] = {x: level_to_string(v) for x, v in c._weights.items()}
+        base[c._name] = _table_to_json(c._weights, "x", "a")
     else:
-        values = {"": level_to_string(c.value(frozenset()))}
-        for s in c.carrier.subsets():
-            values[subset_to_key(c.carrier, s)] = level_to_string(c.value(s))
-        base["values"] = values
+        base["values"] = {
+            subset_to_key(c.carrier, s): level_to_string(c.value(s))
+            for s in c.carrier.subsets(include_empty=True)
+        }
     return base
 
 
@@ -138,8 +206,8 @@ def capacity_from_json(obj: Mapping) -> CapacityLike:
     space, chain = _space_chain_from(obj)
     for cls in (PossibilityCapacity, NecessityCapacity):
         if cls._name in obj:
-            weights = _table(obj, cls._name).items()
-            return cls(space, chain, {x: level_from_string(chain, v) for x, v in weights})
+            weights = _table_from_json(chain, _table(obj, cls._name), cls._name, "x", "a")
+            return cls(space, chain, weights)
     if "values" in obj:
         table = {
             subset_from_key(space, key): level_from_string(chain, v)
@@ -149,192 +217,73 @@ def capacity_from_json(obj: Mapping) -> CapacityLike:
     raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
 
 
-def _ic_table_to_json(table) -> dict:
-    return {
-        f"{x}|{level_to_string(a)}|{y}": z for (x, a, y), z in sorted(
-            table.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
-        )
-    }
-
-
-def _ic_table_from_json(chain: Chain, obj: Mapping) -> dict:
-    table = {}
-    for key, z in obj.items():
-        parts = key.split("|")
-        if len(parts) != 3:
-            raise ValidationError(f"bad combination key {key!r}")
-        x, a, y = parts
-        table[(x, level_from_string(chain, a), y)] = z
-    return table
-
-
 def convex_to_json(s: ConvexStructure) -> dict:
-    out = _header(s.carrier, s.chain)
-    out["ic"] = _ic_table_to_json(s.ic)
-    return out
+    return _structure_to_json(s)
 
 
 def convex_from_json(obj: Mapping) -> ConvexStructure:
-    space, chain = _space_chain_from(obj)
-    return ConvexStructure(space, chain, _ic_table_from_json(chain, _table(obj, "ic")))
+    return _structure_from_json(ConvexStructure, obj)
 
 
 def dual_convex_to_json(s: DualConvexStructure) -> dict:
-    out = _header(s.carrier, s.chain)
-    out["ci"] = _ic_table_to_json(s.ci)
-    return out
+    return _structure_to_json(s)
 
 
 def dual_convex_from_json(obj: Mapping) -> DualConvexStructure:
-    space, chain = _space_chain_from(obj)
-    return DualConvexStructure(space, chain, _ic_table_from_json(chain, _table(obj, "ci")))
+    return _structure_from_json(DualConvexStructure, obj)
 
 
 def union_map_to_json(xi: UnionStructureMap) -> dict:
     out = _header(xi.carrier, xi.chain)
-    out["xi"] = {
-        ",".join(str(v) for v in key): val
-        for key, val in sorted(xi.tabulate().items())
-    }
+    out["xi"] = _vectors_to_json(xi.tabulate())
     return out
 
 
 def union_map_from_json(obj: Mapping) -> UnionStructureMap:
     space, chain = _space_chain_from(obj)
-    table = {}
-    for key, val in _table(obj, "xi").items():
-        parts = key.split(",")
-        if len(parts) != len(space):
-            raise ValidationError(f"density key {key!r} has the wrong arity")
-        table[tuple(level_from_string(chain, p).value for p in parts)] = val
+    table = _vectors_from_json(chain, obj, "xi", len(space))
     return UnionStructureMap.from_table(space, chain, table)
 
 
 def semimodule_to_json(m: Semimodule) -> dict:
-    out = _header(m.carrier, m.chain)
-    out["add"] = {f"{x}|{y}": z for (x, y), z in sorted(m.add.items())}
-    out["scale"] = {
-        f"{level_to_string(a)}|{x}": z
-        for (a, x), z in sorted(m.scale.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-    }
-    out["zero"] = m.zero
-    return out
+    return _structure_to_json(m)
 
 
 def semimodule_from_json(obj: Mapping) -> Semimodule:
-    space, chain = _space_chain_from(obj)
-    add = {}
-    for key, z in _table(obj, "add").items():
-        x, y = key.split("|")
-        add[(x, y)] = z
-    scale = {}
-    for key, z in _table(obj, "scale").items():
-        a, x = key.split("|")
-        scale[(level_from_string(chain, a), x)] = z
-    return Semimodule(space, chain, add, scale, obj["zero"])
-
-
-def _pair_table_to_json(table) -> dict:
-    return {f"{x}|{y}": z for (x, y), z in sorted(table.items())}
-
-
-def _pair_table_from_json(obj: Mapping) -> dict:
-    table = {}
-    for key, z in obj.items():
-        parts = key.split("|")
-        if len(parts) != 2:
-            raise ValidationError(f"bad pair key {key!r}")
-        table[(parts[0], parts[1])] = z
-    return table
-
-
-def _action_table_to_json(table) -> dict:
-    return {
-        f"{level_to_string(a)}|{x}": z
-        for (a, x), z in sorted(table.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-    }
-
-
-def _action_table_from_json(chain: Chain, obj: Mapping) -> dict:
-    table = {}
-    for key, z in obj.items():
-        parts = key.split("|")
-        if len(parts) != 2:
-            raise ValidationError(f"bad action key {key!r}")
-        table[(level_from_string(chain, parts[0]), parts[1])] = z
-    return table
+    return _structure_from_json(Semimodule, obj)
 
 
 def biconvex_to_json(b: BiconvexStructure) -> dict:
-    out = _header(b.carrier, b.chain)
-    out["bjoin"] = _pair_table_to_json(b.bjoin)
-    out["bmeet"] = _pair_table_to_json(b.bmeet)
-    out["smeet"] = _action_table_to_json(b.smeet)
-    out["sjoin"] = _action_table_to_json(b.sjoin)
-    return out
+    return _structure_to_json(b)
 
 
 def biconvex_from_json(obj: Mapping) -> BiconvexStructure:
-    space, chain = _space_chain_from(obj)
-    return BiconvexStructure(
-        space,
-        chain,
-        _pair_table_from_json(_table(obj, "bjoin")),
-        _pair_table_from_json(_table(obj, "bmeet")),
-        _action_table_from_json(chain, _table(obj, "smeet")),
-        _action_table_from_json(chain, _table(obj, "sjoin")),
-    )
+    return _structure_from_json(BiconvexStructure, obj)
 
 
 def triple_to_json(t: TripleStructure) -> dict:
-    out = _header(t.carrier, t.chain)
-    out["bjoin"] = _pair_table_to_json(t.bjoin)
-    out["bmeet"] = _pair_table_to_json(t.bmeet)
-    out["p"] = {level_to_string(a): x for a, x in sorted(t.p.items(), key=lambda kv: kv[0].value)}
-    out["m"] = {level_to_string(a): x for a, x in sorted(t.m.items(), key=lambda kv: kv[0].value)}
-    return out
+    return _structure_to_json(t)
 
 
 def triple_from_json(obj: Mapping) -> TripleStructure:
-    space, chain = _space_chain_from(obj)
-    p = {level_from_string(chain, a): x for a, x in _table(obj, "p").items()}
-    m = {level_from_string(chain, a): x for a, x in _table(obj, "m").items()}
-    return TripleStructure(
-        space,
-        chain,
-        _pair_table_from_json(_table(obj, "bjoin")),
-        _pair_table_from_json(_table(obj, "bmeet")),
-        p,
-        m,
-    )
-
-
-def _phi_to_json(chain: Chain, phi: Mapping[Level, Level]) -> dict:
-    return {
-        level_to_string(a): level_to_string(phi[a]) for a in chain.levels
-    }
+    return _structure_from_json(TripleStructure, obj)
 
 
 def cube_to_json(cube: CubeStructure) -> dict:
-    chain = cube.structure.chain
     return {
-        "chain_k": chain.k,
+        "chain_k": cube.structure.chain.k,
         "A": len(cube.phis),
-        "phi": [_phi_to_json(chain, phi) for phi in cube.phis],
+        "phi": [_table_to_json(phi, "a", "a") for phi in cube.phis],
     }
 
 
 def cube_from_json(obj: Mapping) -> CubeStructure:
     _object(obj, "cube JSON")
-    if "chain_k" not in obj:
-        raise ValidationError("cube JSON needs a 'chain_k' field")
-    chain = make_chain(obj["chain_k"])
-    phis = []
-    for raw in _list(obj, "phi"):
-        phis.append({
-            level_from_string(chain, a): level_from_string(chain, v)
-            for a, v in _object(raw, "a phi entry").items()
-        })
+    chain = make_chain(_field(obj, "chain_k"))
+    phis = [
+        _table_from_json(chain, _object(raw, "a phi entry"), "phi", "a", "a")
+        for raw in _list(obj, "phi")
+    ]
     if "A" in obj and obj["A"] != len(phis):
         raise ValidationError("cube arity does not match the phi list")
     return cube_structure(chain, phis)
@@ -346,17 +295,14 @@ def full_map_to_json(
     """Tabulated full structure map of xi, or of the structure behind it;
     keys are capacity value vectors."""
     out = _header(xi.carrier, xi.chain, joins_names=False)
-    out["xi_full"] = {
-        ",".join(str(v) for v in key): val for key, val in sorted(table.items())
-    }
+    out["xi_full"] = _vectors_to_json(table)
     return out
 
 
 def full_map_from_json(obj: Mapping) -> CapacityStructureMap:
+    """Keys are value vectors over the nonempty subsets in canonical order."""
     space, chain = _space_chain_from(obj)
-    table = {}
-    for key, val in _table(obj, "xi_full").items():
-        table[tuple(Fraction(p) for p in key.split(","))] = val
+    table = _vectors_from_json(chain, obj, "xi_full", 2 ** len(space) - 1)
     return CapacityStructureMap.from_table(space, chain, table)
 
 
@@ -369,16 +315,9 @@ def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
     if res.found:
         out["arity"] = res.arity
         out["assignment"] = {
-            x: [level_to_string(v) for v in vec]
-            for x, vec in sorted(res.assignment.items())
+            x: [level_to_string(v) for v in vec] for x, vec in res.assignment.items()
         }
-        out["phi"] = [
-            {
-                level_to_string(a): level_to_string(phi[a])
-                for a in sorted(phi, key=lambda lv: lv.value)
-            }
-            for phi in res.phis
-        ]
+        out["phi"] = [_table_to_json(phi, "a", "a") for phi in res.phis]
     return out
 
 

@@ -103,6 +103,65 @@ class PointMap:
         return frozenset(x for x in self.source.elements if self.table[x] in s)
 
 
+def _cell(key) -> str:
+    return "|".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def _check_cells(carrier: FiniteSpace, keys, label: str, table: Mapping) -> dict:
+    """The cells of ``table`` at ``keys``; each must be there and hold a carrier element."""
+    out = {}
+    for key in keys:
+        if key not in table:
+            raise ValidationError(f"{label} table missing {_cell(key)}")
+        z = out[key] = table[key]
+        if z not in carrier.index:
+            raise ValidationError(f"{label} value {z!r} at {_cell(key)} not in carrier")
+    return out
+
+
+def _table_keys(carrier: FiniteSpace, chain, shape: str) -> Iterator:
+    """Every key of a table of ``shape``: one letter per argument, ``x`` an
+    element and ``a`` a chain level, in product order.  A one-letter shape
+    keys by the bare argument, a longer one by the tuple."""
+    keys = itertools.product(*(chain.levels if s == "a" else carrier.elements for s in shape))
+    return keys if len(shape) > 1 else (key for (key,) in keys)
+
+
+class TableStructure:
+    """A carrier and a chain with total operation tables, declared once.
+
+    A subclass maps each table's attribute name to its key shape in
+    ``_tables`` (see ``_table_keys``); the empty shape is a constant, kept
+    as the element itself.  The constructor takes the tables in that
+    order and keeps exactly the declared cells, each checked to be a
+    carrier element; equality and hashing read the same declaration.
+    """
+
+    __slots__ = ("carrier", "chain")
+    _tables: dict[str, str] = {}
+
+    def __init__(self, carrier: FiniteSpace, chain, *tables):
+        for (name, shape), table in zip(self._tables.items(), tables, strict=True):
+            if shape:
+                table = _check_cells(carrier, _table_keys(carrier, chain, shape), name, table)
+            elif table not in carrier.index:
+                raise ValidationError(f"{name} {table!r} not in carrier")
+            setattr(self, name, table)
+        self.carrier = carrier
+        self.chain = chain
+
+    def _state(self) -> tuple:
+        return (self.carrier, self.chain, *(getattr(self, n) for n in self._tables))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._state() == self._state()
+
+    def __hash__(self):
+        return hash((type(self).__name__, *(
+            frozenset(v.items()) if isinstance(v, dict) else v for v in self._state()
+        )))
+
+
 class SubsetFamily:
     """An explicit family of nonempty subsets of a carrier."""
 

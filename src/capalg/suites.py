@@ -867,9 +867,6 @@ def check_full_map_value(
     return dual
 
 
-_all_phis = weight_maps  # the name the tests import
-
-
 def full_map_suite(
     space: FiniteSpace,
     chain: Chain,

@@ -49,10 +49,11 @@ from capalg.biconvex import (
     sugeno_form,
     triple_from_biconvex,
     union_over_intersection_preimages,
+    weight_maps,
     _check_match,
     _coordinate_candidates,
 )
-from capalg.suites import _all_phis, _xi_via_intersection_mixture, _xi_via_union_mixture
+from capalg.suites import _xi_via_intersection_mixture, _xi_via_union_mixture
 
 K1 = Chain(1)
 K2 = Chain(2)
@@ -461,7 +462,7 @@ def test_embedding_search_certifies_every_cube_instance():
 
 def test_embedding_search_certifies_every_k3_square_cube():
     k3 = Chain(3)
-    pairs = list(itertools.combinations_with_replacement(_all_phis(k3), 2))
+    pairs = list(itertools.combinations_with_replacement(weight_maps(k3), 2))
     assert len(pairs) == 55
     for phi_pair in pairs:
         res = embedding_search(cube_structure(k3, list(phi_pair)).structure, max_arity=2)
@@ -520,7 +521,7 @@ def test_coordinate_candidates_match_brute_force_on_named_models():
         assert_same_candidates(chain_model(Chain(k)))
         assert_same_candidates(diamond_structure(Chain(k)))
     for k in (1, 2, 3):
-        for phi in _all_phis(Chain(k)):
+        for phi in weight_maps(Chain(k)):
             assert_same_candidates(cube_structure(Chain(k), [phi]).structure)
 
 

@@ -385,6 +385,12 @@ def _golden_triple():
     return obj
 
 
+def _cube():
+    # two coordinates: the identity and the weight map lifting 1/2 to 1
+    identity = {a: a for a in LEVELS_K2}
+    return {"chain_k": 2, "A": 2, "phi": [identity, dict(identity, **{"1/2": "1"})]}
+
+
 def _golden_quadruple(table, cell, value):
     obj = _chain_model_quadruple()
     obj[table][cell] = value
@@ -512,12 +518,13 @@ WELL_FORMED = {
     "triple": _chain_model_triple,
     "semimodule": _golden_semimodule,
     "union-map": _golden_union_map,
+    "cube": _cube,
 }
 # the tables of each document, and which part of their keys is a level
 # (None: keys are element names only)
 TABLE_LEVEL_PART = {
     "ic": 1, "ci": 1, "bjoin": None, "bmeet": None, "smeet": 0, "sjoin": 0,
-    "p": 0, "m": 0, "add": None, "scale": 0, "xi": 0,
+    "p": 0, "m": 0, "add": None, "scale": 0, "xi": 0, "phi": 0,
 }
 NOT_AN_OBJECT = strat.one_of(
     strat.lists(strat.integers(), max_size=2), strat.text(max_size=3),
@@ -531,10 +538,10 @@ def malformed_documents(draw):
     # a fresh copy: the builders share their element lists
     obj = json.loads(json.dumps(WELL_FORMED[draw(strat.sampled_from(sorted(WELL_FORMED)))]()))
     tables = sorted(t for t in TABLE_LEVEL_PART if t in obj)
-    how = draw(strat.sampled_from([
-        "top-level", "space", "elements-type", "elements-entry", "duplicate-name",
-        "chain-k", "table-type", "key-arity", "key-level", "cell-value",
-    ]))
+    hows = ["top-level", "space", "chain-k", "table-type", "key-arity", "key-level", "cell-value"]
+    if "elements" in obj:  # a cube document has no carrier list to break
+        hows += ["elements-type", "elements-entry", "duplicate-name"]
+    how = draw(strat.sampled_from(hows))
     hypothesis.event(how)
     if how == "top-level":
         return draw(NOT_AN_OBJECT)
@@ -563,6 +570,8 @@ def malformed_documents(draw):
     else:
         name = draw(strat.sampled_from(tables))
         table = obj[name]
+        if name == "phi":  # each entry of a cube's phi list is one table
+            table = draw(strat.sampled_from(table))
         key = draw(strat.sampled_from(sorted(table)))
         sep = "," if name == "xi" else "|"
         parts = key.split(sep)

@@ -322,7 +322,7 @@ def test_semimodule_validation():
         Semimodule(X2, K2, {}, {}, "a")
     add = {(x, y): "a" for x in X2.elements for y in X2.elements}
     scale = {(a, x): "a" for a in K2.levels for x in X2.elements}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="zero 'z' not in carrier"):
         Semimodule(X2, K2, add, scale, "z")
     broken = Semimodule(X2, K2, add, scale, "b")  # b + zero = a, not b
     assert any(p.startswith("axiom-3") for p in check_semimodule_axioms(broken))
@@ -340,6 +340,25 @@ def test_structure_validation():
         list(enumerate_convex_structures(FiniteSpace(list("abcd")), K2))
     with pytest.raises(ValidationError):
         list(enumerate_union_algebras(X3, K2))
+
+
+def test_declared_tables_drive_validation_equality_and_hashing():
+    s = chain_model_convex(K2)
+    half = K2.level("1/2")
+    missing = {key: z for key, z in s.ic.items() if key != ("0", half, "1")}
+    with pytest.raises(ValidationError, match=r"ic table missing 0\|1/2\|1"):
+        ConvexStructure(s.carrier, K2, missing)
+    # cells off the declared keys are dropped, so the copy equals the original
+    extra = ConvexStructure(s.carrier, K2, {**s.ic, ("0", half, "zz"): "1"})
+    assert extra == s and hash(extra) == hash(s)
+    d = DualConvexStructure(s.carrier, K2, s.ic)
+    assert d != s and d == DualConvexStructure(s.carrier, K2, dict(s.ic))
+    add = {(x, y): "a" for x in X2.elements for y in X2.elements}
+    scale = {(a, x): "a" for a in K2.levels for x in X2.elements}
+    m = Semimodule(X2, K2, add, scale, "a")
+    assert m == Semimodule(X2, K2, dict(add), dict(scale), "a")
+    assert hash(m) == hash(Semimodule(X2, K2, add, scale, "a"))
+    assert m != Semimodule(X2, K2, add, scale, "b")
 
 
 # ------------------------------------------- oracles for the shared ic/ci code

@@ -1,22 +1,28 @@
 """JSON round-trips and canonical bytes for every serialized form."""
 
+import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from capalg.chain import Chain
 from capalg.errors import ValidationError
-from capalg.spaces import FiniteSpace, enumerate_hyperspaces
+from capalg.spaces import FiniteSpace, InclusionHyperspace, enumerate_hyperspaces
 from capalg.capacity import (
+    Capacity,
     NecessityCapacity,
     PossibilityCapacity,
+    canonical_key,
     capacity_equal,
     enumerate_capacities,
     random_capacity,
 )
 from capalg.convexity import (
+    ConvexStructure,
+    DualConvexStructure,
     UnionStructureMap,
     enumerate_convex_structures,
     quotient_semimodule,
@@ -60,6 +66,7 @@ from capalg.serial import (
     union_map_to_json,
 )
 
+K1 = Chain(1)
 K2 = Chain(2)
 X2 = FiniteSpace(["a", "b"])
 X3 = FiniteSpace(["a", "b", "c"])
@@ -198,3 +205,101 @@ def test_levels_serialize_as_exact_fraction_strings():
     blob = capacity_to_json(p)
     assert blob["density"] == {"a": "1", "b": "1/2"}
     assert json.dumps(blob)  # plain JSON, no custom types
+
+
+def _chain_tables(outer, inner):
+    """The k=2 chain model's combination table t(x, a, y) = outer(x, inner(a, y))."""
+    carrier = FiniteSpace([str(lv.value) for lv in K2.levels])
+    return carrier, K2, {
+        (x, a, y): str(outer(Fraction(x), inner(a.value, Fraction(y))))
+        for x in carrier.elements for a in K2.levels for y in carrier.elements
+    }
+
+
+def _full_map_document():
+    xi = CapacityStructureMap.from_biconvex(chain_model(K1))
+    table = {canonical_key(c): xi(c) for c in enumerate_capacities(xi.carrier, K1)}
+    return full_map_to_json(xi, table)
+
+
+def _golden_documents():
+    convex = ConvexStructure(*_chain_tables(max, min))
+    step = {K2.zero: K2.zero, K2.level("1/2"): K2.one, K2.one: K2.one}
+    return {
+        "space": space_to_json(X3),
+        "hyperspace": hyperspace_to_json(InclusionHyperspace(X3, [{"a"}, {"b", "c"}])),
+        "possibility": capacity_to_json(PossibilityCapacity(X3, K2, {"a": 1, "b": "1/2"})),
+        "necessity": capacity_to_json(NecessityCapacity(X3, K2, {"c": 0, "a": "1/2"})),
+        "table": capacity_to_json(Capacity(X2, K2, {
+            frozenset(): 0, frozenset("a"): "1/2", frozenset("b"): 0, X2.universe: 1,
+        })),
+        "convex": convex_to_json(convex),
+        "dual": dual_convex_to_json(DualConvexStructure(*_chain_tables(min, max))),
+        "union-map": union_map_to_json(UnionStructureMap.from_convex(convex)),
+        "semimodule": semimodule_to_json(quotient_semimodule(convex).semimodule),
+        "quadruple": biconvex_to_json(chain_model(K2)),
+        "triple": triple_to_json(triple_from_biconvex(chain_model(K2))),
+        "cube": cube_to_json(cube_structure(K2, [step, {a: a for a in K2.levels}])),
+        "full-map": _full_map_document(),
+        "embedding-hit": embedding_result_to_json(embedding_search(chain_model(K2), max_arity=1)),
+        "embedding-miss": embedding_result_to_json(
+            embedding_search(diamond_structure(K2), max_arity=1)
+        ),
+    }
+
+
+# sha256 of dumps_canonical of each document above
+GOLDEN_DOCUMENTS = {
+    "space": "ee046004ac19b972545df1c861344253a557e379204e1f34344d29ceb1f896ce",
+    "hyperspace": "890338a6b014228d756ab8f265d603dfc9f9a7ddeaed52820265247b87ad70d0",
+    "possibility": "f118df811f4ea1af4d10403fe1a804c423a65458b6b447cc1819af6543ebd156",
+    "necessity": "acc816714b662f0945a21b43c70d3f8380c6a317c4913f75ece336d9a475f2a4",
+    "table": "a0e44f758acbe6b0ed04d17574ab25035fd55e4ca2cccdcefa8b5df0c74ac2c8",
+    "convex": "915f42dd40ac46c2012fea1093025c9b56b2465a6c267ede6c326277c608c44d",
+    "dual": "8cd33efab9a3d86d8651c1f4bbb7004adae44f2e6a70ca5f31e80944d84519d8",
+    "union-map": "4bd8388035f4fcda841f99408873935c400929424b4f120a57f5f0845fbf4e19",
+    "semimodule": "de85ab2e53a40b21812839c99adbad6dccd3a0f502b7094a3e91a27b6d25f3f8",
+    "quadruple": "e2097e5e7f8ff60566e18b9c686cbe8c2098a602ea5797887c3f524bd195db8f",
+    "triple": "4970fb519ff7b2e546075506e412c939e2ef74a3eb29102fcf99c22fbb5767e4",
+    "cube": "d2a3eac7151ea45e93da9f34dfc40905d071297648d1c3410e2bb14f5508c26f",
+    "full-map": "8e84cd5781e741260730a95deebb9359646920439234d8d4bee51a2827f68ade",
+    "embedding-hit": "2ce93ed72b14767776eb75cebbf4141b4e5b1fd6ad175f8038ecc5cb3a3cb89c",
+    "embedding-miss": "cd6ad0f55972ba4cb2496cb769e3adfac639f15752754df8013599e3f4f59657",
+}
+
+
+def test_serialized_documents_match_their_golden_digests():
+    digests = {
+        name: hashlib.sha256(dumps_canonical(doc).encode("utf-8")).hexdigest()
+        for name, doc in _golden_documents().items()
+    }
+    assert digests == GOLDEN_DOCUMENTS
+
+
+@pytest.mark.parametrize("key, match", [
+    ("1", "wrong arity"),             # one value where 2 points have 3 nonempty subsets
+    ("1/3,1,7", "1/3"),               # off-chain levels at k=2
+])
+def test_full_map_loader_rejects_malformed_keys(key, match):
+    obj = {"elements": ["a", "b"], "chain_k": 2, "xi_full": {key: "a"}}
+    with pytest.raises(ValidationError, match=match):
+        full_map_from_json(obj)
+
+
+def test_full_map_loader_rejects_values_off_the_carrier():
+    obj = _full_map_document()
+    obj["xi_full"][next(iter(obj["xi_full"]))] = "zz"
+    with pytest.raises(ValidationError, match="'zz'"):
+        full_map_from_json(obj)
+
+
+def test_semimodule_loader_names_the_broken_field():
+    s = next(iter(enumerate_convex_structures(X2, K2)))
+    good = semimodule_to_json(quotient_semimodule(s).semimodule)
+    no_zero = dict(good)
+    del no_zero["zero"]
+    with pytest.raises(ValidationError, match="'zero'"):
+        semimodule_from_json(no_zero)
+    short_key = dict(good, add={"a": good["add"][next(iter(good["add"]))]})
+    with pytest.raises(ValidationError, match="add key 'a'"):
+        semimodule_from_json(short_key)
