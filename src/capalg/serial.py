@@ -109,9 +109,14 @@ def subset_to_key(space: FiniteSpace, s: Subset) -> str:
 
 
 def subset_from_key(space: FiniteSpace, key: str) -> Subset:
-    if key == "":
-        return frozenset()
-    return space.subset(key.split(","))
+    """The subset a key names; only the key ``subset_to_key`` writes is
+    read, so repeated or reordered names never alias another key."""
+    s = space.subset(key.split(",")) if key else frozenset()
+    if subset_to_key(space, s) != key:
+        raise ValidationError(
+            f"set key {key!r} is not canonical; write {subset_to_key(space, s)!r}"
+        )
+    return s
 
 
 def hyperspace_to_json(hs: InclusionHyperspace) -> dict:
@@ -127,7 +132,11 @@ def hyperspace_to_json(hs: InclusionHyperspace) -> dict:
 
 def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
     space = space_from_json(obj)
-    return InclusionHyperspace(space, [space.subset(m) for m in _list(obj, "min_sets")])
+    sets = _list(obj, "min_sets")
+    for m in sets:
+        if not isinstance(m, list) or not all(isinstance(x, str) for x in m):
+            raise ValidationError(f"'min_sets' entries must be lists of element names, got {m!r}")
+    return InclusionHyperspace(space, [space.subset(m) for m in sets])
 
 
 def _cell_to_json(kind: str, v):

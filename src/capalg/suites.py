@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .biconvex import (
     BiconvexStructure,
@@ -247,15 +249,92 @@ def chain_suite(max_k: int = 4) -> SuiteReport:
     return rep
 
 
+# ---------------------------------------------------------------- monad laws
+
+
+@dataclass
+class _Monad:
+    """One monad's operations over a base space for the law checks that the
+    hyperspace and capacity suites share; ``pool`` names every element over
+    the base space.  Each suite builds its record inside the call, so the
+    operations are the module's bindings at call time."""
+
+    space: FiniteSpace
+    names: FiniteSpace
+    pool: dict
+    unit: Callable  # base point -> unit over the base space
+    name_unit: Callable  # pool name -> unit over the names
+    fmap: Callable  # (PointMap, element) -> image element
+    mult: Callable  # (outer, assignment) -> flattened element
+    key: Callable  # element -> hashable key, equal exactly for equal elements
+    equal: Callable
+    draw: Callable  # (carrier, rng) -> seeded element over the carrier
+    show: Callable  # element -> witness text
+
+    def __post_init__(self):
+        self.name_of = {self.key(c): n for n, c in self.pool.items()}
+        eta = {x: self.name_of[self.key(self.unit(x))] for x in self.space.elements}
+        self.eta_hat = PointMap(self.space, self.names, eta)
+        self._lifted: dict[tuple, PointMap] = {}
+
+    def lifted(self, f: PointMap) -> PointMap:
+        """The functor's image of an endomap, as a map of pool names."""
+        image = tuple(f(x) for x in self.space.elements)
+        if image not in self._lifted:
+            self._lifted[image] = PointMap(
+                self.names,
+                self.names,
+                {n: self.name_of[self.key(self.fmap(f, c))] for n, c in self.pool.items()},
+            )
+        return self._lifted[image]
+
+
+def _unit_laws(mon: _Monad, rep: SuiteReport, units, pool_cases) -> None:
+    """Unit naturality on each (endomap, point) case, then both unit laws
+    on each (pool name, element) case."""
+    for f, x in units:
+        rep.check(
+            "unit-naturality",
+            mon.equal(mon.fmap(f, mon.unit(x)), mon.unit(f(x))),
+            lambda f=f, x=x: f"x={x} f={_map_witness(f)}",
+        )
+    for n, c in pool_cases:
+        w = lambda c=c: mon.show(c)
+        rep.check("unit-law-outer", mon.equal(mon.mult(mon.name_unit(n), mon.pool), c), w)
+        rep.check(
+            "unit-law-inner", mon.equal(mon.mult(mon.fmap(mon.eta_hat, c), mon.pool), c), w
+        )
+
+
+def _mult_laws(mon: _Monad, rep: SuiteReport, outer_cases, rng, trials: int, oracle=None) -> None:
+    """Naturality of multiplication under each endomap of a (label, outer,
+    maps) case, checked against ``oracle`` when one is given; then
+    associativity on ``trials`` seeded three-level elements, an outer
+    element over 1-4 drawn elements over the pool names."""
+    for label, outer, maps in outer_cases:
+        flat = mon.mult(outer, mon.pool)
+        if oracle is not None:
+            rep.check("mult-two-routes", mon.equal(flat, oracle(outer, mon.pool)), label)
+        for f in maps:
+            rep.check(
+                "mult-naturality",
+                mon.equal(mon.mult(mon.fmap(mon.lifted(f), outer), mon.pool), mon.fmap(f, flat)),
+                lambda f=f: f"{label} f={_map_witness(f)}",
+            )
+    for t in range(trials):
+        m = rng.randint(1, 4)
+        layer = [mon.draw(mon.names, rng) for _ in range(m)]
+        level2 = FiniteSpace([f"t{i}" for i in range(m)])
+        theta = mon.draw(level2, rng)
+        assign2 = dict(zip(level2.elements, layer))
+        mu_hat = {n: mon.name_of[mon.key(mon.mult(c, mon.pool))] for n, c in assign2.items()}
+        route_a = mon.mult(mon.fmap(PointMap(level2, mon.names, mu_hat), theta), mon.pool)
+        route_b = mon.mult(mon.mult(theta, assign2), mon.pool)
+        rep.check("mult-associativity", mon.equal(route_a, route_b), f"seed-trial={t}")
+    rep.bump("associativity-trials", trials)
+
+
 # --------------------------------------------------------- hyperspace monad
-
-
-def _endomaps(space: FiniteSpace) -> list[PointMap]:
-    els = space.elements
-    return [
-        PointMap(space, space, dict(zip(els, image)))
-        for image in itertools.product(els, repeat=len(els))
-    ]
 
 
 def _random_endomap(space: FiniteSpace, rng) -> PointMap:
@@ -279,73 +358,6 @@ def _mult_by_membership(outer: InclusionHyperspace, assignment) -> InclusionHype
     return InclusionHyperspace.from_family(SubsetFamily(base, hit))
 
 
-def _g_unit_and_functor(space, rep, hyperspaces, maps, names, assignment, key_to_name):
-    els = space.elements
-    ident = PointMap(space, space, {x: x for x in els})
-    eta_hat = PointMap(
-        space, names, {x: key_to_name[g_unit(space, x).min_sets] for x in els}
-    )
-    for x in els:
-        for f in maps:
-            rep.check(
-                "unit-naturality",
-                g_map(f, g_unit(space, x)) == g_unit(space, f(x)),
-                f"x={x} f={_map_witness(f)}",
-            )
-    for hs in hyperspaces:
-        w = _hs_witness(hs)
-        rep.check("functor-identity", g_map(ident, hs) == hs, w)
-        rep.check(
-            "unit-law-outer",
-            g_mult(g_unit(names, key_to_name[hs.min_sets]), assignment) == hs,
-            w,
-        )
-        rep.check(
-            "unit-law-inner",
-            g_mult(g_map(eta_hat, hs), assignment) == hs,
-            w,
-        )
-        for f, g in itertools.product(maps, repeat=2):
-            comp = PointMap(space, space, {x: g(f(x)) for x in els})
-            rep.check(
-                "functor-composition",
-                g_map(comp, hs) == g_map(g, g_map(f, hs)),
-                f"{w} f={_map_witness(f)} g={_map_witness(g)}",
-            )
-
-
-def _g_lifted(f: PointMap, names, assignment, key_to_name) -> PointMap:
-    return PointMap(
-        names,
-        names,
-        {n: key_to_name[g_map(f, assignment[n]).min_sets] for n in names.elements},
-    )
-
-
-def _g_associativity(space, rep, trials, seed):
-    rng = random.Random(seed)
-    names, assignment = hyperspace_space(space)
-    key_to_name = {hs.min_sets: n for n, hs in assignment.items()}
-    for t in range(trials):
-        m = rng.randint(1, 4)
-        layer = [random_hyperspace(names, rng) for _ in range(m)]
-        level2 = FiniteSpace([f"t{i}" for i in range(m)])
-        assign2 = {f"t{i}": layer[i] for i in range(m)}
-        theta = random_hyperspace(level2, rng)
-        mu_hat = PointMap(
-            level2,
-            names,
-            {
-                f"t{i}": key_to_name[g_mult(layer[i], assignment).min_sets]
-                for i in range(m)
-            },
-        )
-        route_a = g_mult(g_map(mu_hat, theta), assignment)
-        route_b = g_mult(g_mult(theta, assign2), assignment)
-        rep.check("mult-associativity", route_a == route_b, f"seed-trial={t}")
-    rep.bump("associativity-trials", trials)
-
-
 def g_monad_suite(
     space: FiniteSpace,
     mode: str = "exhaustive",
@@ -354,100 +366,64 @@ def g_monad_suite(
 ) -> SuiteReport:
     """Unit, functor, naturality, and multiplication laws for the
     inclusion-hyperspace monad, with a brute-force membership oracle for
-    every multiplication."""
+    every multiplication.  Exhaustive mode sweeps every case on at most 2
+    points; random mode draws ``samples // 5`` cases per law."""
     rep = SuiteReport("hyperspace-monad", mode)
     names, assignment = hyperspace_space(space)
-    key_to_name = {hs.min_sets: n for n, hs in assignment.items()}
+    mon = _Monad(
+        space, names, assignment,
+        unit=lambda x: g_unit(space, x), name_unit=lambda n: g_unit(names, n),
+        fmap=g_map, mult=g_mult, key=lambda hs: hs.min_sets, equal=operator.eq,
+        draw=random_hyperspace, show=_hs_witness,
+    )
+    els = space.elements
     if mode == "exhaustive":
         if len(space) > 2:
             raise BudgetExceededError(
                 "exhaustive hyperspace sweeps need at most 2 points; use random mode"
             )
-        hyperspaces = enumerate_hyperspaces(space)
-        maps = _endomaps(space)
-        _g_unit_and_functor(
-            space, rep, hyperspaces, maps, names, assignment, key_to_name
-        )
-        lifted = {id(f): _g_lifted(f, names, assignment, key_to_name) for f in maps}
+        maps = _all_maps(space, space)
         second = enumerate_hyperspaces(names)
-        for outer in second:
-            w = _hs_witness(outer)
-            flat = g_mult(outer, assignment)
-            rep.check(
-                "mult-two-routes",
-                flat == _mult_by_membership(outer, assignment),
-                w,
-            )
-            for f in maps:
-                rep.check(
-                    "mult-naturality",
-                    g_mult(g_map(lifted[id(f)], outer), assignment)
-                    == g_map(f, flat),
-                    f"{w} f={_map_witness(f)}",
-                )
-        rep.counts["hyperspaces"] = len(hyperspaces)
+        units = [(f, x) for x in els for f in maps]
+        pairs = list(itertools.product(maps, repeat=2))
+        compositions = [(f, g, hs) for hs in assignment.values() for f, g in pairs]
+        pool_cases = assignment.items()
+        outer_cases = [(_hs_witness(outer), outer, maps) for outer in second]
+        trials, assoc_seed = max(100, samples // 10), seed
+        ident = PointMap(space, space, {x: x for x in els})
+        for hs in assignment.values():
+            rep.check("functor-identity", g_map(ident, hs) == hs, lambda hs=hs: _hs_witness(hs))
+        rep.counts["hyperspaces"] = len(assignment)
         rep.counts["second-level-hyperspaces"] = len(second)
-        _g_associativity(space, rep, max(100, samples // 10), seed)
         rep.notes.append(
             "multiplication associativity is sampled: the third hyperspace "
             "level is beyond enumeration even over two points"
         )
     else:
+        # one stream: the units are drawn first though checked after the
+        # compositions, and every later case as its check consumes it
         rng = random.Random(seed)
-        els = space.elements
-        eta_hat = PointMap(
-            space, names, {x: key_to_name[g_unit(space, x).min_sets] for x in els}
+        trials, assoc_seed = max(1, samples // 5), seed + 1
+        draws = range(trials)
+        units = [(_random_endomap(space, rng), rng.choice(els)) for _ in draws]
+        compositions = (
+            (_random_endomap(space, rng), _random_endomap(space, rng),
+             random_hyperspace(space, rng))
+            for _ in draws
         )
-        n_each = max(1, samples // 5)
-        for _ in range(n_each):
-            f = _random_endomap(space, rng)
-            x = rng.choice(els)
-            rep.check(
-                "unit-naturality",
-                g_map(f, g_unit(space, x)) == g_unit(space, f(x)),
-                f"x={x} f={_map_witness(f)}",
-            )
-        for _ in range(n_each):
-            f = _random_endomap(space, rng)
-            g = _random_endomap(space, rng)
-            hs = random_hyperspace(space, rng)
-            comp = PointMap(space, space, {x: g(f(x)) for x in els})
-            rep.check(
-                "functor-composition",
-                g_map(comp, hs) == g_map(g, g_map(f, hs)),
-                f"{_hs_witness(hs)} f={_map_witness(f)} g={_map_witness(g)}",
-            )
-        for _ in range(n_each):
-            hs = random_hyperspace(space, rng)
-            w = _hs_witness(hs)
-            rep.check(
-                "unit-law-outer",
-                g_mult(g_unit(names, key_to_name[hs.min_sets]), assignment) == hs,
-                w,
-            )
-            rep.check(
-                "unit-law-inner",
-                g_mult(g_map(eta_hat, hs), assignment) == hs,
-                w,
-            )
-        for _ in range(n_each):
-            outer = random_hyperspace(names, rng)
-            w = _hs_witness(outer)
-            flat = g_mult(outer, assignment)
-            rep.check(
-                "mult-two-routes", flat == _mult_by_membership(outer, assignment), w
-            )
-            f = _random_endomap(space, rng)
-            rep.check(
-                "mult-naturality",
-                g_mult(
-                    g_map(_g_lifted(f, names, assignment, key_to_name), outer),
-                    assignment,
-                )
-                == g_map(f, flat),
-                f"{w} f={_map_witness(f)}",
-            )
-        _g_associativity(space, rep, n_each, seed + 1)
+        drawn = (random_hyperspace(space, rng) for _ in draws)
+        pool_cases = ((mon.name_of[hs.min_sets], hs) for hs in drawn)
+        drawn_outers = (random_hyperspace(names, rng) for _ in draws)
+        outer_cases = ((_hs_witness(o), o, [_random_endomap(space, rng)]) for o in drawn_outers)
+    for f, g, hs in compositions:
+        comp = PointMap(space, space, {x: g(f(x)) for x in els})
+        rep.check(
+            "functor-composition",
+            g_map(comp, hs) == g_map(g, g_map(f, hs)),
+            lambda f=f, g=g, hs=hs: f"{_hs_witness(hs)} f={_map_witness(f)} g={_map_witness(g)}",
+        )
+    _unit_laws(mon, rep, units, pool_cases)
+    _mult_laws(mon, rep, outer_cases, random.Random(assoc_seed), trials, _mult_by_membership)
     return rep
 
 
@@ -467,9 +443,9 @@ def _random_pointwise(cls, carrier, chain, rng, max_support=4):
     return cls(carrier, chain, weights)
 
 
-def _random_mixed(carrier, chain, rng, max_support=4):
+def _random_mixed(carrier, chain, rng):
     cls = PossibilityCapacity if rng.random() < 0.5 else NecessityCapacity
-    return _random_pointwise(cls, carrier, chain, rng, max_support)
+    return _random_pointwise(cls, carrier, chain, rng)
 
 
 def capacity_monad_suite(
@@ -483,61 +459,23 @@ def capacity_monad_suite(
     rep = SuiteReport("capacity-monad", "mixed")
     names, lookup = capacity_pool(space, chain, "all")
     rep.counts["capacities"] = len(names)
-    name_of = {canonical_key(c): n for n, c in lookup.items()}
-
-    for n, c in lookup.items():
-        rep.check(
-            "unit-law-outer",
-            capacity_equal(mult(dirac_density(names, chain, n), lookup), c),
-            lambda c=c: _cap_witness(c),
-        )
-    eta_hat = PointMap(
-        space,
-        names,
-        {x: name_of[canonical_key(unit_dirac(space, chain, x))] for x in space.elements},
+    mon = _Monad(
+        space, names, lookup,
+        unit=lambda x: unit_dirac(space, chain, x),
+        name_unit=lambda n: dirac_density(names, chain, n),
+        fmap=pushforward, mult=mult, key=canonical_key, equal=capacity_equal,
+        draw=lambda carrier, rng: _random_mixed(carrier, chain, rng), show=_cap_witness,
     )
-    for n, c in lookup.items():
-        rep.check(
-            "unit-law-inner",
-            capacity_equal(mult(pushforward(eta_hat, c), lookup), c),
-            lambda c=c: _cap_witness(c),
-        )
-    rep.counts["unit-law-cases"] = 2 * len(names)
-
-    # naturality under every endomap, sampled outers
+    # naturality under seeded endomaps, points and outers
     rng = random.Random(seed)
-    lifted_cache: dict[tuple, PointMap] = {}
-    for t in range(min(40, max(1, samples // 10))):
-        f = _random_endomap(space, rng)
-        x = rng.choice(space.elements)
-        rep.check(
-            "unit-naturality",
-            capacity_equal(
-                pushforward(f, unit_dirac(space, chain, x)),
-                unit_dirac(space, chain, f(x)),
-            ),
-            f"x={x} f={_map_witness(f)}",
-        )
-        fkey = tuple(f(e) for e in space.elements)
-        lifted = lifted_cache.get(fkey)
-        if lifted is None:
-            lifted = PointMap(
-                names,
-                names,
-                {
-                    n: name_of[canonical_key(pushforward(f, lookup[n]))]
-                    for n in names.elements
-                },
-            )
-            lifted_cache[fkey] = lifted
-        outer = _random_mixed(names, chain, rng)
-        lhs = pushforward(f, as_capacity(mult(outer, lookup)))
-        rhs = mult(pushforward(lifted, outer), lookup)
-        rep.check(
-            "mult-naturality",
-            capacity_equal(lhs, rhs),
-            f"seed-trial={t} f={_map_witness(f)}",
-        )
+    trials = [
+        (_random_endomap(space, rng), rng.choice(space.elements), mon.draw(names, rng))
+        for _ in range(min(40, max(1, samples // 10)))
+    ]
+    _unit_laws(mon, rep, [(f, x) for f, x, _ in trials], lookup.items())
+    rep.counts["unit-law-cases"] = 2 * len(names)
+    outer_cases = [(f"seed-trial={t}", outer, [f]) for t, (f, _, outer) in enumerate(trials)]
+    _mult_laws(mon, rep, outer_cases, random.Random(seed + 2), samples)
 
     # conjugation: unit fixed, multiplication intertwined, classes swapped
     poss_names, poss_lookup = capacity_pool(space, chain, "union")
@@ -586,31 +524,6 @@ def capacity_monad_suite(
             capacity_equal(kappa_dual(flat), mirrored),
             w,
         )
-
-    # associativity over sampled two-level capacities
-    rng3 = random.Random(seed + 2)
-    for t in range(samples):
-        m2 = rng3.randint(1, 4)
-        picks = [_random_mixed(names, chain, rng3) for _ in range(m2)]
-        level2 = FiniteSpace([f"t{i}" for i in range(m2)])
-        assign2 = {f"t{i}": picks[i] for i in range(m2)}
-        theta = _random_mixed(level2, chain, rng3, max_support=m2)
-        mu_hat = PointMap(
-            level2,
-            names,
-            {
-                f"t{i}": name_of[canonical_key(as_capacity(mult(picks[i], lookup)))]
-                for i in range(m2)
-            },
-        )
-        route_a = mult(pushforward(mu_hat, theta), lookup)
-        route_b = mult(mult(theta, assign2), lookup)
-        rep.check(
-            "mult-associativity",
-            capacity_equal(route_a, route_b),
-            f"seed-trial={t}",
-        )
-    rep.counts["associativity-trials"] = samples
     return rep
 
 

@@ -130,6 +130,18 @@ def test_string_elements_are_rejected_not_split(tmp_path, capsys):
     assert "elements" in capsys.readouterr().err
 
 
+def test_exhaustive_monad_laws_refuse_three_points(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text('{"elements": ["a", "b", "c"]}')
+    out = tmp_path / "report.json"
+    argv = ["monad-laws", "--space", str(space), "--mode", "exhaustive", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exhaustive hyperspace sweeps need at most 2 points")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_object_table_exits_two(tmp_path, capsys):
     path = tmp_path / "convex.json"
     path.write_text('{"chain_k": 2, "elements": ["a", "b"], "ic": []}')

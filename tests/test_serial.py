@@ -87,6 +87,13 @@ def test_hyperspace_round_trip():
         assert hyperspace_from_json(hyperspace_to_json(h)) == h
 
 
+@pytest.mark.parametrize("entry", ["ab", [["a"]], [1], {"a": 1}])
+def test_hyperspace_loader_reads_min_sets_only_as_name_lists(entry):
+    # a string entry would otherwise read as the set of its characters
+    with pytest.raises(ValidationError, match="min_sets"):
+        hyperspace_from_json({"elements": ["a", "b"], "min_sets": [entry]})
+
+
 def test_capacity_round_trip_keeps_the_representation():
     for c in enumerate_capacities(X3, K2):
         back = capacity_from_json(capacity_to_json(c))
@@ -99,6 +106,17 @@ def test_capacity_round_trip_keeps_the_representation():
     assert isinstance(back, NecessityCapacity) and back == n
     with pytest.raises(ValidationError):
         capacity_from_json({"elements": ["a"], "chain_k": 2})
+
+
+@pytest.mark.parametrize("values", [
+    {"": "0", "a": "0", "b,b": "0", "a,b": "1"},             # a repeated name
+    {"": "0", "a": "0", "b": "0", "b,a": "1"},               # reordered names
+    {"": "0", "a": "0", "b": "0", "a,b": "1", "b,a": "0"},   # two keys, one subset
+    {"": "0", "a": "0", "b,b": "0", "b,a": "1"},
+])
+def test_capacity_loader_reads_only_canonical_set_keys(values):
+    with pytest.raises(ValidationError, match="not canonical"):
+        capacity_from_json({"chain_k": 1, "elements": ["a", "b"], "values": values})
 
 
 def test_convex_structure_round_trip():

@@ -1,0 +1,143 @@
+"""Monad law suites under injected faults.
+
+The hyperspace and capacity monad suites pass on correct code, so their
+reports alone pin neither the finding texts nor the order of the seeded
+draws.  Here ``g_map``, ``g_mult``, ``pushforward`` and ``mult`` are
+replaced, as the suites see them, by versions that return a wrong value
+on about one input in four.  Each fault depends only on the call's
+input, never on how often the function was called, so the reports are
+a fixed function of the suites' sweeps and draws.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import zlib
+
+import pytest
+
+from capalg import capacity, spaces, suites
+from capalg.chain import make_chain
+from capalg.spaces import FiniteSpace, InclusionHyperspace
+
+X2 = FiniteSpace(["a", "b"])
+X3 = FiniteSpace(["a", "b", "c"])
+K1, K2 = make_chain(1), make_chain(2)
+
+HYPERSPACE_LAWS = {
+    "functor-composition",
+    "functor-identity",
+    "mult-associativity",
+    "mult-naturality",
+    "mult-two-routes",
+    "unit-law-inner",
+    "unit-law-outer",
+    "unit-naturality",
+}
+CAPACITY_LAWS = {
+    "mult-associativity",
+    "mult-naturality",
+    "unit-law-inner",
+    "unit-law-outer",
+    "unit-naturality",
+}
+
+
+def _struck(*parts: str) -> bool:
+    return zlib.crc32("|".join(parts).encode()) % 4 == 0
+
+
+def _map_text(f) -> str:
+    return ",".join(f"{x}->{f(x)}" for x in f.source.elements)
+
+
+def _hs_text(h: InclusionHyperspace) -> str:
+    return ";".join(sorted(",".join(sorted(m)) for m in h.min_sets))
+
+
+def _cap_text(c) -> str:
+    """Cheap text of a capacity's input form: its weights when it has
+    them, else its class (its table may span a large carrier)."""
+    weights = getattr(c, "_weights", None)
+    if weights is None:
+        return type(c).__name__
+    return ",".join(f"{x}:{weights[x]}" for x in c.carrier.elements)
+
+
+def _values_text(c) -> str:
+    return ",".join(str(v) for v in capacity.canonical_key(c))
+
+
+def _other_hyperspace(h: InclusionHyperspace) -> InclusionHyperspace:
+    top = InclusionHyperspace(h.carrier, [h.carrier.universe])
+    return top if h != top else spaces.g_unit(h.carrier, h.carrier.elements[0])
+
+
+def _other_capacity(c):
+    first = capacity.unit_dirac(c.carrier, c.chain, c.carrier.elements[0])
+    if not capacity.capacity_equal(c, first):
+        return first
+    return capacity.unit_dirac(c.carrier, c.chain, c.carrier.elements[-1])
+
+
+def faulty_g_map(f, hs):
+    out = spaces.g_map(f, hs)
+    return _other_hyperspace(out) if _struck("g_map", _map_text(f), _hs_text(hs)) else out
+
+
+def faulty_g_mult(outer, assignment):
+    out = spaces.g_mult(outer, assignment)
+    return _other_hyperspace(out) if _struck("g_mult", _hs_text(outer), _hs_text(out)) else out
+
+
+def faulty_pushforward(f, c):
+    # only maps into a base space are struck: a capacity table over a
+    # space of names would be too large to replace
+    out = capacity.pushforward(f, c)
+    if len(f.target) <= 4 and _struck("pushforward", _map_text(f), _cap_text(c)):
+        return _other_capacity(out)
+    return out
+
+
+def faulty_mult(outer, assignment, *args, **kwargs):
+    out = capacity.mult(outer, assignment, *args, **kwargs)
+    if len(out.carrier) <= 4 and _struck("mult", _cap_text(outer), _values_text(out)):
+        return _other_capacity(out)
+    return out
+
+
+def _reports():
+    for seed in (0, 3, 7):
+        yield suites.g_monad_suite(X2, "exhaustive", 20, seed)
+        yield suites.g_monad_suite(X2, "random", 40, seed)
+        yield suites.g_monad_suite(X3, "random", 40, seed)
+        yield suites.capacity_monad_suite(X2, K2, 20, seed)
+        yield suites.capacity_monad_suite(X3, K1, 20, seed)
+        yield suites.capacity_monad_suite(X3, K2, 10, seed)
+
+
+# sha256 of the reports below, recorded before the hyperspace suite's two
+# modes and the capacity suite came to share one body per monad law
+FAULTED_REPORTS_DIGEST = (
+    "7fd5deb2a99af39f0bae8ee23e90f5088e4b423232cafc96fd73ccd1790ce153"
+)
+
+
+@pytest.fixture
+def faults(monkeypatch):
+    monkeypatch.setattr(suites, "g_map", faulty_g_map)
+    monkeypatch.setattr(suites, "g_mult", faulty_g_mult)
+    monkeypatch.setattr(suites, "pushforward", faulty_pushforward)
+    monkeypatch.setattr(suites, "mult", faulty_mult)
+
+
+def test_faulted_monad_reports_match_their_golden_digests(faults):
+    reports = [r.to_json() for r in _reports()]
+    laws = {name: set() for name in ("hyperspace-monad", "capacity-monad")}
+    for r in reports:
+        laws[r["name"]].update(f["law"] for f in r["findings"])
+    assert HYPERSPACE_LAWS <= laws["hyperspace-monad"]
+    assert CAPACITY_LAWS <= laws["capacity-monad"]
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == FAULTED_REPORTS_DIGEST
