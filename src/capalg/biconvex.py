@@ -48,11 +48,10 @@ from .capacity import (
     CapacityLike,
     NecessityCapacity,
     PossibilityCapacity,
+    StructureMap,
     canonical_key,
     capacity_pool,
-    enumerate_capacities,
     kappa_dual,
-    pushforward,
 )
 from .spaces import FiniteSpace, PointMap, Subset, TableStructure
 
@@ -486,51 +485,20 @@ def sugeno_form(b: BiconvexStructure, c: CapacityLike) -> str:
     )
 
 
-class CapacityStructureMap:
-    """Assigns an element to every capacity: a table or a backing structure.
+class CapacityStructureMap(StructureMap):
+    """Assigns an element to every capacity: a table, or a biconvex
+    structure in closed form through ``structure_map_full``."""
 
-    A backing structure is evaluated in closed form through the canonical
-    unanimity factorization (``structure_map_full``); values are kept per
-    capacity.
-    """
-
-    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache")
-
-    def __init__(self, carrier, chain, table=None, structure=None):
-        self.carrier = carrier
-        self.chain = chain
-        self._table = dict(table) if table is not None else None
-        self._structure = structure
-        self._cache: dict[tuple, str] = {}
+    __slots__ = ()
+    _kind = "all"
+    _key = staticmethod(canonical_key)
 
     @classmethod
     def from_biconvex(cls, b: BiconvexStructure) -> "CapacityStructureMap":
         return cls(b.carrier, b.chain, structure=b)
 
-    @classmethod
-    def from_table(cls, carrier, chain, table: Mapping[tuple, str]) -> "CapacityStructureMap":
-        for z in table.values():
-            if z not in carrier.index:
-                raise ValidationError(f"table value {z!r} is not in the carrier")
-        return cls(carrier, chain, table=table)
-
-    @property
-    def structure(self) -> BiconvexStructure | None:
-        return self._structure
-
-    def __call__(self, c: CapacityLike) -> str:
-        key = canonical_key(c)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        if self._table is not None:
-            if key not in self._table:
-                raise ValidationError("table has no entry for this capacity")
-            value = self._table[key]
-        else:
-            value = structure_map_full(self._structure, c)
-        self._cache[key] = value
-        return value
+    def _evaluate(self, c: CapacityLike) -> str:
+        return structure_map_full(self._structure, c)
 
 
 def lattice_from_algebra(xi: CapacityStructureMap):
@@ -586,16 +554,6 @@ def is_biaffine(f: PointMap, b: BiconvexStructure, b2: BiconvexStructure) -> boo
             rhs = b2.bmeet[(f(x), b2.sjoin[(a, f(y))])]
             if lhs != rhs:
                 return False
-    return True
-
-
-def is_full_algebra_morphism(
-    f: PointMap, xi: CapacityStructureMap, xi2: CapacityStructureMap
-) -> bool:
-    """Does f intertwine the two structure maps on every enumerated capacity?"""
-    for c in enumerate_capacities(f.source, xi.chain, "all"):
-        if f(xi(c)) != xi2(pushforward(f, c)):
-            return False
     return True
 
 

@@ -554,6 +554,55 @@ def capacity_pool(space: FiniteSpace, chain: Chain, kind: str):
     return _named(space, chain, kind)
 
 
+class StructureMap:
+    """Assigns an element to every capacity of one class (``_kind``, as
+    ``capacity_pool`` names it) from a table, or from a backing structure
+    through ``_evaluate`` with each value kept per ``_key``.  A capacity on
+    another carrier or chain is rejected before any lookup."""
+
+    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache")
+
+    def __init__(self, carrier, chain, table=None, structure=None):
+        self.carrier = carrier
+        self.chain = chain
+        self._table = dict(table) if table is not None else None
+        self._structure = structure
+        self._cache = self._table if self._table is not None else {}
+
+    @classmethod
+    def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
+        for z in table.values():
+            if z not in carrier.index:
+                raise ValidationError(f"table value {z!r} is not in the carrier")
+        return cls(carrier, chain, table=table)
+
+    def __call__(self, c) -> str:
+        if c.carrier != self.carrier:
+            raise CarrierMismatchError("capacity lives on a different carrier")
+        if c.chain != self.chain:
+            raise ValidationError("capacity uses a different chain")
+        key = self._key(c)
+        got = self._cache.get(key)
+        if got is None:
+            if self._table is not None:
+                raise ValidationError(f"table has no entry for {','.join(map(str, key))}")
+            got = self._cache[key] = self._evaluate(c)
+        return got
+
+    def tabulate(self) -> dict[tuple, str]:
+        """Explicit table over every capacity of the map's class on the carrier."""
+        if self._table is not None:
+            return dict(self._table)
+        names, assignment = capacity_pool(self.carrier, self.chain, self._kind)
+        return {self._key(assignment[n]): self(assignment[n]) for n in names.elements}
+
+
+def is_algebra_morphism(f: PointMap, xi: StructureMap, xi2: StructureMap) -> bool:
+    """Does f intertwine the two structure maps on every capacity of xi's class?"""
+    _, pool = capacity_pool(xi.carrier, xi.chain, xi._kind)
+    return all(f(xi(c)) == xi2(pushforward(f, c)) for c in pool.values())
+
+
 def random_capacity(space: FiniteSpace, chain: Chain, rng) -> Capacity:
     """Seeded random capacity.
 

@@ -22,7 +22,6 @@ from .biconvex import (
     check_biconvex,
     check_triple,
     embedding_search,
-    structure_map_full,
     sugeno_form,
     triple_from_biconvex,
 )
@@ -32,7 +31,6 @@ from .capacity import (
     classify,
     enumerate_capacities,
     possibility_space,
-    unit_dirac,
 )
 from .chain import make_chain
 from .convexity import (
@@ -63,6 +61,7 @@ from .suites import (
     SuiteReport,
     capacity_monad_suite,
     check_full_map_value,
+    check_full_unit_law,
     g_monad_suite,
     _cap_witness,
 )
@@ -257,22 +256,12 @@ def _run_full_xi(args: argparse.Namespace):
     table = {}
     agreements = 0
     for c in enumerate_capacities(b.carrier, b.chain):
-        wit = lambda c=c: _cap_witness(c)
-        try:
-            value = structure_map_full(b, c)
+        value, dual = check_full_map_value(rep, b, c)
+        if value is not None:
             table[canonical_key(c)] = value
-            check_full_map_value(rep, b, c, value, wit)
-            if sugeno_form(b, c) == value:
-                agreements += 1
-        except LawViolationError as exc:
-            rep.check("factorization", False, f"{wit()}: {exc}")
-    for x in b.carrier.elements:
-        try:
-            ok = structure_map_full(b, unit_dirac(b.carrier, b.chain, x)) == x
-            witness = f"x={x}"
-        except LawViolationError as exc:
-            ok, witness = False, f"x={x}: {exc}"
-        rep.check("algebra-unit-law", ok, witness)
+        if dual is not None and sugeno_form(b, c) == value:
+            agreements += 1
+    check_full_unit_law(rep, b)
     rep.counts["capacities"] = len(table)
     rep.counts["sugeno-agreements"] = agreements
     rep.notes.append(

@@ -21,13 +21,14 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .chain import Chain, Level
 from .errors import CarrierMismatchError, ValidationError
 from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
+    StructureMap,
     as_possibility,
     mult,
     possibility_space,
@@ -158,48 +159,19 @@ def density_key(p: PossibilityCapacity) -> tuple:
     return tuple(p.density[x].value for x in p.carrier.elements)
 
 
-class UnionStructureMap:
-    """Structure map for possibility capacities: a table or a backing structure."""
+class UnionStructureMap(StructureMap):
+    """Structure map for possibility capacities: a table or a convex structure."""
 
-    __slots__ = ("carrier", "chain", "_table", "_structure")
-
-    def __init__(self, carrier, chain, table=None, structure=None):
-        self.carrier = carrier
-        self.chain = chain
-        self._table = dict(table) if table is not None else None
-        self._structure = structure
+    __slots__ = ()
+    _kind = "union"
+    _key = staticmethod(density_key)
 
     @classmethod
     def from_convex(cls, s: ConvexStructure) -> "UnionStructureMap":
         return cls(s.carrier, s.chain, structure=s)
 
-    @classmethod
-    def from_table(cls, carrier, chain, table: Mapping[tuple, str]) -> "UnionStructureMap":
-        for key, z in table.items():
-            if z not in carrier.index:
-                raise ValidationError(f"table value {z!r} is not in the carrier")
-        return cls(carrier, chain, table=table)
-
-    def __call__(self, c: PossibilityCapacity) -> str:
-        if c.carrier != self.carrier:
-            raise CarrierMismatchError("capacity lives on a different carrier")
-        if c.chain != self.chain:
-            raise ValidationError("capacity uses a different chain")
-        if self._table is not None:
-            got = self._table.get(density_key(c))
-            if got is None:
-                raise ValidationError(f"table has no entry for density {density_key(c)}")
-            return got
+    def _evaluate(self, c: PossibilityCapacity) -> str:
         return structure_map_from_ic(self._structure, c)
-
-    def tabulate(self) -> dict[tuple, str]:
-        """Explicit table over every possibility density on the carrier."""
-        if self._table is not None:
-            return dict(self._table)
-        names, assignment = possibility_space(self.carrier, self.chain)
-        return {
-            density_key(assignment[n]): self(assignment[n]) for n in names.elements
-        }
 
 
 def _fold(s, c, weights: str, anchor: Level, label: str, admitted, base_point):
@@ -318,14 +290,6 @@ def is_affine(f: PointMap, s: ConvexStructure, s2: ConvexStructure) -> bool:
         for a in s.chain.levels:
             if f(s.ic[(x, a, y)]) != s2.ic[(f(x), a, f(y))]:
                 return False
-    return True
-
-
-def is_algebra_morphism(f: PointMap, xi: UnionStructureMap, xi2: UnionStructureMap) -> bool:
-    """Does f intertwine the two structure maps on every density?"""
-    for p in possibility_space(xi.carrier, xi.chain)[1].values():
-        if f(xi(p)) != xi2(pushforward(f, p)):
-            return False
     return True
 
 

@@ -46,6 +46,9 @@ _RESERVED = ("|", ",")
 
 def _check_names(space: FiniteSpace) -> None:
     for x in space.elements:
+        if not x:
+            # the set key of {""} would be "", the empty set's key
+            raise ValidationError("the empty element name clashes with the empty-set key")
         if any(ch in x for ch in _RESERVED):
             raise ValidationError(f"element name {x!r} clashes with key delimiters")
 

@@ -53,6 +53,7 @@ from .capacity import (
     as_possibility,
     capacity_pool,
     dirac_density,
+    is_algebra_morphism,
     kappa_dual,
     mult,
     pushforward,
@@ -638,25 +639,15 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
                         rep.bump("union-algebra-maps")
 
     bstructs = [b for sp in spaces for b in biconvex_structures(sp, chain)]
-    full = [
-        (
-            b,
-            CapacityStructureMap.from_biconvex(b),
-            list(capacity_pool(b.carrier, chain, "all")[1].values()),
-        )
-        for b in bstructs
-    ]
-    for b1, xi1, caps in full:
-        levels = chain.levels
-        for b2, xi2, _ in full:
+    full = [(b, CapacityStructureMap.from_biconvex(b)) for b in bstructs]
+    levels = chain.levels
+    for b1, xi1 in full:
+        for b2, xi2 in full:
             for f in _all_maps(b1.carrier, b2.carrier):
                 biaff = is_biaffine(f, b1, b2)
-                morph = all(
-                    f(xi1(c)) == xi2(as_capacity(pushforward(f, c))) for c in caps
-                )
                 rep.check(
                     "biaffine-iff-full-morphism",
-                    biaff == morph,
+                    biaff == is_algebra_morphism(f, xi1, xi2),
                     lambda f=f, b1=b1, b2=b2: (
                         f"f={_map_witness(f)} b1={_biconvex_witness(b1)} "
                         f"b2={_biconvex_witness(b2)}"
@@ -703,15 +694,8 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
             f(b.smeet[(chain.zero, top)]) != b.smeet[(chain.zero, f(top))],
             "max(x,1/2) at weight 0",
         )
-        rep.check(
-            "witness-is-full-morphism",
-            all(
-                f(structure_map_full(b, c))
-                == structure_map_full(b, as_capacity(pushforward(f, c)))
-                for c in capacity_pool(b.carrier, chain, "all")[1].values()
-            ),
-            "max(x,1/2)",
-        )
+        xi = CapacityStructureMap.from_biconvex(b)
+        rep.check("witness-is-full-morphism", is_algebra_morphism(f, xi, xi), "max(x,1/2)")
     return rep
 
 
@@ -762,22 +746,49 @@ def _xi_via_intersection_mixture(b: BiconvexStructure, mixture: NecessityCapacit
     )
 
 
-def check_full_map_value(
-    rep: SuiteReport, b: BiconvexStructure, c, value: str, witness
-) -> str:
-    """Check the full structure map's value on c against the dual
-    factorization and, on a possibility or necessity capacity, against
-    the one-sided map; returns the dual factorization's value."""
-    dual = structure_map_full_dual(b, c)
-    rep.check("factorizations-agree", value == dual, witness)
-    sides = (
-        ("possibility", as_possibility, structure_map_possibility),
-        ("necessity", as_necessity, structure_map_necessity),
-    )
-    for holds, (side, form, closed_form) in zip(classify(c), sides):
-        if holds:
-            rep.check(f"restricts-to-{side}-map", value == closed_form(b, form(c)), witness)
-    return dual
+def check_full_map_value(rep: SuiteReport, b: BiconvexStructure, c):
+    """Both factorizations of the full map at c must agree, and on a
+    possibility or necessity capacity match the one-sided map; a law
+    violation on the way is a ``factorization`` finding.  Returns (value,
+    dual): the value if reached, the dual if every check was."""
+    wit = lambda: _cap_witness(c)
+    value = dual = None
+    try:
+        value = structure_map_full(b, c)
+        got = structure_map_full_dual(b, c)
+        rep.check("factorizations-agree", value == got, wit)
+        sides = (
+            ("possibility", as_possibility, structure_map_possibility),
+            ("necessity", as_necessity, structure_map_necessity),
+        )
+        for holds, (side, form, closed_form) in zip(classify(c), sides):
+            if holds:
+                rep.check(f"restricts-to-{side}-map", value == closed_form(b, form(c)), wit)
+        dual = got
+    except LawViolationError as exc:
+        rep.check("factorization", False, f"{wit()}: {exc}")
+    return value, dual
+
+
+def check_full_unit_law(rep: SuiteReport, b: BiconvexStructure) -> None:
+    """The full map sends each Dirac capacity to its point; a law violation fails it."""
+    for x in b.carrier.elements:
+        try:
+            ok = structure_map_full(b, unit_dirac(b.carrier, b.chain, x)) == x
+            witness = f"x={x}"
+        except LawViolationError as exc:
+            ok, witness = False, f"x={x}: {exc}"
+        rep.check("algebra-unit-law", ok, witness)
+
+
+def cube_sweep(chain: Chain):
+    """(arity, witness, cube) for each cube of arity 1 and 2 over weight_maps(chain)."""
+    for arity in (1, 2):
+        for phis in itertools.product(weight_maps(chain), repeat=arity):
+            w = f"arity={arity} phi=" + ";".join(
+                ",".join(f"{a}->{phi[a]}" for a in chain.levels) for phi in phis
+            )
+            yield arity, w, cube_structure(chain, list(phis))
 
 
 def full_map_suite(
@@ -836,10 +847,9 @@ def full_map_suite(
 
         xi = CapacityStructureMap.from_biconvex(b)
         for n, c in caps.items():
-            value = xi(c)
             wc = lambda c=c: _cap_witness(c)
             # each side's routes must give its own factorization's value
-            values = (value, check_full_map_value(rep, b, c, value, wc))
+            values = check_full_map_value(rep, b, c)
             for (_, kind, via, suffix), side_hits, ref in zip(routes, hits, values):
                 found = side_hits[n]
                 if found:
@@ -849,12 +859,7 @@ def full_map_suite(
                     rep.check("preimage-independence" + suffix, len(routed) == 1, wc)
                     rep.bump(f"multiple-{kind}-preimages")
 
-        for x in space.elements:
-            rep.check(
-                "algebra-unit-law",
-                xi(unit_dirac(space, chain, x)) == x,
-                f"x={x}",
-            )
+        check_full_unit_law(rep, b)
         rng = random.Random(seed)
         for trial in range(samples):
             for (cls, _, via, suffix), (_, inner, _, _) in zip(routes, reversed(routes)):
@@ -868,21 +873,16 @@ def full_map_suite(
                 )
         rep.check("quadruple-recovered-from-map", quadruple_from_algebra(xi) == b, wit)
 
-    for arity in (1, 2):
-        for phis in itertools.product(weight_maps(chain), repeat=arity):
-            cube = cube_structure(chain, list(phis))
-            w = f"arity={arity} phi=" + ";".join(
-                ",".join(f"{a}->{phi[a]}" for a in chain.levels) for phi in phis
-            )
-            rep.check("cube-biconvex-laws", not check_biconvex(cube.structure), w)
-            tc = triple_from_biconvex(cube.structure)
-            rep.check(
-                "cube-triple-roundtrip",
-                not check_triple(tc)
-                and biconvex_from_triple(tc) == cube.structure,
-                w,
-            )
-            rep.bump("cube-instances")
+    for _, w, cube in cube_sweep(chain):
+        rep.check("cube-biconvex-laws", not check_biconvex(cube.structure), w)
+        tc = triple_from_biconvex(cube.structure)
+        rep.check(
+            "cube-triple-roundtrip",
+            not check_triple(tc)
+            and biconvex_from_triple(tc) == cube.structure,
+            w,
+        )
+        rep.bump("cube-instances")
 
     rep.notes.append(CONTINUITY_NOTE)
     rep.notes.append(
@@ -963,18 +963,12 @@ def embedding_suite(chain: Chain | None = None) -> SuiteReport:
     rep.counts["chain-model-candidates"] = res.candidates
 
     for k in (1, 2):
-        ch = make_chain(k)
-        for arity in (1, 2):
-            for phis in itertools.product(weight_maps(ch), repeat=arity):
-                cube = cube_structure(ch, list(phis))
-                got = embedding_search(cube.structure, max_arity=arity)
-                w = f"k={k} arity={arity} phi=" + ";".join(
-                    ",".join(f"{a}->{phi[a]}" for a in ch.levels) for phi in phis
-                )
-                rep.check(
-                    "cube-self-certificate", got.found and got.arity <= arity, w
-                )
-                rep.bump("cube-instances")
+        for arity, w, cube in cube_sweep(make_chain(k)):
+            got = embedding_search(cube.structure, max_arity=arity)
+            rep.check(
+                "cube-self-certificate", got.found and got.arity <= arity, f"k={k} {w}"
+            )
+            rep.bump("cube-instances")
 
     diamond = diamond_structure(base)
     got = embedding_search(diamond, max_arity=2)

@@ -10,7 +10,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
-from capalg.errors import LawViolationError, ValidationError
+from capalg.errors import CarrierMismatchError, LawViolationError, ValidationError
 from capalg.spaces import FiniteSpace, PointMap
 from capalg.capacity import (
     NecessityCapacity,
@@ -22,8 +22,10 @@ from capalg.capacity import (
     capacity_pool,
     classify,
     enumerate_capacities,
+    is_algebra_morphism,
     mult,
     capacity_equal,
+    unit_dirac,
 )
 from capalg.biconvex import (
     BiconvexStructure,
@@ -40,7 +42,6 @@ from capalg.biconvex import (
     enumerate_lawful_triples,
     intersection_over_union_preimages,
     is_biaffine,
-    is_full_algebra_morphism,
     quadruple_from_algebra,
     structure_map_full,
     structure_map_full_dual,
@@ -53,6 +54,7 @@ from capalg.biconvex import (
     _check_match,
     _coordinate_candidates,
 )
+from capalg.serial import full_map_from_json, full_map_to_json
 from capalg.suites import _xi_via_intersection_mixture, _xi_via_union_mixture
 
 K1 = Chain(1)
@@ -391,6 +393,22 @@ def test_quadruple_recovered_from_the_structure_map():
         assert quadruple_from_algebra(xi) == b
 
 
+def test_full_maps_check_the_carrier_and_chain_before_any_lookup():
+    """A Dirac capacity on another carrier, or at another chain, has the
+    same value vector as the Dirac capacity at "0"; neither backing may
+    answer it from that entry."""
+    b = chain_model(K1)
+    by_structure = CapacityStructureMap.from_biconvex(b)
+    by_table = full_map_from_json(full_map_to_json(b, by_structure.tabulate()))
+    own = unit_dirac(b.carrier, K1, "0")
+    for xi in (by_structure, by_table):
+        assert xi(own) == "0"
+        with pytest.raises(CarrierMismatchError):
+            xi(unit_dirac(FiniteSpace(["p", "q"]), K1, "p"))
+        with pytest.raises(ValidationError):
+            xi(unit_dirac(b.carrier, K2, "0"))
+
+
 def test_sugeno_cross_check_agrees_on_the_chain_model():
     b = chain_model(K2)
     xi = CapacityStructureMap.from_biconvex(b)
@@ -416,7 +434,7 @@ def test_raise_to_half_witness_is_biaffine_but_breaks_the_meet_action():
         for x in b.carrier.elements:
             assert f(b.sjoin[(a, x)]) == b.sjoin[(a, f(x))]
     xi = CapacityStructureMap.from_biconvex(b)
-    assert is_full_algebra_morphism(f, xi, xi)
+    assert is_algebra_morphism(f, xi, xi)
 
 
 def test_biaffine_action_preservation_reduces_to_fixed_ends():

@@ -15,6 +15,7 @@ from capalg.capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     enumerate_capacities,
+    is_algebra_morphism,
     kappa_dual,
 )
 from capalg.convexity import (
@@ -32,7 +33,6 @@ from capalg.convexity import (
     enumerate_union_algebras,
     ic_from_structure_map,
     is_affine,
-    is_algebra_morphism,
     nary_combination,
     quotient_semimodule,
     structure_map_from_ic,

@@ -15,10 +15,10 @@ from capalg.capacity import (
     Capacity,
     NecessityCapacity,
     PossibilityCapacity,
-    canonical_key,
     capacity_equal,
     enumerate_capacities,
     random_capacity,
+    unit_dirac,
 )
 from capalg.convexity import (
     ConvexStructure,
@@ -173,11 +173,7 @@ def test_cube_round_trip():
 def test_full_map_round_trip():
     b = chain_model(Chain(1))
     xi = CapacityStructureMap.from_biconvex(b)
-    from capalg.capacity import canonical_key
-    table = {
-        canonical_key(c): xi(c) for c in enumerate_capacities(b.carrier, b.chain)
-    }
-    back = full_map_from_json(full_map_to_json(xi, table))
+    back = full_map_from_json(full_map_to_json(xi, xi.tabulate()))
     for c in enumerate_capacities(b.carrier, b.chain):
         assert back(c) == xi(c)
 
@@ -203,6 +199,14 @@ def test_reserved_delimiters_in_names_are_rejected():
     comma = FiniteSpace(["a,b", "c"])
     with pytest.raises(ValidationError):
         capacity_to_json(random_capacity(comma, K2, random.Random(0)))
+
+
+def test_the_empty_element_name_is_rejected():
+    """The set key of {""} would be "", which is the empty set's key: the
+    Dirac capacity at "" would write {"": "1", "b": "0", ",b": "1"}."""
+    c = unit_dirac(FiniteSpace(["", "b"]), K1, "")
+    with pytest.raises(ValidationError, match="empty element name"):
+        capacity_to_json(c)
 
 
 def test_canonical_dumps_are_stable_bytes():
@@ -236,8 +240,7 @@ def _chain_tables(outer, inner):
 
 def _full_map_document():
     xi = CapacityStructureMap.from_biconvex(chain_model(K1))
-    table = {canonical_key(c): xi(c) for c in enumerate_capacities(xi.carrier, K1)}
-    return full_map_to_json(xi, table)
+    return full_map_to_json(xi, xi.tabulate())
 
 
 def _golden_documents():

@@ -19,6 +19,7 @@ import pytest
 
 from capalg import capacity, spaces, suites
 from capalg.chain import make_chain
+from capalg.serial import dumps_canonical
 from capalg.spaces import FiniteSpace, InclusionHyperspace
 
 X2 = FiniteSpace(["a", "b"])
@@ -141,3 +142,25 @@ def test_faulted_monad_reports_match_their_golden_digests(faults):
     assert CAPACITY_LAWS <= laws["capacity-monad"]
     blob = json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == FAULTED_REPORTS_DIGEST
+
+
+# sha256 of dumps_canonical of each report, recorded before the two
+# structure maps shared one body and full-xi shared its per-capacity check
+STRUCTURE_MAP_REPORT_DIGESTS = {
+    "full-map-x2-k2": "7d1267ad876901e8e57cfb9a1aca582acd221c39178fd327330d17c902eb1334",
+    "full-map-x3-k1": "ea0b4d3fde87a407914f10a133e14a658e05a7e9b3805eb3f59a967c56e63b6b",
+    "morphism-k1": "273d87aaa6da282ca20f6337d702e674af4fc39b6f9af595d1c1064688da28d0",
+}
+
+
+def test_full_map_and_morphism_reports_match_their_golden_digests():
+    reports = {
+        "full-map-x2-k2": suites.full_map_suite(X2, K2, 150, 3),
+        "full-map-x3-k1": suites.full_map_suite(X3, K1, 150, 3),
+        "morphism-k1": suites.morphism_suite(K1),
+    }
+    got = {
+        name: hashlib.sha256(dumps_canonical(r.to_json()).encode()).hexdigest()
+        for name, r in reports.items()
+    }
+    assert got == STRUCTURE_MAP_REPORT_DIGESTS
