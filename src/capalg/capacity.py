@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .chain import Chain, Level, complement as level_complement
 from .errors import (
@@ -31,10 +31,10 @@ from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset
 
 # explicit tables hold 2^n entries; keep that honest
 _MAX_TABLE_CARRIER = 16
-# default guard for mult over table-backed outer capacities
-DEFAULT_MULT_CARRIER_LIMIT = 64
 # default guard for enumeration: (2^|X| - 1) * (k + 1)
 DEFAULT_ENUMERATION_BUDGET = 64
+# sweeps over every density on a carrier of names run up to this many
+EXHAUSTIVE_DENSITY_LIMIT = 1024
 # capacity_pool entries: a suite works on at most three spaces, each with
 # all three capacity classes
 POOL_SIZE = 9
@@ -157,7 +157,11 @@ class PossibilityCapacity(_PointwiseCapacity):
     """Capacity determined by a point density with maximum 1."""
 
     __slots__ = ("density",)
-    _side, _name, _fill = "possibility", "density", 0
+    _side, _name, _fill, _law = "possibility", "density", 0, "union"
+
+    @staticmethod
+    def _read_at(universe: Subset, x: str) -> Subset:
+        return frozenset([x])
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -173,8 +177,12 @@ class NecessityCapacity(_PointwiseCapacity):
     """Capacity determined by its values on complements of points (codensity, min 0)."""
 
     __slots__ = ("codensity",)
-    _side, _name, _fill = "necessity", "codensity", 1
+    _side, _name, _fill, _law = "necessity", "codensity", 1, "intersection"
     _bound = staticmethod(min)
+
+    @staticmethod
+    def _read_at(universe: Subset, x: str) -> Subset:
+        return universe - {x}
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -291,14 +299,8 @@ def canonical_key(c: CapacityLike) -> tuple:
 
 
 def unit_dirac(space: FiniteSpace, chain: Chain, x: str) -> Capacity:
-    """Dirac capacity of a point: 1 on subsets containing it, else 0."""
-    if x not in space.index:
-        raise ValidationError(f"{x!r} is not in the space")
-    table = {
-        s: (chain.one if x in s else chain.zero)
-        for s in space.subsets(include_empty=True)
-    }
-    return Capacity(space, chain, table)
+    """Dirac capacity of a point as a table: 1 on subsets containing it, else 0."""
+    return as_capacity(dirac_density(space, chain, x))
 
 
 def dirac_density(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapacity:
@@ -335,11 +337,7 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     return Capacity(f.target, chain, table)
 
 
-def mult(
-    outer: CapacityLike,
-    assignment: Mapping[str, CapacityLike],
-    max_carrier: int = DEFAULT_MULT_CARRIER_LIMIT,
-) -> CapacityLike:
+def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> CapacityLike:
     """Monad multiplication.
 
     ``outer`` is a capacity over a carrier whose elements name capacities
@@ -349,16 +347,10 @@ def mult(
     level sets shrinks as a grows, so a descending scan returns at the
     first hit.
 
-    Table-backed outers are rejected above ``max_carrier`` elements;
-    density/codensity-backed outers evaluate lazily at any size.  The
+    Density/codensity-backed outers evaluate lazily at any size.  The
     result is an explicit table when the base space is small enough and
     a lazy view otherwise.
     """
-    if isinstance(outer, SetFunction) and len(outer.carrier) > max_carrier:
-        raise BudgetExceededError(
-            f"table-backed outer capacity over {len(outer.carrier)} elements "
-            f"exceeds the limit of {max_carrier}"
-        )
     chain = outer.chain
     base: FiniteSpace | None = None
     for name in outer.carrier.elements:
@@ -386,45 +378,44 @@ class ClassFlags(NamedTuple):
     is_intersection: bool
 
 
-def classify(c: CapacityLike) -> ClassFlags:
-    """Test the union (max) and intersection (min) laws over all subset pairs.
-
-    Disjoint pairs are held to the intersection law literally: the empty
-    intersection has value 0, so min(c(A), c(B)) must be 0.
-    """
-    subsets = list(c.carrier.subsets(include_empty=True))
-    values = {s: c.value(s).i for s in subsets}
-    is_union = True
-    is_intersection = True
-    for a, b in itertools.combinations_with_replacement(subsets, 2):
-        if is_union and values[a | b] != max(values[a], values[b]):
-            is_union = False
-        if is_intersection and values[a & b] != min(values[a], values[b]):
-            is_intersection = False
-        if not is_union and not is_intersection:
-            break
-    return ClassFlags(is_union, is_intersection)
-
-
-def _as_pointwise(cls, c: CapacityLike, at, law: str):
-    """The ``cls`` form of c, read at ``at(universe, x)`` for each point x."""
+def _as_pointwise(cls, c: CapacityLike):
+    """The ``cls`` form of the capacity c: its values at each point's
+    singleton (density) or complement (codensity), which must give c back.
+    c satisfies the union (max) or intersection (min) law over all subset
+    pairs exactly when they do (Grabisch 2016), so n·2^n reads decide it.
+    Raises ValidationError when c is not of the form."""
     if isinstance(c, cls):
         return c
     universe = c.carrier.universe
-    cand = cls(c.carrier, c.chain, {x: c.value(at(universe, x)) for x in c.carrier.elements})
-    if not capacity_equal(cand, c):
-        raise ValidationError(f"capacity does not satisfy the {law} law")
-    return cand
+    weights = {x: c.value(cls._read_at(universe, x)) for x in c.carrier.elements}
+    form = cls(c.carrier, c.chain, weights)
+    if not capacity_equal(form, c):
+        raise ValidationError(f"capacity does not satisfy the {cls._law} law")
+    return form
+
+
+def _pointwise_form(cls, c: CapacityLike):
+    """The ``cls`` form of the capacity c, or None when c has none."""
+    try:
+        return _as_pointwise(cls, c)
+    except ValidationError:
+        return None
+
+
+def classify(c: CapacityLike) -> ClassFlags:
+    """Whether the capacity c satisfies the union (max) and the
+    intersection (min) law, each decided by its pointwise form."""
+    return ClassFlags(*(_pointwise_form(cls, c) is not None for cls in _POINTWISE.values()))
 
 
 def as_possibility(c: CapacityLike) -> PossibilityCapacity:
     """Density form of a capacity satisfying the union law."""
-    return _as_pointwise(PossibilityCapacity, c, lambda _, x: frozenset([x]), "union")
+    return _as_pointwise(PossibilityCapacity, c)
 
 
 def as_necessity(c: CapacityLike) -> NecessityCapacity:
     """Codensity form of a capacity satisfying the intersection law."""
-    return _as_pointwise(NecessityCapacity, c, lambda universe, x: universe - {x}, "intersection")
+    return _as_pointwise(NecessityCapacity, c)
 
 
 def kappa_dual(c: CapacityLike) -> CapacityLike:
@@ -488,10 +479,25 @@ def enumerate_capacities(
     cls = _POINTWISE.get(kind)
     if cls is None:
         raise ValidationError(f"unknown capacity class {kind!r}")
+    yield from _pointwise_capacities(cls, space, chain)
+
+
+def _pointwise_capacities(cls, space: FiniteSpace, chain: Chain) -> Iterator:
+    """Every ``cls`` capacity on the space, its weight tuples in
+    ``itertools.product`` order of the levels."""
     _, pin = cls._ends(chain)
     for combo in itertools.product(chain.levels, repeat=len(space)):
         if cls._bound(combo) == pin:
             yield cls(space, chain, dict(zip(space.elements, combo)))
+
+
+def _exhaustive_densities(space: FiniteSpace, chain: Chain) -> list | None:
+    """Every density on the space as ``enumerate_capacities`` orders them,
+    or None when their number (k+1)^m - k^m exceeds EXHAUSTIVE_DENSITY_LIMIT."""
+    m = len(space)
+    if (chain.k + 1) ** m - chain.k ** m > EXHAUSTIVE_DENSITY_LIMIT:
+        return None
+    return list(_pointwise_capacities(PossibilityCapacity, space, chain))
 
 
 def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
@@ -519,30 +525,28 @@ def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
 _NAME_PREFIX = {"all": "c", "union": "p", "intersection": "n"}
 
 
-def _named(space, chain, kind, budget=DEFAULT_ENUMERATION_BUDGET):
-    caps = list(enumerate_capacities(space, chain, kind, budget))
+def _named(space, chain, kind):
+    caps = list(enumerate_capacities(space, chain, kind))
     prefix = _NAME_PREFIX[kind]
     names = FiniteSpace([f"{prefix}{i}" for i in range(len(caps))])
     return names, {f"{prefix}{i}": c for i, c in enumerate(caps)}
 
 
-def capacity_space(
-    space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[FiniteSpace, dict[str, Capacity]]:
+def capacity_space(space: FiniteSpace, chain: Chain) -> tuple[FiniteSpace, dict[str, Capacity]]:
     """Name every capacity on the space: c0, c1, ... in enumeration order."""
-    return _named(space, chain, "all", budget)
+    return _named(space, chain, "all")
 
 
 def possibility_space(
-    space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
+    space: FiniteSpace, chain: Chain
 ) -> tuple[FiniteSpace, dict[str, PossibilityCapacity]]:
-    return _named(space, chain, "union", budget)
+    return _named(space, chain, "union")
 
 
 def necessity_space(
-    space: FiniteSpace, chain: Chain, budget: int = DEFAULT_ENUMERATION_BUDGET
+    space: FiniteSpace, chain: Chain
 ) -> tuple[FiniteSpace, dict[str, NecessityCapacity]]:
-    return _named(space, chain, "intersection", budget)
+    return _named(space, chain, "intersection")
 
 
 @lru_cache(maxsize=POOL_SIZE)
@@ -611,7 +615,7 @@ def random_capacity(space: FiniteSpace, chain: Chain, rng) -> Capacity:
     value of an immediate subset; the whole space is pinned at 1.
     """
     table: dict[Subset, Level] = {frozenset(): chain.zero}
-    subsets = sorted(space.subsets(), key=space.subset_key)
+    subsets = list(space.subsets())
     for s in subsets[:-1]:
         lo = max(table[s - {x}] for x in s)
         choices = [lv for lv in chain.levels if lv >= lo]

@@ -16,6 +16,7 @@ import time
 
 from .biconvex import (
     BiconvexStructure,
+    CapacityStructureMap,
     CubeStructure,
     TripleStructure,
     biconvex_from_triple,
@@ -27,7 +28,6 @@ from .biconvex import (
 )
 from .capacity import (
     NecessityCapacity,
-    canonical_key,
     classify,
     enumerate_capacities,
     possibility_space,
@@ -252,16 +252,16 @@ def _run_biconvex_laws(args: argparse.Namespace):
 def _run_full_xi(args: argparse.Namespace):
     loaded, _ = _load_structure(args)
     b = _as_biconvex(loaded)
+    xi = CapacityStructureMap.from_biconvex(b)
     rep = SuiteReport("full-structure-map")
-    table = {}
     agreements = 0
     for c in enumerate_capacities(b.carrier, b.chain):
-        value, dual = check_full_map_value(rep, b, c)
-        if value is not None:
-            table[canonical_key(c)] = value
+        value, dual = check_full_map_value(rep, xi, c)
         if dual is not None and sugeno_form(b, c) == value:
             agreements += 1
-    check_full_unit_law(rep, b)
+    check_full_unit_law(rep, xi)
+    # the map keeps every value it reached, one per capacity
+    table = xi._cache
     rep.counts["capacities"] = len(table)
     rep.counts["sugeno-agreements"] = agreements
     rep.notes.append(

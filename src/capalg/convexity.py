@@ -29,6 +29,7 @@ from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     StructureMap,
+    _exhaustive_densities,
     as_possibility,
     mult,
     possibility_space,
@@ -227,18 +228,13 @@ def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
     return ConvexStructure(carrier, chain, table)
 
 
-def check_algebra_laws(
-    xi: UnionStructureMap,
-    samples: int = 200,
-    seed: int = 0,
-    exhaustive_limit: int = 1024,
-) -> list[str]:
+def check_algebra_laws(xi: UnionStructureMap, samples: int = 200, seed: int = 0) -> list[str]:
     """Unit and multiplication laws for a possibility-monad algebra.
 
     The unit law runs over all points.  The multiplication law runs over
     outer densities on the enumerated set of possibility capacities:
-    exhaustively when there are at most ``exhaustive_limit`` of them,
-    otherwise over ``samples`` seeded random outer densities.
+    exhaustively when there are at most ``EXHAUSTIVE_DENSITY_LIMIT`` of
+    them, otherwise over ``samples`` seeded random outer densities.
     """
     out: list[str] = []
     carrier, chain = xi.carrier, xi.chain
@@ -249,15 +245,8 @@ def check_algebra_laws(
     names, assignment = possibility_space(carrier, chain)
     # M xi, on the right of xi . mu = xi . M xi: each named density goes to its value
     along = PointMap(names, carrier, {n: xi(assignment[n]) for n in names.elements})
-    m = len(names)
-    total = (chain.k + 1) ** m - chain.k ** m
-    if total <= exhaustive_limit:
-        outers = (
-            PossibilityCapacity(names, chain, dict(zip(names.elements, combo)))
-            for combo in itertools.product(chain.levels, repeat=m)
-            if max(combo) == chain.one
-        )
-    else:
+    outers = _exhaustive_densities(names, chain)
+    if outers is None:
         rng = random.Random(seed)
         def _sampled():
             for _ in range(samples):

@@ -214,13 +214,23 @@ def capacity_to_json(c: CapacityLike) -> dict:
     return base
 
 
+def _form(obj: Mapping, markers: tuple[str, ...], what: str) -> str | None:
+    """The one marker key of ``markers`` that ``obj`` carries, if any;
+    a key "x/y" marks its form by either half."""
+    found = [m for m in markers if any(key in obj for key in m.split("/"))]
+    if len(found) > 1:
+        raise ValidationError(f"{what} JSON mixes the forms {', '.join(found)}")
+    return found[0] if found else None
+
+
 def capacity_from_json(obj: Mapping) -> CapacityLike:
     space, chain = _space_chain_from(obj)
+    form = _form(obj, ("density", "codensity", "values"), "capacity")
     for cls in (PossibilityCapacity, NecessityCapacity):
-        if cls._name in obj:
+        if form == cls._name:
             weights = _table_from_json(chain, _table(obj, cls._name), cls._name, "x", "a")
             return cls(space, chain, weights)
-    if "values" in obj:
+    if form == "values":
         table = {
             subset_from_key(space, key): level_from_string(chain, v)
             for key, v in _table(obj, "values").items()
@@ -333,23 +343,23 @@ def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
     return out
 
 
+# each structure form by the table keys that mark it
+_STRUCTURE_FORMS = {
+    "ic": convex_from_json,
+    "ci": dual_convex_from_json,
+    "p/m": triple_from_json,
+    "smeet/sjoin": biconvex_from_json,
+    "phi": cube_from_json,
+    "add/scale": semimodule_from_json,
+    "xi": union_map_from_json,
+    "xi_full": full_map_from_json,
+}
+
+
 def structure_from_json(obj: Mapping):
-    """Dispatch on the table keys present; used by the CLI loaders."""
-    _object(obj, "structure JSON")
-    if "ic" in obj:
-        return convex_from_json(obj)
-    if "ci" in obj:
-        return dual_convex_from_json(obj)
-    if "p" in obj and "m" in obj:
-        return triple_from_json(obj)
-    if "bjoin" in obj and "smeet" in obj:
-        return biconvex_from_json(obj)
-    if "phi" in obj:
-        return cube_from_json(obj)
-    if "add" in obj and "scale" in obj:
-        return semimodule_from_json(obj)
-    if "xi" in obj:
-        return union_map_from_json(obj)
-    if "xi_full" in obj:
-        return full_map_from_json(obj)
-    raise ValidationError("unrecognized structure JSON: no known table keys")
+    """Dispatch on the one form whose table keys are present; used by the
+    CLI loaders."""
+    form = _form(_object(obj, "structure JSON"), tuple(_STRUCTURE_FORMS), "structure")
+    if form is None:
+        raise ValidationError("unrecognized structure JSON: no known table keys")
+    return _STRUCTURE_FORMS[form](obj)

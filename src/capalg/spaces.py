@@ -337,7 +337,7 @@ def enumerate_hyperspaces(space: FiniteSpace) -> list[InclusionHyperspace]:
     """
     if len(space) > 4:
         raise ValidationError("hyperspace enumeration is limited to carriers of size <= 4")
-    subsets = sorted(space.subsets(), key=space.subset_key)
+    subsets = list(space.subsets())
     found: list[InclusionHyperspace] = []
     seen: set[frozenset] = set()
     for r in range(1, len(subsets) + 1):
@@ -360,9 +360,9 @@ def hyperspace_space(space: FiniteSpace) -> tuple[FiniteSpace, dict[str, Inclusi
     return names, {f"h{i}": hs for i, hs in enumerate(all_hs)}
 
 
-def random_hyperspace(space: FiniteSpace, rng, max_generators: int = 3) -> InclusionHyperspace:
-    """Seeded random hyperspace: up-closure of a few random nonempty subsets."""
-    count = rng.randint(1, max_generators)
+def random_hyperspace(space: FiniteSpace, rng) -> InclusionHyperspace:
+    """Seeded random hyperspace: up-closure of 1-3 random nonempty subsets."""
+    count = rng.randint(1, 3)
     gens = []
     for _ in range(count):
         size = rng.randint(1, len(space))

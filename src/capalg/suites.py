@@ -33,7 +33,6 @@ from .biconvex import (
     intersection_over_union_preimages,
     is_biaffine,
     quadruple_from_algebra,
-    structure_map_full,
     structure_map_full_dual,
     structure_map_necessity,
     structure_map_possibility,
@@ -45,12 +44,12 @@ from .biconvex import (
 from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
+    _exhaustive_densities,
+    _pointwise_form,
     canonical_key,
     capacity_equal,
     classify,
     as_capacity,
-    as_necessity,
-    as_possibility,
     capacity_pool,
     dirac_density,
     is_algebra_morphism,
@@ -66,7 +65,6 @@ from .convexity import (
     check_algebra_laws,
     check_ic_axioms,
     check_semimodule_axioms,
-    density_key,
     enumerate_convex_structures,
     enumerate_union_algebras,
     ic_from_structure_map,
@@ -498,22 +496,14 @@ def capacity_monad_suite(
             ),
             f"x={x}",
         )
-    m = len(poss_names)
-    total = (chain.k + 1) ** m - chain.k ** m
-    if total <= 1024:
-        outers = [
-            PossibilityCapacity(poss_names, chain, dict(zip(poss_names.elements, combo)))
-            for combo in itertools.product(chain.levels, repeat=m)
-            if max(combo) == chain.one
-        ]
-        rep.counts["conjugation-sweep"] = len(outers)
-    else:
+    outers = _exhaustive_densities(poss_names, chain)
+    if outers is None:
         rng2 = random.Random(seed + 1)
         outers = [
             _random_pointwise(PossibilityCapacity, poss_names, chain, rng2)
             for _ in range(samples)
         ]
-        rep.counts["conjugation-sweep"] = samples
+    rep.counts["conjugation-sweep"] = len(outers)
     for outer in outers:
         flat = as_capacity(mult(outer, poss_lookup))
         w = lambda outer=outer: _cap_witness(outer)
@@ -593,90 +583,81 @@ def _all_maps(source: FiniteSpace, target: FiniteSpace) -> list[PointMap]:
     ]
 
 
+def _morphism_sweep(rep, law, count, chain, groups, map_cls, preserves, show, extra) -> None:
+    """``law``: f preserves the operations (``preserves(f, s1, s2)``) iff it
+    intertwines the structure maps (``map_cls`` over each structure), for
+    every map f between two carriers of ``groups`` (carrier -> structures on
+    it) and every structure pair on its ends.  Each map is tabulated once
+    over the pool of its class, each source pool is pushed forward once
+    per f, and the two tables are compared along it.  ``show`` names the
+    pair in a witness, and ``extra(f, s1, s2)``, unless None, runs on each
+    preserving pair."""
+    key = map_cls._key
+    tabs = {
+        sp: [(s, map_cls(sp, chain, structure=s).tabulate()) for s in structs]
+        for sp, structs in groups.items()
+    }
+    for sp1, tabs1 in tabs.items():
+        pool = capacity_pool(sp1, chain, map_cls._kind)[1].values()
+        keys = [key(c) for c in pool]
+        for sp2, tabs2 in tabs.items():
+            for f in _all_maps(sp1, sp2):
+                pushed = [key(pushforward(f, c)) for c in pool]
+                targets = [(s2, [tab2[k] for k in pushed]) for s2, tab2 in tabs2]
+                for s1, tab1 in tabs1:
+                    image = [f(tab1[k]) for k in keys]
+                    for s2, target in targets:
+                        held = preserves(f, s1, s2)
+                        rep.check(law, held == (image == target), lambda f=f, s1=s1, s2=s2: (
+                            f"f={_map_witness(f)} {show(s1, s2)}"
+                        ))
+                        rep.bump(count)
+                        if held and extra is not None:
+                            extra(f, s1, s2)
+
+
 def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
     """Morphism <=> (bi)affine over every map between enumerated structures,
     plus the max(x, 1/2) witness on the chain model."""
     rep = SuiteReport("morphism-equivalence")
     spaces = desk_spaces(max_size)
+    _morphism_sweep(
+        rep, "affine-iff-morphism", "union-algebra-maps", chain,
+        {sp: convex_structures(sp, chain) for sp in spaces}, UnionStructureMap, is_affine,
+        lambda s1, s2: f"s1={_convex_witness(s1)} s2={_convex_witness(s2)}", None,
+    )
 
-    by_space = {
-        sp: (
-            list(convex_structures(sp, chain)),
-            list(capacity_pool(sp, chain, "union")[1].values()),
-        )
-        for sp in spaces
-    }
-    # structure maps tabulated once per structure; pushforwards once per map
-    tabs = {
-        id(s): UnionStructureMap.from_convex(s).tabulate()
-        for structs, _ in by_space.values()
-        for s in structs
-    }
-    for sp1, (structs1, densities) in by_space.items():
-        keys = [density_key(p) for p in densities]
-        for sp2, (structs2, _) in by_space.items():
-            for f in _all_maps(sp1, sp2):
-                pushed = [
-                    density_key(pushforward(f, p)) for p in densities
-                ]
-                for s1 in structs1:
-                    tab1 = tabs[id(s1)]
-                    for s2 in structs2:
-                        tab2 = tabs[id(s2)]
-                        affine = is_affine(f, s1, s2)
-                        morph = all(
-                            f(tab1[k]) == tab2[pk]
-                            for k, pk in zip(keys, pushed)
-                        )
-                        rep.check(
-                            "affine-iff-morphism",
-                            affine == morph,
-                            lambda f=f, s1=s1, s2=s2: (
-                                f"f={_map_witness(f)} s1={_convex_witness(s1)} "
-                                f"s2={_convex_witness(s2)}"
-                            ),
-                        )
-                        rep.bump("union-algebra-maps")
-
-    bstructs = [b for sp in spaces for b in biconvex_structures(sp, chain)]
-    full = [(b, CapacityStructureMap.from_biconvex(b)) for b in bstructs]
     levels = chain.levels
-    for b1, xi1 in full:
-        for b2, xi2 in full:
-            for f in _all_maps(b1.carrier, b2.carrier):
-                biaff = is_biaffine(f, b1, b2)
-                rep.check(
-                    "biaffine-iff-full-morphism",
-                    biaff == is_algebra_morphism(f, xi1, xi2),
-                    lambda f=f, b1=b1, b2=b2: (
-                        f"f={_map_witness(f)} b1={_biconvex_witness(b1)} "
-                        f"b2={_biconvex_witness(b2)}"
-                    ),
-                )
-                rep.bump("full-algebra-maps")
-                if not biaff:
-                    continue
-                keeps_meet = all(
-                    f(b1.smeet[(a, x)]) == b2.smeet[(a, f(x))]
-                    for a in levels
-                    for x in b1.carrier.elements
-                )
-                keeps_join = all(
-                    f(b1.sjoin[(a, x)]) == b2.sjoin[(a, f(x))]
-                    for a in levels
-                    for x in b1.carrier.elements
-                )
-                w = f"f={_map_witness(f)}"
-                rep.check(
-                    "meet-action-preserved-iff-bottom-fixed",
-                    keeps_meet == (f(b1.bottom) == b2.bottom),
-                    w,
-                )
-                rep.check(
-                    "join-action-preserved-iff-top-fixed",
-                    keeps_join == (f(b1.top) == b2.top),
-                    w,
-                )
+
+    def keeps_actions(f, b1, b2):
+        keeps_meet = all(
+            f(b1.smeet[(a, x)]) == b2.smeet[(a, f(x))]
+            for a in levels
+            for x in b1.carrier.elements
+        )
+        keeps_join = all(
+            f(b1.sjoin[(a, x)]) == b2.sjoin[(a, f(x))]
+            for a in levels
+            for x in b1.carrier.elements
+        )
+        w = f"f={_map_witness(f)}"
+        rep.check(
+            "meet-action-preserved-iff-bottom-fixed",
+            keeps_meet == (f(b1.bottom) == b2.bottom),
+            w,
+        )
+        rep.check(
+            "join-action-preserved-iff-top-fixed",
+            keeps_join == (f(b1.top) == b2.top),
+            w,
+        )
+
+    _morphism_sweep(
+        rep, "biaffine-iff-full-morphism", "full-algebra-maps", chain,
+        {sp: biconvex_structures(sp, chain) for sp in spaces}, CapacityStructureMap, is_biaffine,
+        lambda b1, b2: f"b1={_biconvex_witness(b1)} b2={_biconvex_witness(b2)}",
+        keeps_actions,
+    )
 
     half = Fraction(1, 2)
     if any(l.value == half for l in chain.levels):
@@ -746,35 +727,37 @@ def _xi_via_intersection_mixture(b: BiconvexStructure, mixture: NecessityCapacit
     )
 
 
-def check_full_map_value(rep: SuiteReport, b: BiconvexStructure, c):
+def check_full_map_value(rep: SuiteReport, xi: CapacityStructureMap, c):
     """Both factorizations of the full map at c must agree, and on a
     possibility or necessity capacity match the one-sided map; a law
-    violation on the way is a ``factorization`` finding.  Returns (value,
+    violation on the way is a ``factorization`` finding.  The value comes
+    from the structure-backed map xi, which keeps it.  Returns (value,
     dual): the value if reached, the dual if every check was."""
+    b = xi._structure
     wit = lambda: _cap_witness(c)
     value = dual = None
     try:
-        value = structure_map_full(b, c)
+        value = xi(c)
         got = structure_map_full_dual(b, c)
         rep.check("factorizations-agree", value == got, wit)
-        sides = (
-            ("possibility", as_possibility, structure_map_possibility),
-            ("necessity", as_necessity, structure_map_necessity),
-        )
-        for holds, (side, form, closed_form) in zip(classify(c), sides):
-            if holds:
-                rep.check(f"restricts-to-{side}-map", value == closed_form(b, form(c)), wit)
+        for cls, closed_form in (
+            (PossibilityCapacity, structure_map_possibility),
+            (NecessityCapacity, structure_map_necessity),
+        ):
+            form = _pointwise_form(cls, c)
+            if form is not None:
+                rep.check(f"restricts-to-{cls._side}-map", value == closed_form(b, form), wit)
         dual = got
     except LawViolationError as exc:
         rep.check("factorization", False, f"{wit()}: {exc}")
     return value, dual
 
 
-def check_full_unit_law(rep: SuiteReport, b: BiconvexStructure) -> None:
+def check_full_unit_law(rep: SuiteReport, xi: CapacityStructureMap) -> None:
     """The full map sends each Dirac capacity to its point; a law violation fails it."""
-    for x in b.carrier.elements:
+    for x in xi.carrier.elements:
         try:
-            ok = structure_map_full(b, unit_dirac(b.carrier, b.chain, x)) == x
+            ok = xi(unit_dirac(xi.carrier, xi.chain, x)) == x
             witness = f"x={x}"
         except LawViolationError as exc:
             ok, witness = False, f"x={x}: {exc}"
@@ -849,7 +832,7 @@ def full_map_suite(
         for n, c in caps.items():
             wc = lambda c=c: _cap_witness(c)
             # each side's routes must give its own factorization's value
-            values = check_full_map_value(rep, b, c)
+            values = check_full_map_value(rep, xi, c)
             for (_, kind, via, suffix), side_hits, ref in zip(routes, hits, values):
                 found = side_hits[n]
                 if found:
@@ -859,7 +842,7 @@ def full_map_suite(
                     rep.check("preimage-independence" + suffix, len(routed) == 1, wc)
                     rep.bump(f"multiple-{kind}-preimages")
 
-        check_full_unit_law(rep, b)
+        check_full_unit_law(rep, xi)
         rng = random.Random(seed)
         for trial in range(samples):
             for (cls, _, via, suffix), (_, inner, _, _) in zip(routes, reversed(routes)):

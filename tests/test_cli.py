@@ -555,6 +555,9 @@ TABLE_LEVEL_PART = {
     "ic": 1, "ci": 1, "bjoin": None, "bmeet": None, "smeet": 0, "sjoin": 0,
     "p": 0, "m": 0, "add": None, "scale": 0, "xi": 0, "phi": 0,
 }
+# the tables that mark each document's form (the lattice tables bjoin and
+# bmeet are shared by the quadruple and the triple)
+FORM_MARKERS = ["ic", "ci", "smeet", "sjoin", "p", "m", "add", "scale", "xi", "phi"]
 NOT_AN_OBJECT = strat.one_of(
     strat.lists(strat.integers(), max_size=2), strat.text(max_size=3),
     strat.integers(), strat.none(), strat.booleans(),
@@ -565,9 +568,11 @@ BAD_LEVELS = ["2", "-1", "1/3", "1/0", "0.3", "abc", "", "½"]
 @strat.composite
 def malformed_documents(draw):
     # a fresh copy: the builders share their element lists
-    obj = json.loads(json.dumps(WELL_FORMED[draw(strat.sampled_from(sorted(WELL_FORMED)))]()))
+    form = draw(strat.sampled_from(sorted(WELL_FORMED)))
+    obj = json.loads(json.dumps(WELL_FORMED[form]()))
     tables = sorted(t for t in TABLE_LEVEL_PART if t in obj)
-    hows = ["top-level", "space", "chain-k", "table-type", "key-arity", "key-level", "cell-value"]
+    hows = ["top-level", "space", "chain-k", "table-type", "key-arity", "key-level", "cell-value",
+            "second-form"]
     if "elements" in obj:  # a cube document has no carrier list to break
         hows += ["elements-type", "elements-entry", "duplicate-name"]
     how = draw(strat.sampled_from(hows))
@@ -590,6 +595,11 @@ def malformed_documents(draw):
                                                strat.lists(strat.integers(), max_size=1)))
     elif how == "duplicate-name":
         obj["elements"].append(draw(strat.sampled_from(obj["elements"])))
+    elif how == "second-form":
+        # a table that marks another form: the document is ambiguous
+        other = WELL_FORMED[draw(strat.sampled_from(sorted(set(WELL_FORMED) - {form})))]()
+        marker = draw(strat.sampled_from([t for t in FORM_MARKERS if t in other and t not in obj]))
+        obj[marker] = other[marker]
     elif how == "chain-k":
         bad = draw(strat.sampled_from([0, -1, 1, 3, "2", 2.0, None, True, [2], "missing"]))
         if bad == "missing":
@@ -625,6 +635,7 @@ def malformed_documents(draw):
 @hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.example({"elements": "ab"})
 @hypothesis.example({"chain_k": 2, "elements": ["a", "b"], "ic": []})
+@hypothesis.example(dict(_chain_model_quadruple(), ic=WELL_FORMED["ic"]()["ic"]))
 @hypothesis.given(malformed_documents())
 def test_malformed_structures_exit_two_without_a_traceback(document):
     with tempfile.TemporaryDirectory() as tmp:

@@ -119,6 +119,27 @@ def test_capacity_loader_reads_only_canonical_set_keys(values):
         capacity_from_json({"chain_k": 1, "elements": ["a", "b"], "values": values})
 
 
+@pytest.mark.parametrize("second", ["codensity", "values"])
+def test_capacity_loader_rejects_a_document_of_two_forms(second):
+    """A density beside a codensity or a value table is ambiguous: it is
+    rejected, not read as its density."""
+    obj = capacity_to_json(PossibilityCapacity(X2, K2, {"a": 1}))
+    obj[second] = capacity_to_json(
+        NecessityCapacity(X2, K2, {"b": 0}) if second == "codensity" else unit_dirac(X2, K2, "b")
+    )[second]
+    with pytest.raises(ValidationError, match=f"mixes the forms density, {second}"):
+        capacity_from_json(obj)
+
+
+def test_structure_loader_rejects_a_document_of_two_forms():
+    """A quadruple with an added combination table would load as the
+    convex structure and ignore the quadruple."""
+    obj = dict(biconvex_to_json(chain_model(K2)))
+    obj["ic"] = convex_to_json(ConvexStructure(*_chain_tables(max, min)))["ic"]
+    with pytest.raises(ValidationError, match="mixes the forms ic, smeet/sjoin"):
+        structure_from_json(obj)
+
+
 def test_convex_structure_round_trip():
     for s in enumerate_convex_structures(X2, K2):
         assert convex_from_json(convex_to_json(s)) == s

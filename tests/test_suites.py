@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from capalg import capacity, spaces, suites
+from capalg import biconvex, capacity, spaces, suites
 from capalg.chain import make_chain
 from capalg.serial import dumps_canonical
 from capalg.spaces import FiniteSpace, InclusionHyperspace
@@ -150,6 +150,8 @@ STRUCTURE_MAP_REPORT_DIGESTS = {
     "full-map-x2-k2": "7d1267ad876901e8e57cfb9a1aca582acd221c39178fd327330d17c902eb1334",
     "full-map-x3-k1": "ea0b4d3fde87a407914f10a133e14a658e05a7e9b3805eb3f59a967c56e63b6b",
     "morphism-k1": "273d87aaa6da282ca20f6337d702e674af4fc39b6f9af595d1c1064688da28d0",
+    # recorded before the two halves of the morphism sweep shared one body
+    "morphism-k2": "15d2af706a5ef7aac1bda003407be470182b0087c68a499b304083d667a64545",
 }
 
 
@@ -158,9 +160,29 @@ def test_full_map_and_morphism_reports_match_their_golden_digests():
         "full-map-x2-k2": suites.full_map_suite(X2, K2, 150, 3),
         "full-map-x3-k1": suites.full_map_suite(X3, K1, 150, 3),
         "morphism-k1": suites.morphism_suite(K1),
+        "morphism-k2": suites.morphism_suite(K2, max_size=2),
     }
     got = {
         name: hashlib.sha256(dumps_canonical(r.to_json()).encode()).hexdigest()
         for name, r in reports.items()
     }
     assert got == STRUCTURE_MAP_REPORT_DIGESTS
+
+
+def test_full_map_suite_evaluates_each_capacity_once_per_structure(monkeypatch):
+    """The multiplication-law samples, the unit law and the quadruple
+    recovery read the values the per-capacity checks put in the
+    structure's map: two evaluations per capacity (the map and its dual
+    route, which runs the map on the order dual) on each of the three
+    structures over three points, 3 x 2 x 129 = 774."""
+    original = biconvex.structure_map_full
+    calls = []
+
+    def counted(b, c):
+        calls.append(None)
+        return original(b, c)
+
+    for module in (biconvex, suites):
+        monkeypatch.setattr(module, "structure_map_full", counted, raising=False)
+    assert suites.full_map_suite(X3, K2, 150, 0).passed
+    assert len(calls) <= 774
