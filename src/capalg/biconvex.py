@@ -52,6 +52,7 @@ from .capacity import (
     canonical_key,
     capacity_pool,
     kappa_dual,
+    pinned_table,
 )
 from .spaces import FiniteSpace, PointMap, Subset, TableStructure
 
@@ -505,11 +506,11 @@ def lattice_from_algebra(xi: CapacityStructureMap):
     """Recover (bjoin, bmeet): evaluate xi on two-point densities and
     two-point unanimity capacities; lattice laws are re-verified."""
     carrier, chain = xi.carrier, xi.chain
-    bjoin: dict[tuple[str, str], str] = {}
-    bmeet: dict[tuple[str, str], str] = {}
-    for x, y in itertools.product(carrier.elements, repeat=2):
-        bjoin[(x, y)] = xi(PossibilityCapacity(carrier, chain, {x: chain.one, y: chain.one}))
-        bmeet[(x, y)] = xi(NecessityCapacity(carrier, chain, {x: chain.zero, y: chain.zero}))
+    X = carrier.elements
+    bjoin, bmeet = (
+        {(x, y): z for (x, _, y), z in pinned_table(cls, carrier, chain, X, [a], xi).items()}
+        for cls, a in ((PossibilityCapacity, chain.one), (NecessityCapacity, chain.zero))
+    )
     problems = _lattice_diagnostics(carrier, bjoin, bmeet)
     if problems:
         raise LawViolationError(
@@ -519,22 +520,15 @@ def lattice_from_algebra(xi: CapacityStructureMap):
 
 
 def quadruple_from_algebra(xi: CapacityStructureMap) -> BiconvexStructure:
-    """Full biconvex structure recovered from a structure map."""
+    """Full biconvex structure recovered from a structure map: a*x is xi at
+    density 1 on the bottom and a on x, a+x at codensity 0 on the top and a on x."""
     carrier, chain = xi.carrier, xi.chain
     bjoin, bmeet = lattice_from_algebra(xi)
-    bot, top = _bounds(carrier, bjoin, bmeet)
-    smeet: dict[tuple[Level, str], str] = {}
-    sjoin: dict[tuple[Level, str], str] = {}
-    for a in chain.levels:
-        for x in carrier.elements:
-            dens = {bot: chain.one}
-            if x != bot:
-                dens[x] = a
-            smeet[(a, x)] = xi(PossibilityCapacity(carrier, chain, dens))
-            cod = {top: chain.zero}
-            if x != top:
-                cod[x] = a
-            sjoin[(a, x)] = xi(NecessityCapacity(carrier, chain, cod))
+    levels, ends = chain.levels, _bounds(carrier, bjoin, bmeet)
+    smeet, sjoin = (
+        {(a, x): z for (_, a, x), z in pinned_table(cls, carrier, chain, [end], levels, xi).items()}
+        for cls, end in zip((PossibilityCapacity, NecessityCapacity), ends)
+    )
     return BiconvexStructure(carrier, chain, bjoin, bmeet, smeet, sjoin)
 
 

@@ -25,6 +25,7 @@ from .chain import Chain, Level, complement as level_complement
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
+    LawViolationError,
     ValidationError,
 )
 from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset
@@ -450,12 +451,14 @@ def embed_inclusion_hyperspace(hs: InclusionHyperspace, chain: Chain) -> Capacit
     return Capacity(hs.carrier, chain, table)
 
 
-def _check_enumeration_budget(space: FiniteSpace, chain: Chain, budget: int) -> None:
-    cost = (2 ** len(space) - 1) * (chain.k + 1)
+def check_enumeration_budget(space: FiniteSpace, k: int, budget: int) -> None:
+    """Refuse an enumeration over the space at resolution k, before any
+    chain is built, when its size measure exceeds the budget."""
+    cost = (2 ** len(space) - 1) * (k + 1)
     if cost > budget:
         raise BudgetExceededError(
             f"enumeration size measure {cost} exceeds budget {budget} "
-            f"(|X|={len(space)}, k={chain.k})"
+            f"(|X|={len(space)}, k={k})"
         )
 
 
@@ -472,7 +475,7 @@ def enumerate_capacities(
     the value tuple.  kind="union" / "intersection" run over densities
     with max 1 / codensities with min 0 in lexicographic order.
     """
-    _check_enumeration_budget(space, chain, budget)
+    check_enumeration_budget(space, chain.k, budget)
     if kind == "all":
         yield from _enumerate_all(space, chain)
         return
@@ -480,6 +483,18 @@ def enumerate_capacities(
     if cls is None:
         raise ValidationError(f"unknown capacity class {kind!r}")
     yield from _pointwise_capacities(cls, space, chain)
+
+
+def pinned_table(cls, carrier, chain, rows, levels, value) -> dict[tuple, str]:
+    """value(c) at each (x, a, y), x in ``rows``, a in ``levels`` and y in
+    the carrier, c the ``cls`` capacity pinned at x (density 1, codensity
+    0) with weight a at y and the fill elsewhere: the capacities whose
+    values under a structure map give back its structure's tables."""
+    _, pin = cls._ends(chain)
+    return {
+        (x, a, y): value(cls(carrier, chain, {y: a, x: pin}))
+        for x in rows for a in levels for y in carrier.elements
+    }
 
 
 def _pointwise_capacities(cls, space: FiniteSpace, chain: Chain) -> Iterator:
@@ -558,13 +573,28 @@ def capacity_pool(space: FiniteSpace, chain: Chain, kind: str):
     return _named(space, chain, kind)
 
 
+class LawCase(NamedTuple):
+    """The two sides of one algebra-law case, or the LawViolationError
+    that stopped either."""
+
+    got: str | None
+    want: str | None
+    error: LawViolationError | None
+
+    @property
+    def held(self) -> bool:
+        return self.error is None and self.got == self.want
+
+
 class StructureMap:
     """Assigns an element to every capacity of one class (``_kind``, as
     ``capacity_pool`` names it) from a table, or from a backing structure
     through ``_evaluate`` with each value kept per ``_key``.  A capacity on
-    another carrier or chain is rejected before any lookup."""
+    another carrier or chain is rejected before any lookup; one of the
+    class in another form (a table) is brought into the class's form.
+    ``unit_case`` and ``mult_case`` are its algebra laws, case by case."""
 
-    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache")
+    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache", "_along")
 
     def __init__(self, carrier, chain, table=None, structure=None):
         self.carrier = carrier
@@ -572,6 +602,7 @@ class StructureMap:
         self._table = dict(table) if table is not None else None
         self._structure = structure
         self._cache = self._table if self._table is not None else {}
+        self._along: dict[FiniteSpace, PointMap] = {}
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
@@ -585,6 +616,8 @@ class StructureMap:
             raise CarrierMismatchError("capacity lives on a different carrier")
         if c.chain != self.chain:
             raise ValidationError("capacity uses a different chain")
+        if self._kind in _POINTWISE:
+            c = _as_pointwise(_POINTWISE[self._kind], c)
         key = self._key(c)
         got = self._cache.get(key)
         if got is None:
@@ -599,6 +632,31 @@ class StructureMap:
             return dict(self._table)
         names, assignment = capacity_pool(self.carrier, self.chain, self._kind)
         return {self._key(assignment[n]): self(assignment[n]) for n in names.elements}
+
+    @staticmethod
+    def _law_case(sides) -> LawCase:
+        try:
+            return LawCase(*sides(), None)
+        except LawViolationError as exc:
+            return LawCase(None, None, exc)
+
+    def unit_case(self, x: str) -> LawCase:
+        """The unit law at the point x: xi(delta x) = x."""
+        return self._law_case(lambda: (self(unit_dirac(self.carrier, self.chain, x)), x))
+
+    def mult_case(self, outer: CapacityLike, pool: Mapping[str, CapacityLike]) -> LawCase:
+        """The multiplication law at an outer capacity C over the named
+        capacities of ``pool``: xi(mu C) = xi(M xi (C)), where M xi pushes C
+        forward along n -> xi(pool[n]), kept per set of names."""
+        names = outer.carrier
+
+        def sides():
+            if names not in self._along:
+                images = {n: self(pool[n]) for n in names.elements}
+                self._along[names] = PointMap(names, self.carrier, images)
+            return self(mult(outer, pool)), self(pushforward(self._along[names], outer))
+
+        return self._law_case(sides)
 
 
 def is_algebra_morphism(f: PointMap, xi: StructureMap, xi2: StructureMap) -> bool:

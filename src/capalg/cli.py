@@ -24,13 +24,12 @@ from .biconvex import (
     check_triple,
     embedding_search,
     sugeno_form,
-    triple_from_biconvex,
 )
 from .capacity import (
-    NecessityCapacity,
+    DEFAULT_ENUMERATION_BUDGET,
+    check_enumeration_budget,
     classify,
     enumerate_capacities,
-    possibility_space,
 )
 from .chain import make_chain
 from .convexity import (
@@ -42,14 +41,11 @@ from .convexity import (
     check_ci_axioms,
     check_ic_axioms,
     check_semimodule_axioms,
-    dual_structure_map,
-    ic_from_structure_map,
-    structure_map_from_ic,
 )
 from .errors import CapalgError, LawViolationError
 from .serial import (
     capacity_to_json,
-    dumps_canonical,
+    dump_canonical,
     embedding_result_to_json,
     full_map_to_json,
     space_from_json,
@@ -60,8 +56,13 @@ from .suites import (
     CONTINUITY_NOTE,
     SuiteReport,
     capacity_monad_suite,
+    check_convex_roundtrip,
+    check_dual_roundtrip,
     check_full_map_value,
     check_full_unit_law,
+    check_quadruple_roundtrip,
+    check_triple_roundtrip,
+    check_union_map_roundtrip,
     g_monad_suite,
     _cap_witness,
 )
@@ -122,11 +123,7 @@ def _load_space(args: argparse.Namespace) -> FiniteSpace:
 def _load_structure(args: argparse.Namespace):
     if args.structure_path is None:
         raise CapalgError(f"{args.command} needs --structure")
-    loaded = structure_from_json(_load_json(args.structure_path))
-    chain = getattr(loaded, "chain", None)
-    if chain is None and isinstance(loaded, CubeStructure):
-        chain = loaded.structure.chain
-    return loaded, chain
+    return structure_from_json(_load_json(args.structure_path))
 
 
 def _diagnostics_report(
@@ -161,6 +158,8 @@ def _as_biconvex(loaded) -> BiconvexStructure:
 
 def _run_monad_laws(args: argparse.Namespace):
     space = _load_space(args)
+    # refused before the chain's k + 1 levels are built
+    check_enumeration_budget(space, args.chain_k, DEFAULT_ENUMERATION_BUDGET)
     chain = make_chain(args.chain_k)
     reports = [
         g_monad_suite(space, args.mode, args.samples, args.seed),
@@ -170,7 +169,7 @@ def _run_monad_laws(args: argparse.Namespace):
 
 
 def _run_algebra_laws(args: argparse.Namespace):
-    loaded, _ = _load_structure(args)
+    loaded = _load_structure(args)
     if isinstance(loaded, ConvexStructure):
         axioms = _diagnostics_report("combination-axioms", check_ic_axioms(loaded))
         laws = check_algebra_laws(UnionStructureMap.from_convex(loaded),
@@ -189,60 +188,25 @@ def _run_algebra_laws(args: argparse.Namespace):
 
 
 def _run_roundtrip(args: argparse.Namespace):
-    loaded, chain = _load_structure(args)
+    loaded = _load_structure(args)
     rep = SuiteReport("roundtrip")
     if isinstance(loaded, ConvexStructure):
-        xi = UnionStructureMap.from_convex(loaded)
-        rep.check(
-            "table-roundtrip",
-            ic_from_structure_map(xi).ic == loaded.ic,
-            "ic -> map -> ic",
-        )
-        for p in possibility_space(loaded.carrier, chain)[1].values():
-            points = [x for x in loaded.carrier.elements
-                      if p.density[x] == chain.one]
-            got = {structure_map_from_ic(loaded, p, x0) for x0 in points}
-            rep.check("base-point-independence", len(got) == 1, _cap_witness(p))
+        check_convex_roundtrip(rep, loaded, "ic -> map -> ic", _cap_witness)
     elif isinstance(loaded, UnionStructureMap):
-        back = UnionStructureMap.from_convex(ic_from_structure_map(loaded))
-        rep.check(
-            "map-roundtrip",
-            back.tabulate() == loaded.tabulate(),
-            "map -> ic -> map",
-        )
+        check_union_map_roundtrip(rep, loaded, lambda s: "map -> ic -> map")
     elif isinstance(loaded, DualConvexStructure):
-        for x in loaded.carrier.elements:
-            ok = True
-            for a in chain.levels:
-                for y in loaded.carrier.elements:
-                    cod = {z: chain.one for z in loaded.carrier.elements}
-                    cod[x] = chain.zero
-                    cod[y] = min(cod[y], a)
-                    c = NecessityCapacity(loaded.carrier, chain, cod)
-                    if dual_structure_map(loaded, c) != loaded.ci[(x, a, y)]:
-                        ok = False
-            rep.check("dual-table-roundtrip", ok, f"x={x}")
+        check_dual_roundtrip(rep, loaded)
     else:
-        b = _as_biconvex(loaded)
-        t = triple_from_biconvex(b)
-        rep.check("triple-laws", not check_triple(t), "quadruple -> triple")
-        rep.check(
-            "quadruple-roundtrip",
-            biconvex_from_triple(t) == b,
-            "quadruple -> triple -> quadruple",
+        check_quadruple_roundtrip(
+            rep, _as_biconvex(loaded), "quadruple -> triple", "quadruple -> triple -> quadruple"
         )
         if isinstance(loaded, TripleStructure):
-            again = triple_from_biconvex(b)
-            rep.check(
-                "triple-roundtrip",
-                again.p == loaded.p and again.m == loaded.m,
-                "triple -> quadruple -> triple",
-            )
+            check_triple_roundtrip(rep, loaded, "triple -> quadruple -> triple")
     return [rep], {}
 
 
 def _run_biconvex_laws(args: argparse.Namespace):
-    loaded, _ = _load_structure(args)
+    loaded = _load_structure(args)
     if isinstance(loaded, TripleStructure):
         triple = _diagnostics_report("triple-laws", check_triple(loaded))
         return [triple, _biconvex_report(biconvex_from_triple(loaded))], {}
@@ -250,7 +214,7 @@ def _run_biconvex_laws(args: argparse.Namespace):
 
 
 def _run_full_xi(args: argparse.Namespace):
-    loaded, _ = _load_structure(args)
+    loaded = _load_structure(args)
     b = _as_biconvex(loaded)
     xi = CapacityStructureMap.from_biconvex(b)
     rep = SuiteReport("full-structure-map")
@@ -271,7 +235,7 @@ def _run_full_xi(args: argparse.Namespace):
 
 
 def _run_embed_search(args: argparse.Namespace):
-    loaded, _ = _load_structure(args)
+    loaded = _load_structure(args)
     b = _as_biconvex(loaded)
     res = embedding_search(b, max_arity=args.max_arity)
     rep = SuiteReport("embedding-search")
@@ -290,15 +254,20 @@ def _run_embed_search(args: argparse.Namespace):
 
 def _run_enumerate(args: argparse.Namespace):
     space = _load_space(args)
+    # refused before the chain's k + 1 levels are built
+    check_enumeration_budget(space, args.chain_k, DEFAULT_ENUMERATION_BUDGET)
     chain = make_chain(args.chain_k)
-    caps = list(enumerate_capacities(space, chain, args.capacity_class))
+    # one pass: each capacity is classified and serialized, then dropped
+    items = []
+    union = intersection = 0
+    for c in enumerate_capacities(space, chain, args.capacity_class):
+        flags = classify(c)
+        union += flags.is_union
+        intersection += flags.is_intersection
+        items.append(capacity_to_json(c))
     rep = SuiteReport("enumerate-capacities")
-    rep.cases = len(caps)
-    rep.counts["count"] = len(caps)
-    flags = [classify(c) for c in caps]
-    rep.counts["union"] = sum(f.is_union for f in flags)
-    rep.counts["intersection"] = sum(f.is_intersection for f in flags)
-    items = [capacity_to_json(c) for c in caps]
+    rep.cases = len(items)
+    rep.counts.update(count=len(items), union=union, intersection=intersection)
     return [rep], {"items": items}
 
 
@@ -347,7 +316,7 @@ def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(report))
+            dump_canonical(report, fh)
 
     print(f"capalg {args.command}")
     for r in reports:

@@ -30,10 +30,8 @@ from .capacity import (
     PossibilityCapacity,
     StructureMap,
     _exhaustive_densities,
-    as_possibility,
-    mult,
-    possibility_space,
-    pushforward,
+    capacity_pool,
+    pinned_table,
 )
 from .spaces import FiniteSpace, PointMap, TableStructure
 
@@ -81,11 +79,11 @@ class DualConvexStructure(_CombinationTable):
         return self.ci[(x, self.chain.zero, y)]
 
 
-def _check_axioms(s: _CombinationTable, unit: Level, absorb: Level, bound) -> list[str]:
+def _axiom_violations(s: _CombinationTable, unit: Level, absorb: Level, bound) -> Iterator[str]:
     """The five combination axioms for a table whose weight ``unit`` keeps
     the left point and whose weight ``absorb`` is the derived semilattice
-    operation; ``bound`` combines the two weights of axiom 3."""
-    out: list[str] = []
+    operation; ``bound`` combines the two weights of axiom 3.  Lazy, one
+    violation text at a time, so a caller may stop at the first."""
     name = s._name
     X = s.carrier.elements
     levels = s.chain.levels
@@ -94,39 +92,38 @@ def _check_axioms(s: _CombinationTable, unit: Level, absorb: Level, bound) -> li
     for x in X:
         for a in levels:
             if t[(x, a, x)] != x:
-                out.append(f"axiom-1: {name}({x},{_format_level(a)},{x}) = {t[(x, a, x)]} != {x}")
+                yield f"axiom-1: {name}({x},{_format_level(a)},{x}) = {t[(x, a, x)]} != {x}"
     for x, y in itertools.product(X, repeat=2):
         if t[(x, absorb, y)] != t[(y, absorb, x)]:
-            out.append(f"axiom-4: {name}({x},{v},{y}) != {name}({y},{v},{x})")
+            yield f"axiom-4: {name}({x},{v},{y}) != {name}({y},{v},{x})"
         if t[(x, unit, y)] != x:
-            out.append(f"axiom-5: {name}({x},{u},{y}) = {t[(x, unit, y)]} != {x}")
+            yield f"axiom-5: {name}({x},{u},{y}) = {t[(x, unit, y)]} != {x}"
     for x, y, z in itertools.product(X, repeat=3):
         for a, b in itertools.product(levels, repeat=2):
             lhs = t[(t[(x, a, y)], b, z)]
             rhs = t[(t[(x, b, z)], a, y)]
             if lhs != rhs:
-                out.append(
+                yield (
                     f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
                     f"gives {lhs} vs {rhs}"
                 )
             lhs3 = t[(x, a, t[(y, b, z)])]
             rhs3 = t[(t[(x, a, y)], bound(a, b), z)]
             if lhs3 != rhs3:
-                out.append(
+                yield (
                     f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
                     f"gives {lhs3} vs {rhs3}"
                 )
-    return out
 
 
 def check_ic_axioms(s: ConvexStructure) -> list[str]:
     """Diagnostics for the five combination axioms; empty means valid."""
-    return _check_axioms(s, s.chain.zero, s.chain.one, min)
+    return list(_axiom_violations(s, s.chain.zero, s.chain.one, min))
 
 
 def check_ci_axioms(s: DualConvexStructure) -> list[str]:
     """Dual axioms: joins and meets, 0 and 1 exchanged throughout."""
-    return _check_axioms(s, s.chain.one, s.chain.zero, max)
+    return list(_axiom_violations(s, s.chain.one, s.chain.zero, max))
 
 
 def nary_combination(s: ConvexStructure, coeffs, points) -> str:
@@ -217,54 +214,52 @@ def structure_map_from_ic(
 def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
     """Recover the combination table: ic(x, a, y) = xi(density 1 at x, a at y)."""
     carrier, chain = xi.carrier, xi.chain
-    table: dict[tuple[str, Level, str], str] = {}
-    for x in carrier.elements:
-        for a in chain.levels:
-            for y in carrier.elements:
-                dens = {x: chain.one}
-                if y != x:
-                    dens[y] = a
-                table[(x, a, y)] = xi(PossibilityCapacity(carrier, chain, dens))
+    table = pinned_table(PossibilityCapacity, carrier, chain, carrier.elements, chain.levels, xi)
     return ConvexStructure(carrier, chain, table)
 
 
-def check_algebra_laws(xi: UnionStructureMap, samples: int = 200, seed: int = 0) -> list[str]:
-    """Unit and multiplication laws for a possibility-monad algebra.
+# random outer densities drawn when the multiplication law is not exhaustive
+_LAW_SAMPLES = 200
 
-    The unit law runs over all points.  The multiplication law runs over
-    outer densities on the enumerated set of possibility capacities:
-    exhaustively when there are at most ``EXHAUSTIVE_DENSITY_LIMIT`` of
-    them, otherwise over ``samples`` seeded random outer densities.
-    """
-    out: list[str] = []
-    carrier, chain = xi.carrier, xi.chain
-    for x in carrier.elements:
-        got = xi(PossibilityCapacity(carrier, chain, {x: chain.one}))
-        if got != x:
-            out.append(f"unit-law: xi(dirac {x}) = {got}")
-    names, assignment = possibility_space(carrier, chain)
-    # M xi, on the right of xi . mu = xi . M xi: each named density goes to its value
-    along = PointMap(names, carrier, {n: xi(assignment[n]) for n in names.elements})
-    outers = _exhaustive_densities(names, chain)
+
+def _sampled_density(names: FiniteSpace, chain: Chain, rng) -> PossibilityCapacity:
+    dens = {n: rng.choice(chain.levels) for n in names.elements}
+    dens[rng.choice(names.elements)] = chain.one
+    return PossibilityCapacity(names, chain, dens)
+
+
+def _union_law_cases(xi: UnionStructureMap, samples: int, seed: int) -> Iterator[tuple]:
+    """(subject, case): the unit law at every point, then the multiplication
+    law at outer densities on the possibility pool, exhaustively when there
+    are at most ``EXHAUSTIVE_DENSITY_LIMIT`` of them, otherwise at
+    ``samples`` seeded random outer densities."""
+    for x in xi.carrier.elements:
+        yield x, xi.unit_case(x)
+    names, pool = capacity_pool(xi.carrier, xi.chain, "union")
+    outers = _exhaustive_densities(names, xi.chain)
     if outers is None:
         rng = random.Random(seed)
-        def _sampled():
-            for _ in range(samples):
-                dens = {n: rng.choice(chain.levels) for n in names.elements}
-                dens[rng.choice(names.elements)] = chain.one
-                yield PossibilityCapacity(names, chain, dens)
-        outers = _sampled()
+        outers = (_sampled_density(names, xi.chain, rng) for _ in range(samples))
     for outer in outers:
-        # multiplication of a possibility over possibilities stays one;
-        # as_possibility re-validates that closure on every case
-        flattened = as_possibility(mult(outer, assignment))
-        lhs = xi(flattened)
-        rhs = xi(pushforward(along, outer))
-        if lhs != rhs:
-            dens_str = ",".join(str(outer.density[n]) for n in names.elements)
+        yield outer, xi.mult_case(outer, pool)
+
+
+def check_algebra_laws(
+    xi: UnionStructureMap, samples: int = _LAW_SAMPLES, seed: int = 0
+) -> list[str]:
+    """Unit and multiplication laws for a possibility-monad algebra, one
+    text per failing case of ``_union_law_cases``."""
+    out: list[str] = []
+    for subject, case in _union_law_cases(xi, samples, seed):
+        if case.held:
+            continue
+        if isinstance(subject, str):
+            out.append(f"unit-law: xi(dirac {subject}) = {case.got}")
+        else:
+            dens_str = ",".join(str(subject.density[n]) for n in subject.carrier.elements)
             out.append(
-                f"mult-law: outer density ({dens_str}) gives xi(mult)={lhs} "
-                f"but xi(map xi)={rhs}"
+                f"mult-law: outer density ({dens_str}) gives xi(mult)={case.got} "
+                f"but xi(map xi)={case.want}"
             )
     return out
 
@@ -452,7 +447,7 @@ def enumerate_convex_structures(
             for cell, z in zip(free_cells, combo):
                 table[cell] = z
             s = ConvexStructure(space, chain, table)
-            if not check_ic_axioms(s):
+            if next(_axiom_violations(s, chain.zero, chain.one, min), None) is None:
                 yield s
 
 
@@ -462,8 +457,8 @@ def enumerate_union_algebras(
     """All lawful structure-map tables on carriers of up to 2 elements."""
     if len(space) > 2:
         raise ValidationError("algebra-table enumeration is limited to |X| <= 2")
-    keys = [density_key(p) for p in possibility_space(space, chain)[1].values()]
+    keys = [density_key(p) for p in capacity_pool(space, chain, "union")[1].values()]
     for combo in itertools.product(space.elements, repeat=len(keys)):
         xi = UnionStructureMap.from_table(space, chain, dict(zip(keys, combo)))
-        if not check_algebra_laws(xi):
+        if all(case.held for _, case in _union_law_cases(xi, _LAW_SAMPLES, 0)):
             yield xi

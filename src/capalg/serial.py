@@ -53,9 +53,20 @@ def _check_names(space: FiniteSpace) -> None:
             raise ValidationError(f"element name {x!r} clashes with key delimiters")
 
 
+# sorted keys and a fixed indentation give stable bytes
+_CANONICAL = dict(sort_keys=True, indent=2)
+
+
 def dumps_canonical(obj) -> str:
-    """Stable bytes for reports: sorted keys, fixed indentation."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Stable bytes for reports."""
+    return json.dumps(obj, **_CANONICAL) + "\n"
+
+
+def dump_canonical(obj, fh) -> None:
+    """Write ``dumps_canonical(obj)`` to the text file fh chunk by chunk,
+    never holding the whole text."""
+    json.dump(obj, fh, **_CANONICAL)
+    fh.write("\n")
 
 
 def _header(space: FiniteSpace, chain: Chain, joins_names: bool = True) -> dict:

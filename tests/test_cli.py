@@ -13,6 +13,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from capalg import cli
 from capalg.chain import Chain
 from capalg.cli import main
 from capalg.convexity import ConvexStructure
@@ -140,6 +141,16 @@ def test_exhaustive_monad_laws_refuse_three_points(tmp_path, capsys):
     assert err.startswith("error: exhaustive hyperspace sweeps need at most 2 points")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_an_oversized_chain_is_refused_before_it_is_built(monkeypatch, capsys):
+    def never(k):
+        raise AssertionError(f"make_chain({k}) was called")
+
+    monkeypatch.setattr(cli, "make_chain", never)
+    for command in ("monad-laws", "enumerate"):
+        assert main([command, "--chain", "200000"]) == 2, command
+        assert "exceeds budget" in capsys.readouterr().err
 
 
 def test_non_object_table_exits_two(tmp_path, capsys):
@@ -446,6 +457,14 @@ GOLDEN_INPUTS = {
         ["full-xi", "--structure", "in.json"],
         lambda: _golden_quadruple("smeet", "1/2|0", "1/2"),
     ),
+    "roundtrip-ic": (["roundtrip", "--structure", "in.json"], _golden_ic),
+    "roundtrip-ci": (["roundtrip", "--structure", "in.json"], _golden_ci),
+    "roundtrip-union-map": (["roundtrip", "--structure", "in.json"], _golden_union_map),
+    "roundtrip-triple": (["roundtrip", "--structure", "in.json"], _golden_triple),
+    "roundtrip-quadruple": (
+        ["roundtrip", "--structure", "in.json"],
+        lambda: _golden_quadruple("smeet", "1/2|1", "0"),
+    ),
 }
 
 GOLDEN_REPORTS = {
@@ -476,6 +495,27 @@ GOLDEN_REPORTS = {
     "full-xi-corrupted-action": (
         1,
         "14170a49f52a287aac14a501d0b2f16b3614881ffe35b4cc5881df5e3fae0ff2",
+    ),
+    # recorded before the round trips shared one body per structure class
+    "roundtrip-ci": (
+        0,
+        "824222a2692d673683f364b6b5461cba3f11dab68dfc5d1225fd705a8cd218d2",
+    ),
+    "roundtrip-ic": (
+        1,
+        "944b5742ad5e0869d6cceced162dbd30e5a49b7874cbc5f881123e1566ccbcad",
+    ),
+    "roundtrip-quadruple": (
+        1,
+        "362302bfc90bb4b37349be0c75147a73dcb7c61e3b4bc75096bb9447e4940844",
+    ),
+    "roundtrip-triple": (
+        1,
+        "63f77828b9dce56caaac9b3cefce50b635154ce03fab58f997b88b139adc54f4",
+    ),
+    "roundtrip-union-map": (
+        1,
+        "5f076862b53deeb1dcce6b332f92f5cf8d55a63e580d798bbbd60e1b303815a1",
     ),
 }
 

@@ -12,11 +12,15 @@ from capalg.chain import Chain, complement
 from capalg.errors import CarrierMismatchError, ValidationError
 from capalg.spaces import FiniteSpace, PointMap
 from capalg.capacity import (
+    Capacity,
     NecessityCapacity,
     PossibilityCapacity,
+    as_capacity,
+    dirac_density,
     enumerate_capacities,
     is_algebra_morphism,
     kappa_dual,
+    unit_dirac,
 )
 from capalg.convexity import (
     ConvexStructure,
@@ -191,6 +195,24 @@ def test_algebra_and_structure_enumerations_biject_on_two_points():
 def test_every_enumerated_structure_yields_a_lawful_algebra():
     for s in structures(X3, K2):
         assert check_algebra_laws(UnionStructureMap.from_convex(s)) == []
+
+
+def test_union_map_reads_table_backed_possibility_capacities():
+    """A table of the union class is read through its density form; a
+    table outside the class is refused."""
+    s = structures(X3, K2)[-1]
+    xi = UnionStructureMap.from_convex(s)
+    for x in X3.elements:
+        assert xi(unit_dirac(X3, K2, x)) == xi(dirac_density(X3, K2, x)) == x
+    for p in enumerate_capacities(X3, K2, "union"):
+        assert xi(as_capacity(p)) == xi(p)
+    # 1 on {a} and on every pair, so not the max of its singleton values
+    not_union = Capacity(X3, K2, {
+        f: K2.one if len(f) >= 2 or f == {"a"} else K2.zero
+        for f in X3.subsets(include_empty=True)
+    })
+    with pytest.raises(ValidationError, match="union law"):
+        xi(not_union)
 
 
 def test_broken_table_fails_the_algebra_laws():

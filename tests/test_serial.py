@@ -47,6 +47,7 @@ from capalg.serial import (
     cube_to_json,
     dual_convex_from_json,
     dual_convex_to_json,
+    dump_canonical,
     dumps_canonical,
     embedding_result_to_json,
     full_map_from_json,
@@ -316,6 +317,14 @@ def test_serialized_documents_match_their_golden_digests():
         for name, doc in _golden_documents().items()
     }
     assert digests == GOLDEN_DOCUMENTS
+
+
+def test_streamed_documents_have_the_canonical_bytes(tmp_path):
+    path = tmp_path / "doc.json"
+    for name, doc in _golden_documents().items():
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_canonical(doc, fh)
+        assert path.read_text(encoding="utf-8") == dumps_canonical(doc), name
 
 
 @pytest.mark.parametrize("key, match", [

@@ -152,6 +152,8 @@ STRUCTURE_MAP_REPORT_DIGESTS = {
     "morphism-k1": "273d87aaa6da282ca20f6337d702e674af4fc39b6f9af595d1c1064688da28d0",
     # recorded before the two halves of the morphism sweep shared one body
     "morphism-k2": "15d2af706a5ef7aac1bda003407be470182b0087c68a499b304083d667a64545",
+    # recorded before the round trips shared one body per structure class
+    "convex-roundtrip-x2-k2": "a0717200ae2e5ac887006e4bec480dc944a2d928a44a85d45e8ac2663c844362",
 }
 
 
@@ -161,6 +163,7 @@ def test_full_map_and_morphism_reports_match_their_golden_digests():
         "full-map-x3-k1": suites.full_map_suite(X3, K1, 150, 3),
         "morphism-k1": suites.morphism_suite(K1),
         "morphism-k2": suites.morphism_suite(K2, max_size=2),
+        "convex-roundtrip-x2-k2": suites.convex_roundtrip_suite(X2, K2),
     }
     got = {
         name: hashlib.sha256(dumps_canonical(r.to_json()).encode()).hexdigest()
