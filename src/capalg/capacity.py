@@ -216,29 +216,53 @@ class PushforwardView:
         self.source = c
 
     def value(self, members: Subset) -> Level:
-        return self.source.value(self.map.preimage(frozenset(members)))
+        return self.source.value(self.map.preimage(self.carrier.subset(members)))
+
+
+def _support(outer) -> tuple[str, ...]:
+    """Names of the outer's carrier that its value can see: C(A) equals
+    C(A & support) for every A.  They are the non-fill names of a density
+    or codensity, the image of a pushforward view's map, and every name
+    of any other capacity."""
+    if isinstance(outer, _PointwiseCapacity):
+        fill, _ = outer._ends(outer.chain)
+        return tuple(n for n, w in outer._weights.items() if w != fill)
+    if isinstance(outer, PushforwardView):
+        return tuple(dict.fromkeys(outer.map.table.values()))
+    return outer.carrier.elements
 
 
 class MultView:
-    """Lazy monad multiplication value; for bases too large for tables."""
+    """Monad multiplication, evaluated one subset at a time.
 
-    __slots__ = ("carrier", "chain", "outer", "assignment")
+    Each inner capacity is read only at the outer's support (``_support``).
+    A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
+    gives min_n max(e(n), c_n(F)); any other outer is scanned level by
+    level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
+    """
+
+    __slots__ = ("carrier", "chain", "outer", "assignment", "_support")
 
     def __init__(self, base: FiniteSpace, outer, assignment):
         self.carrier = base
         self.chain = outer.chain
         self.outer = outer
         self.assignment = dict(assignment)
+        self._support = _support(outer)
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
         if not members:
             return self.chain.zero
-        names = self.outer.carrier.elements
-        inner_vals = {n: self.assignment[n].value(members) for n in names}
+        outer = self.outer
+        inner = {n: self.assignment[n].value(members) for n in self._support}
+        if isinstance(outer, PossibilityCapacity):
+            return max(min(outer.density[n], v) for n, v in inner.items())
+        if isinstance(outer, NecessityCapacity):
+            return min(max(outer.codensity[n], v) for n, v in inner.items())
         for alpha in reversed(self.chain.levels[1:]):
-            level_set = frozenset(n for n in names if inner_vals[n] >= alpha)
-            if self.outer.value(level_set) >= alpha:
+            level_set = frozenset(n for n, v in inner.items() if v >= alpha)
+            if outer.value(level_set) >= alpha:
                 return alpha
         return self.chain.zero
 
@@ -344,13 +368,12 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     ``outer`` is a capacity over a carrier whose elements name capacities
     on a common base space (via ``assignment``).  For each subset F of
     the base space the result is the largest level a with
-    outer({name : assignment[name](F) >= a}) >= a; the family of those
-    level sets shrinks as a grows, so a descending scan returns at the
-    first hit.
+    outer({name : assignment[name](F) >= a}) >= a; ``MultView`` evaluates
+    it, reading the inner capacities only where the outer looks.
 
-    Density/codensity-backed outers evaluate lazily at any size.  The
-    result is an explicit table when the base space is small enough and
-    a lazy view otherwise.
+    The carrier and chain of every assigned capacity are checked before
+    any value is read.  The result is an explicit, validated table when
+    the base space is small enough and the lazy view otherwise.
     """
     chain = outer.chain
     base: FiniteSpace | None = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CarrierMismatchError, ValidationError
+from .errors import BudgetExceededError, CarrierMismatchError, ValidationError
 
 Subset = frozenset  # subsets are plain frozensets of element names
 
@@ -331,21 +331,27 @@ def g_mult(
 def enumerate_hyperspaces(space: FiniteSpace) -> list[InclusionHyperspace]:
     """All inclusion hyperspaces on a small carrier, in a fixed order.
 
-    Enumerates antichains of nonempty subsets; the count grows like the
-    Dedekind numbers, so this is only usable for carriers of up to ~4
-    elements.
+    Grows the nonempty antichains of nonempty subsets by backtracking over
+    the subsets in canonical order; a subset joins when no chosen one lies
+    inside it (none can contain it, being no larger).  The count grows
+    like the Dedekind numbers, so carriers are limited to 4 elements.
     """
     if len(space) > 4:
-        raise ValidationError("hyperspace enumeration is limited to carriers of size <= 4")
+        raise BudgetExceededError("hyperspace enumeration is limited to carriers of size <= 4")
     subsets = list(space.subsets())
     found: list[InclusionHyperspace] = []
-    seen: set[frozenset] = set()
-    for r in range(1, len(subsets) + 1):
-        for combo in itertools.combinations(subsets, r):
-            anti = minimal_members(space, combo)
-            if len(anti) == r and anti not in seen:
-                seen.add(anti)
-                found.append(InclusionHyperspace(space, anti))
+    chosen: list[Subset] = []
+
+    def grow(start: int) -> None:
+        for i in range(start, len(subsets)):
+            s = subsets[i]
+            if not any(m <= s for m in chosen):
+                chosen.append(s)
+                found.append(InclusionHyperspace(space, chosen))
+                grow(i + 1)
+                chosen.pop()
+
+    grow(0)
     found.sort(key=lambda h: sorted(space.subset_key(m) for m in h.min_sets))
     return found
 

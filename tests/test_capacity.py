@@ -10,6 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
@@ -40,6 +42,7 @@ from capalg.capacity import (
     as_possibility,
     canonical_key,
     capacity_equal,
+    capacity_pool,
     capacity_space,
     classify,
     dirac_density,
@@ -52,6 +55,7 @@ from capalg.capacity import (
     unit_dirac,
     validate,
 )
+from capalg.suites import _random_pointwise
 
 K2 = Chain(2)
 X2 = FiniteSpace(["a", "b"])
@@ -77,8 +81,10 @@ def brute_force_capacities(space, chain):
     return found
 
 
-def mult_oracle(outer, assignment, members):
-    """Independent flattening oracle: descending first-hit scan at one subset."""
+def written_out_mult(outer, assignment, members):
+    """Independent flattening oracle: the descending first-hit scan at one
+    subset, reading every inner capacity at every level.  A nested
+    multiplication outer is evaluated by this scan too."""
     chain = outer.chain
     members = frozenset(members)
     if not members:
@@ -90,7 +96,11 @@ def mult_oracle(outer, assignment, members):
             n for n in outer.carrier.elements
             if assignment[n].value(members) >= alpha
         )
-        if outer.value(hot) >= alpha:
+        if isinstance(outer, MultView):
+            outer_value = written_out_mult(outer.outer, outer.assignment, hot)
+        else:
+            outer_value = outer.value(hot)
+        if outer_value >= alpha:
             return alpha
     return chain.zero
 
@@ -173,12 +183,12 @@ def test_flattening_worked_example_is_frozen():
     )
     assignment = {"p": inner_p, "q": inner_q}
     flat = mult(outer, assignment)
-    # frozen expected values, computed by mult_oracle
+    # frozen expected values, computed by written_out_mult
     assert flat.value(frozenset("a")).value == Fraction(1)
     assert flat.value(frozenset("b")).value == Fraction(1, 2)
     assert flat.value(frozenset("ab")).value == Fraction(1)
     for s in X2.subsets(include_empty=True):
-        assert flat.value(s) == mult_oracle(outer, assignment, s)
+        assert flat.value(s) == written_out_mult(outer, assignment, s)
 
 
 def test_flattening_agrees_with_oracle_exhaustively():
@@ -190,7 +200,7 @@ def test_flattening_agrees_with_oracle_exhaustively():
             assignment = dict(zip(names.elements, pair))
             flat = mult(outer, assignment)
             for s in X2.subsets(include_empty=True):
-                assert flat.value(s) == mult_oracle(outer, assignment, s)
+                assert flat.value(s) == written_out_mult(outer, assignment, s)
 
 
 def test_monad_unit_laws_exhaustively():
@@ -378,7 +388,7 @@ def test_mult_on_large_base_is_a_lazy_view():
     view = mult(outer, assignment)
     assert isinstance(view, MultView)
     for s in (frozenset(["y0"]), frozenset(["y5"]), frozenset(["y0", "y5"]), frozenset(["y9"])):
-        assert view.value(s) == mult_oracle(outer, assignment, s)
+        assert view.value(s) == written_out_mult(outer, assignment, s)
 
 
 def test_mult_input_validation():
@@ -455,3 +465,126 @@ def test_enumeration_budget_guard():
     assert list(enumerate_capacities(x5, Chain(1), budget=256))
     with pytest.raises(ValidationError):
         list(enumerate_capacities(X2, K2, kind="weird"))
+
+
+def test_pushforward_view_rejects_names_outside_its_carrier():
+    big = FiniteSpace([f"y{i}" for i in range(20)])
+    f = PointMap(X2, big, {"a": "y0", "b": "y1"})
+    view = PushforwardView(f, random_capacity(X2, K2, random.Random(1)))
+    for bad in ({"zzz"}, {"y0", "zzz"}):
+        with pytest.raises(ValidationError):
+            view.value(frozenset(bad))
+
+
+# ------------------------------------------- multiplication against the scan
+
+
+def random_inner(base, chain, rng):
+    """A pool member of a random class on a small base, a seeded table, or
+    (on a base too large for tables) a seeded density or codensity."""
+    if len(base) > 16:
+        return _random_pointwise(rng.choice([PossibilityCapacity, NecessityCapacity]), base, chain, rng)
+    if rng.random() < 0.5:
+        return random_capacity(base, chain, rng)
+    _, pool = capacity_pool(base, chain, rng.choice(["all", "union", "intersection"]))
+    return rng.choice(list(pool.values()))
+
+
+def names_of(size):
+    return FiniteSpace([f"n{i}" for i in range(size)])
+
+
+def density_outer(chain, rng):
+    return _random_pointwise(PossibilityCapacity, names_of(rng.randint(1, 20)), chain, rng)
+
+
+def codensity_outer(chain, rng):
+    return _random_pointwise(NecessityCapacity, names_of(rng.randint(1, 20)), chain, rng)
+
+
+def table_outer(chain, rng):
+    return random_capacity(names_of(rng.randint(1, 4)), chain, rng)
+
+
+def pushforward_outer(chain, rng):
+    source = names_of(rng.randint(1, 3))
+    names = FiniteSpace([f"m{i}" for i in range(rng.randint(17, 20))])
+    f = PointMap(source, names, {x: rng.choice(names.elements) for x in source.elements})
+    return PushforwardView(f, random_capacity(source, chain, rng))
+
+
+def nested_outer(chain, rng):
+    level2 = names_of(rng.randint(1, 3))
+    names = FiniteSpace([f"m{i}" for i in range(rng.randint(17, 20))])
+    theta = random_capacity(level2, chain, rng)
+    view = mult(theta, {t: random_inner(names, chain, rng) for t in level2.elements})
+    assert isinstance(view, MultView)
+    return view
+
+
+OUTER_FORMS = {
+    "density": density_outer,
+    "codensity": codensity_outer,
+    "table": table_outer,
+    "pushforward": pushforward_outer,
+    "nested": nested_outer,
+}
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(
+    strat.sampled_from(sorted(OUTER_FORMS)),
+    strat.sampled_from([2, 3, 18]),
+    strat.integers(min_value=1, max_value=2),
+    strat.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mult_matches_the_written_out_scan(form, points, k, seed):
+    # 2-3 points give the validated table, checked on every subset; 18
+    # points give the lazy view, checked on sampled subsets
+    rng = random.Random(seed)
+    chain = Chain(k)
+    base = FiniteSpace([f"x{i}" for i in range(points)])
+    outer = OUTER_FORMS[form](chain, rng)
+    assignment = {n: random_inner(base, chain, rng) for n in outer.carrier.elements}
+    flat = mult(outer, assignment)
+    if points > 16:
+        assert isinstance(flat, MultView)
+        subsets = [frozenset(rng.sample(base.elements, rng.randint(0, points))) for _ in range(12)]
+        subsets.append(base.universe)
+    else:
+        assert isinstance(flat, Capacity)
+        subsets = list(base.subsets(include_empty=True))
+    for s in subsets:
+        assert flat.value(s) == written_out_mult(outer, assignment, s)
+
+
+class CountingCapacity:
+    """A capacity that counts the subsets it is read at."""
+
+    def __init__(self, c):
+        self.carrier, self.chain, self.inner, self.reads = c.carrier, c.chain, c, 0
+
+    def value(self, members):
+        self.reads += 1
+        return self.inner.value(members)
+
+
+def test_mult_reads_inner_capacities_only_at_the_outer_support():
+    rng = random.Random(7)
+    names = names_of(12)
+    support = ["n2", "n5", "n9"]
+    outers = [
+        PossibilityCapacity(names, K2, {"n2": 1, "n5": "1/2", "n9": "1/2"}),
+        NecessityCapacity(names, K2, {"n2": 0, "n5": "1/2", "n9": "1/2"}),
+    ]
+    big = FiniteSpace([f"m{i}" for i in range(20)])
+    source = names_of(3)
+    f = PointMap(source, big, {"n0": "m4", "n1": "m11", "n2": "m4"})
+    outers.append(PushforwardView(f, random_capacity(source, K2, rng)))
+    for outer, seen in zip(outers, (support, support, ["m4", "m11"])):
+        assignment = {
+            n: CountingCapacity(random_capacity(X3, K2, rng)) for n in outer.carrier.elements
+        }
+        mult(outer, assignment)
+        read = {n for n, c in assignment.items() if c.reads}
+        assert read == set(seen), type(outer).__name__

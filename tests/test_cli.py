@@ -143,6 +143,17 @@ def test_exhaustive_monad_laws_refuse_three_points(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_monad_laws_on_five_points_are_refused_by_the_hyperspace_budget(tmp_path, capsys):
+    # five points at k=1 pass the capacity budget, so the refusal comes
+    # from the hyperspace enumeration
+    space = tmp_path / "space.json"
+    space.write_text('{"elements": ["a", "b", "c", "d", "e"]}')
+    argv = ["monad-laws", "--space", str(space), "--chain", "1", "--mode", "random"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: hyperspace enumeration is limited to carriers of size <= 4\n"
+
+
 def test_an_oversized_chain_is_refused_before_it_is_built(monkeypatch, capsys):
     def never(k):
         raise AssertionError(f"make_chain({k}) was called")

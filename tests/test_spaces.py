@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from capalg.errors import CarrierMismatchError, ValidationError
+from capalg.errors import BudgetExceededError, CarrierMismatchError, ValidationError
 from capalg.spaces import (
     FiniteSpace,
     InclusionHyperspace,
@@ -29,6 +29,7 @@ from capalg.spaces import (
 
 X2 = FiniteSpace(["a", "b"])
 X3 = FiniteSpace(["a", "b", "c"])
+X4 = FiniteSpace(["a", "b", "c", "d"])
 
 
 def upward_closed_families(space):
@@ -57,18 +58,44 @@ def mult_by_membership(outer, assignment):
     return InclusionHyperspace(base, minimal_members(base, hits))
 
 
+def hyperspaces_by_combinations(space):
+    """Reference enumerator: minimalize every combination of nonempty
+    subsets, keep each antichain once, and sort as enumerate_hyperspaces
+    does."""
+    subsets = list(space.subsets())
+    found, seen = [], set()
+    for r in range(1, len(subsets) + 1):
+        for combo in itertools.combinations(subsets, r):
+            anti = minimal_members(space, combo)
+            if len(anti) == r and anti not in seen:
+                seen.add(anti)
+                found.append(InclusionHyperspace(space, anti))
+    found.sort(key=lambda h: sorted(space.subset_key(m) for m in h.min_sets))
+    return found
+
+
 # frozen counts, confirmed by the up-closed-family oracle below
-HYPERSPACE_COUNTS = {1: 1, 2: 4, 3: 18}
+HYPERSPACE_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166}
 
 
 def test_hyperspace_counts_match_oracle():
-    for space, expected in ((FiniteSpace(["a"]), 1), (X2, 4), (X3, 18)):
+    for space, expected in ((FiniteSpace(["a"]), 1), (X2, 4), (X3, 18), (X4, 166)):
         oracle = upward_closed_families(space)
         assert len(oracle) == expected == HYPERSPACE_COUNTS[len(space)]
         enumerated = enumerate_hyperspaces(space)
         assert len(enumerated) == expected
         as_families = {frozenset(h.members()) for h in enumerated}
         assert as_families == set(oracle)
+
+
+def test_enumeration_matches_the_combinations_oracle_in_order():
+    for space in (FiniteSpace(["a"]), X2, X3, X4):
+        assert enumerate_hyperspaces(space) == hyperspaces_by_combinations(space)
+
+
+def test_enumeration_above_four_points_is_a_budget_refusal():
+    with pytest.raises(BudgetExceededError, match="limited to carriers of size <= 4"):
+        enumerate_hyperspaces(FiniteSpace(list("abcde")))
 
 
 def test_minimal_members_is_an_antichain_generating_the_family():
