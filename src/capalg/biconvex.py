@@ -34,11 +34,12 @@ preimage-independence sweeps in the law suites.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Mapping
 
-from .chain import Chain, Level
+from .chain import Chain, Level, complement
 from .errors import (
     CarrierMismatchError,
     LawViolationError,
@@ -49,6 +50,7 @@ from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     StructureMap,
+    _check_cube_size,
     canonical_key,
     capacity_pool,
     kappa_dual,
@@ -126,28 +128,36 @@ class BiconvexStructure(TableStructure):
         return self.join_all(self.carrier.elements)
 
 
+# each word of a law text with the word the order dual writes for it
+_SWAPS = (("join", "meet"), ("max", "min"), ("bottom", "top"), ("*", "+"))
+_DUAL_WORDS = {**dict(_SWAPS), **{b: a for a, b in _SWAPS}}
+
+
+def _dual_text(template: str, **cells) -> str:
+    """A law text of the join side as the order dual writes it: its words
+    swap (join-module and meet-module too) and a level a shows as 1 - a."""
+    words = "|".join(map(re.escape, _DUAL_WORDS))
+    return re.sub(words, lambda w: _DUAL_WORDS[w[0]], template).format(
+        **{n: complement(v) if isinstance(v, Level) else v for n, v in cells.items()}
+    )
+
+
 def _lattice_diagnostics(carrier, bjoin, bmeet) -> list[str]:
-    out: list[str] = []
+    """The lattice laws, each meet law the join law of the swapped pair."""
     X = carrier.elements
-    for x, y in itertools.product(X, repeat=2):
-        if bjoin[(x, y)] != bjoin[(y, x)]:
-            out.append(f"lattice: join({x},{y}) != join({y},{x})")
-        if bmeet[(x, y)] != bmeet[(y, x)]:
-            out.append(f"lattice: meet({x},{y}) != meet({y},{x})")
-        if bmeet[(x, bjoin[(x, y)])] != x:
-            out.append(f"lattice: absorption meet({x},join({x},{y})) != {x}")
-        if bjoin[(x, bmeet[(x, y)])] != x:
-            out.append(f"lattice: absorption join({x},meet({x},{y})) != {x}")
-    for x in X:
-        if bjoin[(x, x)] != x:
-            out.append(f"lattice: join({x},{x}) != {x}")
-        if bmeet[(x, x)] != x:
-            out.append(f"lattice: meet({x},{x}) != {x}")
-    for x, y, z in itertools.product(X, repeat=3):
-        if bjoin[(bjoin[(x, y)], z)] != bjoin[(x, bjoin[(y, z)])]:
-            out.append(f"lattice: join associativity fails at ({x},{y},{z})")
-        if bmeet[(bmeet[(x, y)], z)] != bmeet[(x, bmeet[(y, z)])]:
-            out.append(f"lattice: meet associativity fails at ({x},{y},{z})")
+    out: list[str] = []
+    for join, meet, say in ((bjoin, bmeet, str.format), (bmeet, bjoin, _dual_text)):
+        for x, y in itertools.product(X, repeat=2):
+            if join[(x, y)] != join[(y, x)]:
+                out.append(say("lattice: join({x},{y}) != join({y},{x})", x=x, y=y))
+            if meet[(x, join[(x, y)])] != x:
+                out.append(say("lattice: absorption meet({x},join({x},{y})) != {x}", x=x, y=y))
+        for x in X:
+            if join[(x, x)] != x:
+                out.append(say("lattice: join({x},{x}) != {x}", x=x))
+        for x, y, z in itertools.product(X, repeat=3):
+            if join[(join[(x, y)], z)] != join[(x, join[(y, z)])]:
+                out.append(say("lattice: join associativity fails at ({x},{y},{z})", x=x, y=y, z=z))
     if out:
         return out  # distributivity presupposes the lattice laws
     # a lattice is distributive iff it has no N5 or M3 sublattice (Birkhoff,
@@ -159,65 +169,34 @@ def _lattice_diagnostics(carrier, bjoin, bmeet) -> list[str]:
 
 
 def check_biconvex(b: BiconvexStructure) -> list[str]:
-    """All finite biconvex laws; topological conditions are vacuous here."""
+    """All finite biconvex laws; topological conditions are vacuous here.
+    The join-module laws of (X, bjoin, smeet) and the mixed laws led by a join
+    or a * run on b, then on ``b.op``, reading the cells of their meet twins."""
     out = _lattice_diagnostics(b.carrier, b.bjoin, b.bmeet)
     if out:
         return out  # bounds below presuppose the lattice laws
-    X = b.carrier.elements
-    levels = b.chain.levels
-    one, zero = b.chain.one, b.chain.zero
-    bot, top = b.bottom, b.top
-    bjoin, bmeet, smeet, sjoin = b.bjoin, b.bmeet, b.smeet, b.sjoin
-    # (X, bjoin, smeet) over (chain, max, min); zero element is the bottom
-    for x in X:
-        if bjoin[(x, bot)] != x:
-            out.append(f"join-module axiom-3: {x}+bottom != {x}")
-        if smeet[(one, x)] != x:
-            out.append(f"join-module axiom-6: 1*{x} != {x}")
-        if smeet[(zero, x)] != bot:
-            out.append(f"join-module axiom-7: 0*{x} != bottom")
-    for a in levels:
-        for x, y in itertools.product(X, repeat=2):
+    for s, say in ((b, str.format), (b.op, _dual_text)):
+        X, levels, bot = s.carrier.elements, s.chain.levels, s.bottom
+        bjoin, smeet, sjoin = s.bjoin, s.smeet, s.sjoin
+        for x in X:
+            if bjoin[(x, bot)] != x:
+                out.append(say("join-module axiom-3: {x}+bottom != {x}", x=x))
+            if smeet[(s.chain.one, x)] != x:
+                out.append(say("join-module axiom-6: {a}*{x} != {x}", a=s.chain.one, x=x))
+            if smeet[(s.chain.zero, x)] != bot:
+                out.append(say("join-module axiom-7: {a}*{x} != bottom", a=s.chain.zero, x=x))
+        for a, x, y in itertools.product(levels, X, X):
             if smeet[(a, bjoin[(x, y)])] != bjoin[(smeet[(a, x)], smeet[(a, y)])]:
-                out.append(f"join-module axiom-4: {a}*join({x},{y}) mismatch")
-    for a, c in itertools.product(levels, repeat=2):
-        for x in X:
-            if smeet[(max(a, c), x)] != bjoin[(smeet[(a, x)], smeet[(c, x)])]:
-                out.append(f"join-module axiom-4: (max {a},{c})*{x} mismatch")
-            if smeet[(min(a, c), x)] != smeet[(a, smeet[(c, x)])]:
-                out.append(f"join-module axiom-5: (min {a},{c})*{x} mismatch")
-    # (X, bmeet, sjoin) over (chain, min, max); zero element is the top
-    for x in X:
-        if bmeet[(x, top)] != x:
-            out.append(f"meet-module axiom-3: meet({x},top) != {x}")
-        if sjoin[(zero, x)] != x:
-            out.append(f"meet-module axiom-6: 0+{x} != {x}")
-        if sjoin[(one, x)] != top:
-            out.append(f"meet-module axiom-7: 1+{x} != top")
-    for a in levels:
-        for x, y in itertools.product(X, repeat=2):
-            if sjoin[(a, bmeet[(x, y)])] != bmeet[(sjoin[(a, x)], sjoin[(a, y)])]:
-                out.append(f"meet-module axiom-4: {a}+meet({x},{y}) mismatch")
-    for a, c in itertools.product(levels, repeat=2):
-        for x in X:
-            if sjoin[(min(a, c), x)] != bmeet[(sjoin[(a, x)], sjoin[(c, x)])]:
-                out.append(f"meet-module axiom-4: (min {a},{c})+{x} mismatch")
-            if sjoin[(max(a, c), x)] != sjoin[(a, sjoin[(c, x)])]:
-                out.append(f"meet-module axiom-5: (max {a},{c})+{x} mismatch")
-    # mixed associative laws
-    for a in levels:
-        for x, y in itertools.product(X, repeat=2):
+                out.append(say("join-module axiom-4: {a}*join({x},{y}) mismatch", a=a, x=x, y=y))
             if bjoin[(sjoin[(a, x)], y)] != sjoin[(a, bjoin[(x, y)])]:
-                out.append(f"mixed-assoc: join({a}+{x},{y}) mismatch")
-            if bmeet[(smeet[(a, x)], y)] != smeet[(a, bmeet[(x, y)])]:
-                out.append(f"mixed-assoc: meet({a}*{x},{y}) mismatch")
-    # mixed distributive laws
-    for a, c in itertools.product(levels, repeat=2):
-        for x in X:
+                out.append(say("mixed-assoc: join({a}+{x},{y}) mismatch", a=a, x=x, y=y))
+        for a, c, x in itertools.product(levels, levels, X):
+            if smeet[(max(a, c), x)] != bjoin[(smeet[(a, x)], smeet[(c, x)])]:
+                out.append(say("join-module axiom-4: (max {a},{c})*{x} mismatch", a=a, c=c, x=x))
+            if smeet[(min(a, c), x)] != smeet[(a, smeet[(c, x)])]:
+                out.append(say("join-module axiom-5: (min {a},{c})*{x} mismatch", a=a, c=c, x=x))
             if smeet[(a, sjoin[(c, x)])] != sjoin[(min(a, c), smeet[(a, x)])]:
-                out.append(f"mixed-dist: {a}*({c}+{x}) mismatch")
-            if sjoin[(a, smeet[(c, x)])] != smeet[(max(a, c), sjoin[(a, x)])]:
-                out.append(f"mixed-dist: {a}+({c}*{x}) mismatch")
+                out.append(say("mixed-dist: {a}*({c}+{x}) mismatch", a=a, c=c, x=x))
     return out
 
 
@@ -533,21 +512,17 @@ def quadruple_from_algebra(xi: CapacityStructureMap) -> BiconvexStructure:
 
 
 def is_biaffine(f: PointMap, b: BiconvexStructure, b2: BiconvexStructure) -> bool:
-    """Does f preserve joins with scaled arguments and meets with raised ones?"""
+    """Does f preserve joins with scaled arguments, and (the same on the
+    order duals) meets with raised ones?"""
     if f.source != b.carrier or f.target != b2.carrier:
         raise CarrierMismatchError("map endpoints do not match the structures")
     if b.chain != b2.chain:
         raise ValidationError("structures use different chains")
-    for x, y in itertools.product(b.carrier.elements, repeat=2):
-        for a in b.chain.levels:
-            lhs = f(b.bjoin[(x, b.smeet[(a, y)])])
-            rhs = b2.bjoin[(f(x), b2.smeet[(a, f(y))])]
-            if lhs != rhs:
-                return False
-            lhs = f(b.bmeet[(x, b.sjoin[(a, y)])])
-            rhs = b2.bmeet[(f(x), b2.sjoin[(a, f(y))])]
-            if lhs != rhs:
-                return False
+    for s, s2 in ((b, b2), (b.op, b2.op)):
+        for x, y in itertools.product(b.carrier.elements, repeat=2):
+            for a in b.chain.levels:
+                if f(s.bjoin[(x, s.smeet[(a, y)])]) != s2.bjoin[(f(x), s2.smeet[(a, f(y))])]:
+                    return False
     return True
 
 
@@ -557,7 +532,6 @@ class CubeStructure:
 
     structure: BiconvexStructure
     phis: list[dict[Level, Level]]
-    coords: dict[str, tuple]  # element name -> level tuple
 
 
 def weight_maps(chain: Chain) -> list[dict[Level, Level]]:
@@ -592,6 +566,7 @@ def cube_structure(chain: Chain, phis: list[Mapping[Level, Level]]) -> CubeStruc
     """
     if not phis:
         raise ValidationError("a cube needs at least one coordinate")
+    _check_cube_size(chain.k, len(phis))
     fixed = [_validate_phi(chain, phi) for phi in phis]
     arity = len(fixed)
     tuples = list(itertools.product(chain.levels, repeat=arity))
@@ -609,7 +584,7 @@ def cube_structure(chain: Chain, phis: list[Mapping[Level, Level]]) -> CubeStruc
             smeet[(a, names[t])] = names[tuple(min(f[a], v) for f, v in zip(fixed, t))]
             sjoin[(a, names[t])] = names[tuple(max(f[a], v) for f, v in zip(fixed, t))]
     structure = BiconvexStructure(carrier, chain, bjoin, bmeet, smeet, sjoin)
-    return CubeStructure(structure, fixed, {names[t]: t for t in tuples})
+    return CubeStructure(structure, fixed)
 
 
 def chain_model(chain: Chain) -> BiconvexStructure:

@@ -34,6 +34,8 @@ from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset
 _MAX_TABLE_CARRIER = 16
 # default guard for enumeration: (2^|X| - 1) * (k + 1)
 DEFAULT_ENUMERATION_BUDGET = 64
+# a cube holds (k + 1)^A points: 81 at k=2 and A=4, 64 at k=3 and A=3
+_MAX_CUBE_POINTS = 81
 # sweeps over every density on a carrier of names run up to this many
 EXHAUSTIVE_DENSITY_LIMIT = 1024
 # capacity_pool entries: a suite works on at most three spaces, each with
@@ -483,6 +485,18 @@ def check_enumeration_budget(space: FiniteSpace, k: int, budget: int) -> None:
             f"enumeration size measure {cost} exceeds budget {budget} "
             f"(|X|={len(space)}, k={k})"
         )
+
+
+def _check_cube_size(k: int, arity: int) -> None:
+    """Refuse a cube of more than _MAX_CUBE_POINTS points from (k, arity)
+    alone, before its chain or any point is built."""
+    points = 1
+    for _ in range(arity):
+        points *= k + 1
+        if points > _MAX_CUBE_POINTS:
+            raise BudgetExceededError(
+                f"a cube of {k + 1}^{arity} points exceeds the limit of {_MAX_CUBE_POINTS}"
+            )
 
 
 def enumerate_capacities(

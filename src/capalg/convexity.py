@@ -340,8 +340,6 @@ class QuotientSemimodule:
 
     semimodule: Semimodule
     embedding: PointMap
-    classes: dict[str, tuple]          # class name -> action tuple over base points
-    fibers: dict[str, list[tuple]]     # class name -> [(x, a), ...] merged pairs
 
 
 def quotient_semimodule(s: ConvexStructure) -> QuotientSemimodule:
@@ -353,11 +351,7 @@ def quotient_semimodule(s: ConvexStructure) -> QuotientSemimodule:
     is the identity tuple (weight 0), and x embeds as its weight-1 pair.
     """
     X = s.carrier.elements
-    tuples: dict[tuple, list[tuple]] = {}
-    for x in X:
-        for a in s.chain.levels:
-            t = tuple(s.ic[(base, a, x)] for base in X)
-            tuples.setdefault(t, []).append((x, a))
+    tuples = {tuple(s.ic[(base, a, x)] for base in X) for x in X for a in s.chain.levels}
     order = sorted(tuples, key=lambda t: tuple(s.carrier.index[e] for e in t))
     names = {t: f"q{i}" for i, t in enumerate(order)}
     carrier = FiniteSpace([names[t] for t in order])
@@ -390,12 +384,7 @@ def quotient_semimodule(s: ConvexStructure) -> QuotientSemimodule:
     embed_table = {
         x: names[tuple(s.ic[(base, s.chain.one, x)] for base in X)] for x in X
     }
-    embedding = PointMap(s.carrier, carrier, embed_table)
-    classes = {names[t]: t for t in order}
-    fibers = {
-        names[t]: [(x, a) for (x, a) in tuples[t]] for t in order
-    }
-    return QuotientSemimodule(module, embedding, classes, fibers)
+    return QuotientSemimodule(module, PointMap(s.carrier, carrier, embed_table))
 
 
 def enumerate_join_tables(space: FiniteSpace) -> Iterator[dict[tuple[str, str], str]]:

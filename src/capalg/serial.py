@@ -21,10 +21,13 @@ from .chain import Chain, level_from_string, level_to_string, make_chain
 from .errors import ValidationError
 from .spaces import FiniteSpace, InclusionHyperspace, Subset, TableStructure
 from .capacity import (
+    DEFAULT_ENUMERATION_BUDGET,
     Capacity,
     CapacityLike,
     NecessityCapacity,
     PossibilityCapacity,
+    _check_cube_size,
+    check_enumeration_budget,
 )
 from .convexity import (
     ConvexStructure,
@@ -104,10 +107,22 @@ def _list(obj: Mapping, key: str) -> list:
     return value
 
 
-def _space_chain_from(obj: Mapping) -> tuple[FiniteSpace, Chain]:
+def _space_chain_from(obj: Mapping, refuse) -> tuple[FiniteSpace, Chain]:
+    """The carrier and the chain.  ``refuse(space, k)``, unless None, raises
+    for a resolution the document cannot use, before the k + 1 levels of
+    the chain are built."""
     _object(obj, "structure JSON")
     k = _field(obj, "chain_k")
-    return FiniteSpace(_list(obj, "elements")), make_chain(k)
+    space = FiniteSpace(_list(obj, "elements"))
+    if refuse is not None and type(k) is int and k >= 1:
+        refuse(space, k)
+    return space, make_chain(k)
+
+
+def _read_by_pool(space: FiniteSpace, k: int) -> None:
+    """A map keyed by capacities is only read through the capacity pool,
+    which the enumeration budget bounds."""
+    check_enumeration_budget(space, k, DEFAULT_ENUMERATION_BUDGET)
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -206,7 +221,17 @@ def _structure_to_json(s: TableStructure) -> dict:
 
 
 def _structure_from_json(cls: type[TableStructure], obj: Mapping):
-    space, chain = _space_chain_from(obj)
+    def refuse(space, k):
+        # every form has a table keyed by levels, so a cell per level; the
+        # tables are looked up as below, with the same errors
+        cells = sum(len(_table(obj, name)) for name, shape in cls._tables.items() if shape)
+        if k >= cells:
+            raise ValidationError(
+                f"chain_k {k} has {k + 1} levels, more than the {cells} table cells "
+                f"of the document"
+            )
+
+    space, chain = _space_chain_from(obj, refuse)
     return cls(space, chain, *(
         _table_from_json(chain, _table(obj, name), name, shape) if shape else _field(obj, name)
         for name, shape in cls._tables.items()
@@ -235,7 +260,7 @@ def _form(obj: Mapping, markers: tuple[str, ...], what: str) -> str | None:
 
 
 def capacity_from_json(obj: Mapping) -> CapacityLike:
-    space, chain = _space_chain_from(obj)
+    space, chain = _space_chain_from(obj, None)
     form = _form(obj, ("density", "codensity", "values"), "capacity")
     for cls in (PossibilityCapacity, NecessityCapacity):
         if form == cls._name:
@@ -273,7 +298,7 @@ def union_map_to_json(xi: UnionStructureMap) -> dict:
 
 
 def union_map_from_json(obj: Mapping) -> UnionStructureMap:
-    space, chain = _space_chain_from(obj)
+    space, chain = _space_chain_from(obj, _read_by_pool)
     table = _vectors_from_json(chain, obj, "xi", len(space))
     return UnionStructureMap.from_table(space, chain, table)
 
@@ -312,10 +337,14 @@ def cube_to_json(cube: CubeStructure) -> dict:
 
 def cube_from_json(obj: Mapping) -> CubeStructure:
     _object(obj, "cube JSON")
-    chain = make_chain(_field(obj, "chain_k"))
+    k = _field(obj, "chain_k")
+    raws = _list(obj, "phi")
+    if type(k) is int and k >= 1:
+        _check_cube_size(k, len(raws))
+    chain = make_chain(k)
     phis = [
         _table_from_json(chain, _object(raw, "a phi entry"), "phi", "a", "a")
-        for raw in _list(obj, "phi")
+        for raw in raws
     ]
     if "A" in obj and obj["A"] != len(phis):
         raise ValidationError("cube arity does not match the phi list")
@@ -334,7 +363,7 @@ def full_map_to_json(
 
 def full_map_from_json(obj: Mapping) -> CapacityStructureMap:
     """Keys are value vectors over the nonempty subsets in canonical order."""
-    space, chain = _space_chain_from(obj)
+    space, chain = _space_chain_from(obj, _read_by_pool)
     table = _vectors_from_json(chain, obj, "xi_full", 2 ** len(space) - 1)
     return CapacityStructureMap.from_table(space, chain, table)
 

@@ -198,10 +198,11 @@ def _biconvex_witness(b: BiconvexStructure) -> str:
 # ---------------------------------------------------------------- chain laws
 
 
-def chain_suite(max_k: int = 4) -> SuiteReport:
-    """Idempotent-semiring, lattice, and complement laws for every chain."""
+def chain_suite() -> SuiteReport:
+    """Idempotent-semiring, lattice, and complement laws for every chain to k = 4."""
     rep = SuiteReport("chain-semiring")
-    for k in range(1, max_k + 1):
+    ks = range(1, 5)
+    for k in ks:
         ch = make_chain(k)
         lv = ch.levels
         for a in lv:
@@ -248,7 +249,7 @@ def chain_suite(max_k: int = 4) -> SuiteReport:
                 join(a, meet(b, c)) == meet(join(a, b), join(a, c)),
                 w,
             )
-    rep.counts["chains"] = max_k
+    rep.counts["chains"] = len(ks)
     return rep
 
 
@@ -653,6 +654,16 @@ def _morphism_sweep(rep, law, count, chain, groups, map_cls, preserves, show, ex
                             extra(f, s1, s2)
 
 
+def _action_checks(rep: SuiteReport, f: PointMap, b1: BiconvexStructure, b2) -> None:
+    """f keeps the meet action iff it fixes the bottom; the join action is
+    the meet action of the order duals, whose bottoms are the tops."""
+    w = f"f={_map_witness(f)}"
+    for s1, s2, law in ((b1, b2, "meet-action-preserved-iff-bottom-fixed"),
+                        (b1.op, b2.op, "join-action-preserved-iff-top-fixed")):
+        keeps = all(f(z) == s2.smeet[(a, f(x))] for (a, x), z in s1.smeet.items())
+        rep.check(law, keeps == (f(s1.bottom) == s2.bottom), w)
+
+
 def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
     """Morphism <=> (bi)affine over every map between enumerated structures,
     plus the max(x, 1/2) witness on the chain model."""
@@ -664,36 +675,11 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
         lambda s1, s2: f"s1={_convex_witness(s1)} s2={_convex_witness(s2)}", None,
     )
 
-    levels = chain.levels
-
-    def keeps_actions(f, b1, b2):
-        keeps_meet = all(
-            f(b1.smeet[(a, x)]) == b2.smeet[(a, f(x))]
-            for a in levels
-            for x in b1.carrier.elements
-        )
-        keeps_join = all(
-            f(b1.sjoin[(a, x)]) == b2.sjoin[(a, f(x))]
-            for a in levels
-            for x in b1.carrier.elements
-        )
-        w = f"f={_map_witness(f)}"
-        rep.check(
-            "meet-action-preserved-iff-bottom-fixed",
-            keeps_meet == (f(b1.bottom) == b2.bottom),
-            w,
-        )
-        rep.check(
-            "join-action-preserved-iff-top-fixed",
-            keeps_join == (f(b1.top) == b2.top),
-            w,
-        )
-
     _morphism_sweep(
         rep, "biaffine-iff-full-morphism", "full-algebra-maps", chain,
         {sp: biconvex_structures(sp, chain) for sp in spaces}, CapacityStructureMap, is_biaffine,
         lambda b1, b2: f"b1={_biconvex_witness(b1)} b2={_biconvex_witness(b2)}",
-        keeps_actions,
+        partial(_action_checks, rep),
     )
 
     half = Fraction(1, 2)
@@ -720,10 +706,10 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
 # ------------------------------------------------------------- quotient
 
 
-def quotient_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
+def quotient_suite(chain: Chain) -> SuiteReport:
     """Quotient semimodule construction for every enumerated convex structure."""
     rep = SuiteReport("quotient-semimodule")
-    for sp in desk_spaces(max_size):
+    for sp in desk_spaces():
         for s in convex_structures(sp, chain):
             wit = _convex_witness(s)
             q = quotient_semimodule(s)
@@ -907,7 +893,7 @@ def full_map_suite(
 # ------------------------------------------------------------ sugeno record
 
 
-def sugeno_suite(chain: Chain, max_size: int = 2, with_chain_model: bool = True) -> SuiteReport:
+def sugeno_suite(chain: Chain) -> SuiteReport:
     """Compare the factored structure map against the direct join of
     weighted meets on every capacity; both outcomes are recorded.
 
@@ -916,9 +902,8 @@ def sugeno_suite(chain: Chain, max_size: int = 2, with_chain_model: bool = True)
     joins two independent computations.
     """
     rep = SuiteReport("sugeno-crosscheck")
-    targets = [b for sp in desk_spaces(max_size) for b in biconvex_structures(sp, chain)]
-    if with_chain_model:
-        targets.append(chain_model(chain))
+    targets = [b for sp in desk_spaces(2) for b in biconvex_structures(sp, chain)]
+    targets.append(chain_model(chain))
     agreements = 0
     first_diff = None
     mixtures: dict[FiniteSpace, dict] = {}  # the search depends only on the capacity
@@ -960,13 +945,11 @@ def sugeno_suite(chain: Chain, max_size: int = 2, with_chain_model: bool = True)
 # ------------------------------------------------------------- embeddings
 
 
-def embedding_suite(chain: Chain | None = None) -> SuiteReport:
+def embedding_suite(chain: Chain) -> SuiteReport:
     """Self-certificates for the chain model and all small cubes, plus the
     recorded result for the four-element diamond."""
     rep = SuiteReport("coordinate-embedding")
-    base = chain or make_chain(2)
-
-    res = embedding_search(chain_model(base), max_arity=1)
+    res = embedding_search(chain_model(chain), max_arity=1)
     rep.check(
         "chain-model-self-certificate",
         res.found and res.arity == 1,
@@ -982,7 +965,7 @@ def embedding_suite(chain: Chain | None = None) -> SuiteReport:
             )
             rep.bump("cube-instances")
 
-    diamond = diamond_structure(base)
+    diamond = diamond_structure(chain)
     got = embedding_search(diamond, max_arity=2)
     rep.counts["diamond-found"] = int(got.found)
     if got.found:

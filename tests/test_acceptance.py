@@ -77,7 +77,7 @@ def capacity_count_oracle(space, chain) -> int:
 
 
 def test_criterion_1_chain_semiring():
-    rep, dt = _timed(suites.chain_suite, 4)
+    rep, dt = _timed(suites.chain_suite)
     ok = rep.passed and rep.counts["chains"] == 4 and dt < 1.0
     _verdict(
         1,
@@ -184,8 +184,8 @@ def test_criterion_5_morphism_equivalence():
 
 
 def test_criterion_6_quotient_semimodule():
-    rep1 = suites.quotient_suite(K1, max_size=3)
-    rep2 = suites.quotient_suite(K2, max_size=3)
+    rep1 = suites.quotient_suite(K1)
+    rep2 = suites.quotient_suite(K2)
     ok = (
         rep1.passed
         and rep2.passed
@@ -223,8 +223,8 @@ def test_criterion_7_full_structure_maps():
 
 
 def test_criterion_8_weighted_meet_crosscheck():
-    rep1 = suites.sugeno_suite(K1, max_size=2, with_chain_model=True)
-    rep2 = suites.sugeno_suite(K2, max_size=2, with_chain_model=True)
+    rep1 = suites.sugeno_suite(K1)
+    rep2 = suites.sugeno_suite(K2)
     recorded = all(
         r.counts["comparisons"] > 0 and any("join-of-weighted-meets" in n for n in r.notes)
         for r in (rep1, rep2)

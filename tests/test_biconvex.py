@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +12,12 @@ import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
-from capalg.errors import CarrierMismatchError, LawViolationError, ValidationError
+from capalg.errors import (
+    BudgetExceededError,
+    CarrierMismatchError,
+    LawViolationError,
+    ValidationError,
+)
 from capalg.spaces import FiniteSpace, PointMap
 from capalg.capacity import (
     NecessityCapacity,
@@ -53,9 +60,16 @@ from capalg.biconvex import (
     weight_maps,
     _check_match,
     _coordinate_candidates,
+    _lattice_diagnostics,
 )
 from capalg.serial import full_map_from_json, full_map_to_json
-from capalg.suites import _xi_via_intersection_mixture, _xi_via_union_mixture
+from capalg.suites import (
+    SuiteReport,
+    _action_checks,
+    _map_witness,
+    _xi_via_intersection_mixture,
+    _xi_via_union_mixture,
+)
 
 K1 = Chain(1)
 K2 = Chain(2)
@@ -698,6 +712,204 @@ def test_necessity_side_through_the_order_dual_matches_the_written_out_side(n, k
         )
 
 
+# The meet-side law checks as they were written out before they became the
+# join-side checks on the order dual (or on the swapped lattice tables);
+# kept as the oracle for that route.
+
+
+def written_out_lattice_diagnostics(carrier, bjoin, bmeet):
+    out = []
+    X = carrier.elements
+    for x, y in itertools.product(X, repeat=2):
+        if bjoin[(x, y)] != bjoin[(y, x)]:
+            out.append(f"lattice: join({x},{y}) != join({y},{x})")
+        if bmeet[(x, y)] != bmeet[(y, x)]:
+            out.append(f"lattice: meet({x},{y}) != meet({y},{x})")
+        if bmeet[(x, bjoin[(x, y)])] != x:
+            out.append(f"lattice: absorption meet({x},join({x},{y})) != {x}")
+        if bjoin[(x, bmeet[(x, y)])] != x:
+            out.append(f"lattice: absorption join({x},meet({x},{y})) != {x}")
+    for x in X:
+        if bjoin[(x, x)] != x:
+            out.append(f"lattice: join({x},{x}) != {x}")
+        if bmeet[(x, x)] != x:
+            out.append(f"lattice: meet({x},{x}) != {x}")
+    for x, y, z in itertools.product(X, repeat=3):
+        if bjoin[(bjoin[(x, y)], z)] != bjoin[(x, bjoin[(y, z)])]:
+            out.append(f"lattice: join associativity fails at ({x},{y},{z})")
+        if bmeet[(bmeet[(x, y)], z)] != bmeet[(x, bmeet[(y, z)])]:
+            out.append(f"lattice: meet associativity fails at ({x},{y},{z})")
+    if out:
+        return out
+    for x, y, z in itertools.product(X, repeat=3):
+        if bmeet[(x, bjoin[(y, z)])] != bjoin[(bmeet[(x, y)], bmeet[(x, z)])]:
+            out.append(f"lattice: distributivity fails at ({x},{y},{z})")
+    return out
+
+
+def written_out_check_biconvex(b):
+    out = written_out_lattice_diagnostics(b.carrier, b.bjoin, b.bmeet)
+    if out:
+        return out
+    X = b.carrier.elements
+    levels = b.chain.levels
+    one, zero = b.chain.one, b.chain.zero
+    bot, top = b.bottom, b.top
+    bjoin, bmeet, smeet, sjoin = b.bjoin, b.bmeet, b.smeet, b.sjoin
+    for x in X:
+        if bjoin[(x, bot)] != x:
+            out.append(f"join-module axiom-3: {x}+bottom != {x}")
+        if smeet[(one, x)] != x:
+            out.append(f"join-module axiom-6: 1*{x} != {x}")
+        if smeet[(zero, x)] != bot:
+            out.append(f"join-module axiom-7: 0*{x} != bottom")
+    for a in levels:
+        for x, y in itertools.product(X, repeat=2):
+            if smeet[(a, bjoin[(x, y)])] != bjoin[(smeet[(a, x)], smeet[(a, y)])]:
+                out.append(f"join-module axiom-4: {a}*join({x},{y}) mismatch")
+    for a, c in itertools.product(levels, repeat=2):
+        for x in X:
+            if smeet[(max(a, c), x)] != bjoin[(smeet[(a, x)], smeet[(c, x)])]:
+                out.append(f"join-module axiom-4: (max {a},{c})*{x} mismatch")
+            if smeet[(min(a, c), x)] != smeet[(a, smeet[(c, x)])]:
+                out.append(f"join-module axiom-5: (min {a},{c})*{x} mismatch")
+    for x in X:
+        if bmeet[(x, top)] != x:
+            out.append(f"meet-module axiom-3: meet({x},top) != {x}")
+        if sjoin[(zero, x)] != x:
+            out.append(f"meet-module axiom-6: 0+{x} != {x}")
+        if sjoin[(one, x)] != top:
+            out.append(f"meet-module axiom-7: 1+{x} != top")
+    for a in levels:
+        for x, y in itertools.product(X, repeat=2):
+            if sjoin[(a, bmeet[(x, y)])] != bmeet[(sjoin[(a, x)], sjoin[(a, y)])]:
+                out.append(f"meet-module axiom-4: {a}+meet({x},{y}) mismatch")
+    for a, c in itertools.product(levels, repeat=2):
+        for x in X:
+            if sjoin[(min(a, c), x)] != bmeet[(sjoin[(a, x)], sjoin[(c, x)])]:
+                out.append(f"meet-module axiom-4: (min {a},{c})+{x} mismatch")
+            if sjoin[(max(a, c), x)] != sjoin[(a, sjoin[(c, x)])]:
+                out.append(f"meet-module axiom-5: (max {a},{c})+{x} mismatch")
+    for a in levels:
+        for x, y in itertools.product(X, repeat=2):
+            if bjoin[(sjoin[(a, x)], y)] != sjoin[(a, bjoin[(x, y)])]:
+                out.append(f"mixed-assoc: join({a}+{x},{y}) mismatch")
+            if bmeet[(smeet[(a, x)], y)] != smeet[(a, bmeet[(x, y)])]:
+                out.append(f"mixed-assoc: meet({a}*{x},{y}) mismatch")
+    for a, c in itertools.product(levels, repeat=2):
+        for x in X:
+            if smeet[(a, sjoin[(c, x)])] != sjoin[(min(a, c), smeet[(a, x)])]:
+                out.append(f"mixed-dist: {a}*({c}+{x}) mismatch")
+            if sjoin[(a, smeet[(c, x)])] != smeet[(max(a, c), sjoin[(a, x)])]:
+                out.append(f"mixed-dist: {a}+({c}*{x}) mismatch")
+    return out
+
+
+def written_out_is_biaffine(f, b, b2):
+    for x, y in itertools.product(b.carrier.elements, repeat=2):
+        for a in b.chain.levels:
+            lhs = f(b.bjoin[(x, b.smeet[(a, y)])])
+            rhs = b2.bjoin[(f(x), b2.smeet[(a, f(y))])]
+            if lhs != rhs:
+                return False
+            lhs = f(b.bmeet[(x, b.sjoin[(a, y)])])
+            rhs = b2.bmeet[(f(x), b2.sjoin[(a, f(y))])]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def written_out_action_checks(rep, f, b1, b2):
+    levels = b1.chain.levels
+    keeps_meet = all(
+        f(b1.smeet[(a, x)]) == b2.smeet[(a, f(x))]
+        for a in levels
+        for x in b1.carrier.elements
+    )
+    keeps_join = all(
+        f(b1.sjoin[(a, x)]) == b2.sjoin[(a, f(x))]
+        for a in levels
+        for x in b1.carrier.elements
+    )
+    w = f"f={_map_witness(f)}"
+    rep.check(
+        "meet-action-preserved-iff-bottom-fixed",
+        keeps_meet == (f(b1.bottom) == b2.bottom),
+        w,
+    )
+    rep.check(
+        "join-action-preserved-iff-top-fixed",
+        keeps_join == (f(b1.top) == b2.top),
+        w,
+    )
+
+
+def assert_law_checks_match_the_written_out_ones(b, b2, maps):
+    """The same multiset of law texts from both routes, and on each map
+    the same biaffine verdict and the same action-check findings."""
+    got = check_biconvex(b)
+    assert Counter(got) == Counter(written_out_check_biconvex(b))
+    assert Counter(_lattice_diagnostics(b.carrier, b.bjoin, b.bmeet)) == Counter(
+        written_out_lattice_diagnostics(b.carrier, b.bjoin, b.bmeet)
+    )
+    for f in maps:
+        assert is_biaffine(f, b, b2) == written_out_is_biaffine(f, b, b2)
+        reports = SuiteReport("new"), SuiteReport("old")
+        _action_checks(reports[0], f, b, b2)
+        written_out_action_checks(reports[1], f, b, b2)
+        assert reports[0].cases == reports[1].cases
+        assert reports[0].to_json()["findings"] == reports[1].to_json()["findings"]
+    return got
+
+
+def random_maps(source, target, draw, count):
+    return [
+        PointMap(source, target, dict(zip(source.elements, draw(strat.lists(
+            strat.sampled_from(target.elements), min_size=len(source), max_size=len(source),
+        )))))
+        for _ in range(count)
+    ]
+
+
+@hypothesis.settings(deadline=None, max_examples=80)
+@hypothesis.given(
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=1, max_value=2),
+    strat.data(),
+)
+def test_law_checks_through_the_order_dual_match_the_written_out_ones(n, n2, k, data):
+    b, b2 = overwritten_tables(n, k, data), overwritten_tables(n2, k, data)
+    maps = random_maps(b.carrier, b2.carrier, data.draw, 4)
+    assert_law_checks_match_the_written_out_ones(b, b2, maps)
+
+
+def test_law_checks_through_the_order_dual_match_on_corrupted_named_models():
+    """1-3 moved cells of the chain models and diamonds at k = 1, 2 and of
+    N5 and M3: every law text of either side shows up, levels included."""
+    rng = random.Random(15)
+    models = [f(Chain(k)) for k in (1, 2) for f in (chain_model, diamond_structure)]
+    texts = set()
+    for model in models + [N5, M3]:
+        X = model.carrier.elements
+        for _ in range(60):
+            b = model
+            for _ in range(rng.randint(1, 3)):
+                b = moved_cell(b, rng.choice(["bjoin", "bmeet", "smeet", "sjoin"]), rng)
+            maps = [PointMap(b.carrier, b.carrier, {x: rng.choice(X) for x in X}) for _ in range(3)]
+            texts.update(assert_law_checks_match_the_written_out_ones(b, b, maps))
+    # the meet side of every law that has one, in each of its text forms,
+    # was broken somewhere (axiom 3 cannot break once the lattice laws hold)
+    for pattern in (
+        r"lattice: meet\(\w+,\w+\) != meet", r"lattice: absorption join\(",
+        r"lattice: meet\(\w+,\w+\) != \w+$", r"lattice: meet associativity",
+        r"meet-module axiom-4: 1/2\+meet\(", r"meet-module axiom-4: \(min 0,1/2\)\+",
+        r"meet-module axiom-5: \(max 0,1/2\)\+", r"meet-module axiom-6: 0\+",
+        r"meet-module axiom-7: 1\+", r"mixed-assoc: meet\(1/2\*", r"mixed-dist: 1/2\+\(0\*",
+    ):
+        assert any(re.search(pattern, t) for t in texts), pattern
+
+
 def test_order_dual_of_the_named_models_is_lawful():
     for b in (chain_model(K1), chain_model(K2), diamond_structure(K1), diamond_structure(K2)):
         assert b.op is b.op and b.op.op is b
@@ -736,6 +948,14 @@ def test_phi_validation():
     bad[k4.level("1/2")] = k4.level("1/4")
     with pytest.raises(ValidationError):
         cube_structure(k4, [bad])
+
+
+def test_cube_size_is_bounded_before_any_point_is_built():
+    k3 = Chain(3)
+    identity = {a: a for a in k3.levels}
+    assert len(cube_structure(k3, [identity] * 3).structure.carrier) == 64
+    with pytest.raises(BudgetExceededError, match="4\\^4 points exceeds the limit of 81"):
+        cube_structure(k3, [identity] * 4)
 
 
 def test_structure_validation_and_enumeration_guards():

@@ -6,6 +6,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,12 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from capalg import cli
+from capalg import cli, serial
 from capalg.chain import Chain
 from capalg.cli import main
 from capalg.convexity import ConvexStructure
 from capalg.biconvex import (
+    CapacityStructureMap,
     chain_model,
     cube_structure,
     diamond_structure,
@@ -28,6 +30,7 @@ from capalg.serial import (
     convex_to_json,
     cube_to_json,
     dumps_canonical,
+    full_map_to_json,
     triple_to_json,
 )
 from capalg.spaces import FiniteSpace
@@ -699,3 +702,51 @@ def test_malformed_structures_exit_two_without_a_traceback(document):
             assert code == 2, (command, document, out.getvalue())
             assert err.getvalue().startswith("error: ")
             assert "Traceback" not in err.getvalue()
+
+
+# ------------------------------------------- documents too large to build
+#
+# A loader reads the document's size before it builds the chain's k + 1
+# levels or a cube's (k + 1)^A points, so such a document is refused at
+# once (exit 2), not after seconds of building and hundreds of megabytes.
+
+
+def _full_map_document():
+    b = chain_model(K1)
+    return full_map_to_json(b, CapacityStructureMap.from_biconvex(b).tabulate())
+
+
+def _exit_code_and_seconds(document, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
+    t0 = time.perf_counter()
+    code = main(["biconvex-laws", "--structure", str(path)])
+    return code, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("form", sorted(WELL_FORMED) + ["full-map"])
+def test_a_huge_chain_k_is_refused_before_the_chain_is_built(form, tmp_path, monkeypatch, capsys):
+    def never(k):
+        raise AssertionError(f"make_chain({k}) was called")
+
+    document = _full_map_document() if form == "full-map" else WELL_FORMED[form]()
+    document = dict(json.loads(json.dumps(document)), chain_k=10**9)
+    monkeypatch.setattr(serial, "make_chain", never)
+    code, seconds = _exit_code_and_seconds(document, tmp_path)
+    assert code == 2 and seconds < 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _identity_cube(k, arity):
+    identity = {str(Fraction(i, k)): str(Fraction(i, k)) for i in range(k + 1)}
+    return {"chain_k": k, "A": arity, "phi": [identity] * arity}
+
+
+def test_an_oversized_cube_is_refused_before_any_point_is_built(tmp_path, capsys):
+    code, seconds = _exit_code_and_seconds(_identity_cube(3, 4), tmp_path)
+    assert code == 2 and seconds < 1
+    assert capsys.readouterr().err == "error: a cube of 4^4 points exceeds the limit of 81\n"
+    # the largest cubes below the bound still load
+    for k, arity in ((3, 3), (2, 4)):
+        cube = serial.cube_from_json(_identity_cube(k, arity))
+        assert len(cube.structure.carrier) == (k + 1) ** arity
