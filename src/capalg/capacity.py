@@ -94,7 +94,7 @@ class Capacity(SetFunction):
 
     def __init__(self, carrier, chain, table):
         super().__init__(carrier, chain, table)
-        problems = validate(self, require_normalized=True)
+        problems = validate(self)
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -274,7 +274,7 @@ CapacityLike = (
 )
 
 
-def validate(sf, require_normalized: bool = False) -> list[str]:
+def validate(sf) -> list[str]:
     """Diagnostics for the capacity invariants; empty list means valid.
 
     Monotonicity is checked along covering pairs F vs F + {x}, which
@@ -296,10 +296,9 @@ def validate(sf, require_normalized: bool = False) -> list[str]:
                 a = "{" + ",".join(carrier.sorted_names(s)) + "}"
                 b = "{" + ",".join(carrier.sorted_names(bigger)) + "}"
                 problems.append(f"monotonicity violated at {a}⊆{b}: {v} > {w}")
-    if require_normalized:
-        top = sf.value(carrier.universe)
-        if top != chain.one:
-            problems.append(f"not-normalized: value(X)={top}")
+    top = sf.value(carrier.universe)
+    if top != chain.one:
+        problems.append(f"not-normalized: value(X)={top}")
     return problems
 
 

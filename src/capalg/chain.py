@@ -171,11 +171,6 @@ def complement(a: Level) -> Level:
     return a.chain.levels[a.k - a.i]
 
 
-def level_to_string(a: Level) -> str:
-    """Serialize exactly: "0", "1", or "p/q" in lowest terms."""
-    return str(a.value)
-
-
 def level_from_string(chain: Chain, text: str) -> Level:
     if not isinstance(text, str):
         raise ValidationError(f"level must be a string, got {text!r}")

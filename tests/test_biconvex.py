@@ -965,3 +965,19 @@ def test_structure_validation_and_enumeration_guards():
         list(enumerate_biconvex_structures(FiniteSpace(list("abcd")), K2))
     with pytest.raises(ValidationError):
         list(enumerate_biconvex_structures(X3, Chain(3)))
+
+
+@pytest.mark.parametrize("evaluate", [structure_map_possibility, structure_map_full, sugeno_form])
+def test_closed_forms_refuse_a_capacity_on_another_carrier(evaluate):
+    with pytest.raises(CarrierMismatchError, match="capacity and structure do not match"):
+        evaluate(chain_model(K2), unit_dirac(X2, K2, "a"))
+
+
+def test_is_biaffine_refuses_foreign_endpoints_and_chains():
+    b1 = next(iter(enumerate_biconvex_structures(X2, K1)))
+    b2 = next(iter(enumerate_biconvex_structures(X2, K2)))
+    identity = PointMap(X2, X2, {"a": "a", "b": "b"})
+    with pytest.raises(CarrierMismatchError, match="map endpoints do not match the structures"):
+        is_biaffine(identity, chain_model(K2), b2)
+    with pytest.raises(ValidationError, match="structures use different chains"):
+        is_biaffine(identity, b1, b2)

@@ -137,7 +137,7 @@ def test_enumeration_stream_is_the_brute_force_oracle_in_order():
             for c in stream:
                 assert type(c) is Capacity
                 assert list(c.table) == list(space.subsets(include_empty=True))
-                assert validate(c, require_normalized=True) == []
+                assert validate(c) == []
                 assert c == Capacity(space, chain, c.table)
 
 
@@ -145,7 +145,7 @@ def test_enumeration_on_four_points_yields_only_capacities():
     x4 = FiniteSpace(list("abcd"))
     count = 0
     for c in enumerate_capacities(x4, K2):
-        assert validate(c, require_normalized=True) == []
+        assert validate(c) == []
         count += 1
     assert count == 7246
 
@@ -346,7 +346,7 @@ def test_validate_reports_defects():
         X2, K2,
         {frozenset(): 0, frozenset("a"): 1, frozenset("b"): 0, frozenset("ab"): "1/2"},
     )
-    problems = validate(droop, require_normalized=True)
+    problems = validate(droop)
     assert any("monotonicity" in p for p in problems)
     assert any("not-normalized" in p for p in problems)
     leaky = SetFunction(
@@ -356,7 +356,7 @@ def test_validate_reports_defects():
     assert any("empty-set" in p for p in validate(leaky))
     with pytest.raises(ValidationError):
         Capacity(X2, K2, dict(droop.table))
-    assert validate(unit_dirac(X2, K2, "a"), require_normalized=True) == []
+    assert validate(unit_dirac(X2, K2, "a")) == []
 
 
 def test_pushforward_to_large_target_is_a_lazy_view():
@@ -406,7 +406,7 @@ def test_hyperspace_embedding_is_injective_and_two_valued():
     seen = set()
     for h in enumerate_hyperspaces(X3):
         c = embed_inclusion_hyperspace(h, K2)
-        assert validate(c, require_normalized=True) == []
+        assert validate(c) == []
         for s in X3.subsets():
             assert (c.value(s) == K2.one) == (s in h)
             assert c.value(s) in (K2.zero, K2.one)
@@ -454,7 +454,7 @@ def test_random_capacity_is_seeded_and_valid():
     assert capacity_equal(a, b)
     for seed in range(25):
         c = random_capacity(X3, K2, random.Random(seed))
-        assert validate(c, require_normalized=True) == []
+        assert validate(c) == []
 
 
 def test_enumeration_budget_guard():
@@ -588,3 +588,15 @@ def test_mult_reads_inner_capacities_only_at_the_outer_support():
         mult(outer, assignment)
         read = {n for n, c in assignment.items() if c.reads}
         assert read == set(seen), type(outer).__name__
+
+
+def test_set_functions_and_views_refuse_foreign_or_missing_sets():
+    with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
+        SetFunction(FiniteSpace([f"p{i}" for i in range(17)]), K2, {})
+    with pytest.raises(ValidationError, match=r"missing value for subset \['a'\]"):
+        SetFunction(X2, K2, {frozenset(): 0})
+    with pytest.raises(ValidationError, match=r"\['z'\] is not a subset of the carrier"):
+        as_capacity(unit_dirac(X2, K2, "a")).value(frozenset({"z"}))
+    f = PointMap(X2, X3, {"a": "a", "b": "b"})
+    with pytest.raises(CarrierMismatchError, match="capacity carrier differs from the map source"):
+        PushforwardView(f, unit_dirac(X3, K2, "a"))

@@ -26,12 +26,10 @@ from capalg.biconvex import (
     triple_from_biconvex,
 )
 from capalg.serial import (
-    biconvex_to_json,
-    convex_to_json,
     cube_to_json,
     dumps_canonical,
     full_map_to_json,
-    triple_to_json,
+    structure_to_json,
 )
 from capalg.spaces import FiniteSpace
 
@@ -52,14 +50,14 @@ def chain_model_convex(chain):
 @pytest.fixture
 def convex_file(tmp_path):
     path = tmp_path / "convex.json"
-    path.write_text(dumps_canonical(convex_to_json(chain_model_convex(K2))))
+    path.write_text(dumps_canonical(structure_to_json(chain_model_convex(K2))))
     return str(path)
 
 
 @pytest.fixture
 def biconvex_file(tmp_path):
     path = tmp_path / "biconvex.json"
-    path.write_text(dumps_canonical(biconvex_to_json(chain_model(K2))))
+    path.write_text(dumps_canonical(structure_to_json(chain_model(K2))))
     return str(path)
 
 
@@ -96,7 +94,7 @@ def test_roundtrip_passes_on_the_chain_model(convex_file, tmp_path):
 def test_roundtrip_handles_triples_too(tmp_path):
     t = triple_from_biconvex(chain_model(K2))
     path = tmp_path / "triple.json"
-    path.write_text(dumps_canonical(triple_to_json(t)))
+    path.write_text(dumps_canonical(structure_to_json(t)))
     assert main(["roundtrip", "--structure", str(path)]) == 0
 
 
@@ -264,7 +262,7 @@ def test_biconvex_laws_and_embed_search(biconvex_file, tmp_path):
 
 def test_embed_search_miss_is_not_a_failure(tmp_path):
     path = tmp_path / "diamond.json"
-    path.write_text(dumps_canonical(biconvex_to_json(diamond_structure(K2))))
+    path.write_text(dumps_canonical(structure_to_json(diamond_structure(K2))))
     out = tmp_path / "embed.json"
     code = main(["embed-search", "--structure", str(path), "--max-a", "1", "--out", str(out)])
     assert code == 0  # exhausting the bound is data, not a law violation
@@ -750,3 +748,11 @@ def test_an_oversized_cube_is_refused_before_any_point_is_built(tmp_path, capsys
     for k, arity in ((3, 3), (2, 4)):
         cube = serial.cube_from_json(_identity_cube(k, arity))
         assert len(cube.structure.carrier) == (k + 1) ** arity
+
+
+@pytest.mark.parametrize(
+    "command", ["algebra-laws", "roundtrip", "biconvex-laws", "full-xi", "embed-search"]
+)
+def test_a_structure_command_without_a_structure_exits_two(command, capsys):
+    assert main([command]) == 2
+    assert f"error: {command} needs --structure" in capsys.readouterr().err

@@ -551,3 +551,52 @@ def test_shared_checker_and_fold_match_the_oracles_on_random_tables(drawn):
             assert _outcome(dual_structure_map, d, n, x0) == _outcome(
                 oracle_dual_structure_map, d, n, x0
             )
+
+
+def test_maps_and_combinations_refuse_foreign_inputs():
+    s1, s2 = structures(X2, K1)[0], structures(X2, K2)[0]
+    into_x3 = PointMap(X2, X3, {"a": "a", "b": "b"})
+    with pytest.raises(CarrierMismatchError, match="map endpoints do not match the structures"):
+        is_affine(into_x3, s2, s2)
+    identity = PointMap(X2, X2, {"a": "a", "b": "b"})
+    with pytest.raises(ValidationError, match="structures use different chains"):
+        is_affine(identity, s1, s2)
+    with pytest.raises(ValidationError, match="'z' is not in the carrier"):
+        nary_combination(s2, [1, 1], ["a", "z"])
+    with pytest.raises(CarrierMismatchError, match="capacity and structure do not match"):
+        structure_map_from_ic(s2, unit_dirac(X3, K2, "a"))
+    no_entries = UnionStructureMap.from_table(X2, K2, {})
+    with pytest.raises(ValidationError, match="table has no entry for 1,1/2"):
+        no_entries(PossibilityCapacity(X2, K2, {"a": 1, "b": "1/2"}))
+
+
+def _two_point_table(cells: str) -> ConvexStructure:
+    """ic on {a, b} at k = 1 from its eight cells, in (x, a, y) order."""
+    keys = itertools.product(X2.elements, K1.levels, X2.elements)
+    return ConvexStructure(X2, K1, dict(zip(keys, cells)))
+
+
+@pytest.mark.parametrize("cells, escapes", [
+    ("aaabaaba", "addition"),
+    ("abaabaaa", "scaling"),
+])
+def test_quotient_of_an_unlawful_table_names_the_escaping_operation(cells, escapes):
+    with pytest.raises(ValidationError, match=f"quotient {escapes} escapes the class set"):
+        quotient_semimodule(_two_point_table(cells))
+
+
+def test_semimodule_axiom_texts():
+    add = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}
+    scale = {(K1.zero, "a"): "a", (K1.zero, "b"): "b", (K1.one, "a"): "a", (K1.one, "b"): "a"}
+    assert check_semimodule_axioms(Semimodule(X2, K1, add, scale, "a")) == [
+        "axiom-1: a+b != b+a",
+        "axiom-1: b+a != a+b",
+        "axiom-2: (b+a)+b != b+(a+b)",
+        "axiom-2: (b+b)+b != b+(b+b)",
+        "axiom-4: (max(0,0))b mismatch",
+        "axiom-4: (max(0,1))b mismatch",
+        "axiom-5: (min(0,1))b mismatch",
+        "axiom-5: (min(1,0))b mismatch",
+        "axiom-6: 1*b = a != b",
+        "axiom-7: 0*b = b != zero",
+    ]

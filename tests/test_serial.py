@@ -37,16 +37,10 @@ from capalg.biconvex import (
     triple_from_biconvex,
 )
 from capalg.serial import (
-    biconvex_from_json,
-    biconvex_to_json,
     capacity_from_json,
     capacity_to_json,
-    convex_from_json,
-    convex_to_json,
     cube_from_json,
     cube_to_json,
-    dual_convex_from_json,
-    dual_convex_to_json,
     dump_canonical,
     dumps_canonical,
     embedding_result_to_json,
@@ -54,15 +48,12 @@ from capalg.serial import (
     full_map_to_json,
     hyperspace_from_json,
     hyperspace_to_json,
-    semimodule_from_json,
-    semimodule_to_json,
     space_from_json,
     space_to_json,
     structure_from_json,
+    structure_to_json,
     subset_from_key,
     subset_to_key,
-    triple_from_json,
-    triple_to_json,
     union_map_from_json,
     union_map_to_json,
 )
@@ -135,33 +126,31 @@ def test_capacity_loader_rejects_a_document_of_two_forms(second):
 def test_structure_loader_rejects_a_document_of_two_forms():
     """A quadruple with an added combination table would load as the
     convex structure and ignore the quadruple."""
-    obj = dict(biconvex_to_json(chain_model(K2)))
-    obj["ic"] = convex_to_json(ConvexStructure(*_chain_tables(max, min)))["ic"]
+    obj = dict(structure_to_json(chain_model(K2)))
+    obj["ic"] = structure_to_json(ConvexStructure(*_chain_tables(max, min)))["ic"]
     with pytest.raises(ValidationError, match="mixes the forms ic, smeet/sjoin"):
         structure_from_json(obj)
 
 
 def test_convex_structure_round_trip():
     for s in enumerate_convex_structures(X2, K2):
-        assert convex_from_json(convex_to_json(s)) == s
-        loaded = structure_from_json(convex_to_json(s))
-        assert loaded == s
+        assert structure_from_json(structure_to_json(s)) == s
 
 
 def test_dual_and_triple_and_biconvex_round_trips():
     for b in list(enumerate_biconvex_structures(X3, K2)) + [
         chain_model(K2), diamond_structure(K2)
     ]:
-        assert biconvex_from_json(biconvex_to_json(b)) == b
+        assert structure_from_json(structure_to_json(b)) == b
         t = triple_from_biconvex(b)
-        t2 = triple_from_json(triple_to_json(t))
+        t2 = structure_from_json(structure_to_json(t))
         assert t2.p == t.p and t2.m == t.m and t2.bjoin == t.bjoin
     from capalg.convexity import DualConvexStructure
     s = next(iter(enumerate_convex_structures(X2, K2)))
     d = DualConvexStructure(
         X2, K2, {(x, a, y): s.ic[(x, a, y)] for (x, a, y) in s.ic}
     )
-    assert dual_convex_from_json(dual_convex_to_json(d)) == d
+    assert structure_from_json(structure_to_json(d)) == d
 
 
 def test_union_map_round_trip():
@@ -178,7 +167,7 @@ def test_union_map_round_trip():
 def test_semimodule_round_trip():
     s = next(iter(enumerate_convex_structures(X2, K2)))
     mod = quotient_semimodule(s).semimodule
-    back = semimodule_from_json(semimodule_to_json(mod))
+    back = structure_from_json(structure_to_json(mod))
     assert back.add == mod.add and back.scale == mod.scale and back.zero == mod.zero
 
 
@@ -233,13 +222,13 @@ def test_the_empty_element_name_is_rejected():
 
 def test_canonical_dumps_are_stable_bytes():
     for b in enumerate_biconvex_structures(X3, K2):
-        one = dumps_canonical(biconvex_to_json(b))
-        two = dumps_canonical(biconvex_to_json(biconvex_from_json(json.loads(one))))
+        one = dumps_canonical(structure_to_json(b))
+        two = dumps_canonical(structure_to_json(structure_from_json(json.loads(one))))
         assert one == two
     # same content through a parse cycle stays byte-identical
     s = next(iter(enumerate_convex_structures(X2, K2)))
-    blob = dumps_canonical(convex_to_json(s))
-    again = dumps_canonical(convex_to_json(convex_from_json(json.loads(blob))))
+    blob = dumps_canonical(structure_to_json(s))
+    again = dumps_canonical(structure_to_json(structure_from_json(json.loads(blob))))
     assert blob == again
     assert blob.endswith("\n")
 
@@ -276,12 +265,12 @@ def _golden_documents():
         "table": capacity_to_json(Capacity(X2, K2, {
             frozenset(): 0, frozenset("a"): "1/2", frozenset("b"): 0, X2.universe: 1,
         })),
-        "convex": convex_to_json(convex),
-        "dual": dual_convex_to_json(DualConvexStructure(*_chain_tables(min, max))),
+        "convex": structure_to_json(convex),
+        "dual": structure_to_json(DualConvexStructure(*_chain_tables(min, max))),
         "union-map": union_map_to_json(UnionStructureMap.from_convex(convex)),
-        "semimodule": semimodule_to_json(quotient_semimodule(convex).semimodule),
-        "quadruple": biconvex_to_json(chain_model(K2)),
-        "triple": triple_to_json(triple_from_biconvex(chain_model(K2))),
+        "semimodule": structure_to_json(quotient_semimodule(convex).semimodule),
+        "quadruple": structure_to_json(chain_model(K2)),
+        "triple": structure_to_json(triple_from_biconvex(chain_model(K2))),
         "cube": cube_to_json(cube_structure(K2, [step, {a: a for a in K2.levels}])),
         "full-map": _full_map_document(),
         "embedding-hit": embedding_result_to_json(embedding_search(chain_model(K2), max_arity=1)),
@@ -346,11 +335,11 @@ def test_full_map_loader_rejects_values_off_the_carrier():
 
 def test_semimodule_loader_names_the_broken_field():
     s = next(iter(enumerate_convex_structures(X2, K2)))
-    good = semimodule_to_json(quotient_semimodule(s).semimodule)
+    good = structure_to_json(quotient_semimodule(s).semimodule)
     no_zero = dict(good)
     del no_zero["zero"]
     with pytest.raises(ValidationError, match="'zero'"):
-        semimodule_from_json(no_zero)
+        structure_from_json(no_zero)
     short_key = dict(good, add={"a": good["add"][next(iter(good["add"]))]})
     with pytest.raises(ValidationError, match="add key 'a'"):
-        semimodule_from_json(short_key)
+        structure_from_json(short_key)

@@ -241,3 +241,20 @@ def test_enumeration_order_is_stable():
     first = [h.sorted_min_sets() for h in enumerate_hyperspaces(X3)]
     second = [h.sorted_min_sets() for h in enumerate_hyperspaces(X3)]
     assert first == second
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: PointMap(X2, X2, {"a": "a", "b": "b", "z": "a"}),
+     ValidationError, "'z' is not in the source space"),
+    (lambda: PointMap(X2, X2, {"a": "a", "b": "z"}),
+     ValidationError, "image 'z' is not in the target space"),
+    (lambda: g_unit(X2, "z"), ValidationError, "'z' is not in the space"),
+    (lambda: g_mult(g_unit(X2, "a"), {"b": g_unit(X2, "a")}),
+     ValidationError, "no hyperspace assigned to carrier element 'a'"),
+    (lambda: g_mult(g_unit(X2, "a"), {"a": g_unit(X2, "a"), "b": g_unit(X3, "a")}),
+     CarrierMismatchError, "assigned hyperspaces live on different spaces"),
+], ids=["point-off-source", "image-off-target", "unit-off-space", "unassigned-name",
+        "mixed-carriers"])
+def test_maps_and_monad_operations_refuse_foreign_names(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
