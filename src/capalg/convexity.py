@@ -348,31 +348,28 @@ def quotient_semimodule(s: ConvexStructure) -> QuotientSemimodule:
     names = {t: f"q{i}" for i, t in enumerate(order)}
     carrier = FiniteSpace([names[t] for t in order])
 
+    def lookup(t: tuple, what: str) -> str:
+        if t not in names:
+            raise ValidationError(
+                f"quotient {what} escapes the class set; the input structure "
+                "does not satisfy the combination axioms"
+            )
+        return names[t]
+
     add: dict[tuple[str, str], str] = {}
     for t1, t2 in itertools.product(order, repeat=2):
         joined = tuple(s.join(u, v) for u, v in zip(t1, t2))
-        if joined not in names:
-            raise ValidationError(
-                "quotient addition escapes the class set; the input structure "
-                "does not satisfy the combination axioms"
-            )
-        add[(names[t1], names[t2])] = names[joined]
+        add[(names[t1], names[t2])] = lookup(joined, "addition")
 
     scale: dict[tuple[Level, str], str] = {}
     for b in s.chain.levels:
         for t in order:
             scaled = tuple(s.ic[(base, b, v)] for base, v in zip(X, t))
-            if scaled not in names:
-                raise ValidationError(
-                    "quotient scaling escapes the class set; the input structure "
-                    "does not satisfy the combination axioms"
-                )
-            scale[(b, names[t])] = names[scaled]
+            scale[(b, names[t])] = lookup(scaled, "scaling")
 
-    zero_tuple = tuple(X)
-    zero = names[zero_tuple]
-    module = Semimodule(carrier, s.chain, add, scale, zero)
+    module = Semimodule(carrier, s.chain, add, scale, lookup(tuple(X), "zero"))
 
+    # x's weight-1 tuple is one of the classes by construction, so it cannot escape
     embed_table = {
         x: names[tuple(s.ic[(base, s.chain.one, x)] for base in X)] for x in X
     }

@@ -1,4 +1,4 @@
-"""JSON forms for every structure the package exposes.
+"""JSON forms for carriers, capacities, structures and the reports that carry them.
 
 All level values are strings holding exact fractions ("0", "1/2", "1"),
 never floats; the chain is declared by an integer "chain_k" field and
@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .chain import Chain, level_from_string, make_chain
 from .errors import ValidationError
-from .spaces import FiniteSpace, InclusionHyperspace, Subset, TableStructure
+from .spaces import FiniteSpace, Subset, TableStructure
 from .capacity import (
     DEFAULT_ENUMERATION_BUDGET,
     Capacity,
@@ -149,26 +149,6 @@ def subset_from_key(space: FiniteSpace, key: str) -> Subset:
     return s
 
 
-def hyperspace_to_json(hs: InclusionHyperspace) -> dict:
-    space = hs.carrier
-    return {
-        "elements": list(space.elements),
-        "min_sets": [
-            sorted(m, key=space.index.__getitem__)
-            for m in sorted(hs.min_sets, key=space.subset_key)
-        ],
-    }
-
-
-def hyperspace_from_json(obj: Mapping) -> InclusionHyperspace:
-    space = space_from_json(obj)
-    sets = _list(obj, "min_sets")
-    for m in sets:
-        if not isinstance(m, list) or not all(isinstance(x, str) for x in m):
-            raise ValidationError(f"'min_sets' entries must be lists of element names, got {m!r}")
-    return InclusionHyperspace(space, [space.subset(m) for m in sets])
-
-
 def _cell_to_json(kind: str, v):
     return str(v) if kind == "a" else v
 
@@ -266,19 +246,27 @@ def _form(obj: Mapping, markers: tuple[str, ...], what: str) -> str | None:
 
 
 def capacity_from_json(obj: Mapping) -> CapacityLike:
-    space, chain = _space_chain_from(obj, None)
-    form = _form(obj, ("density", "codensity", "values"), "capacity")
-    for cls in (PossibilityCapacity, NecessityCapacity):
-        if form == cls._name:
-            weights = _table_from_json(chain, _table(obj, cls._name), cls._name, "x", "a")
-            return cls(space, chain, weights)
+    form = _form(_object(obj, "capacity JSON"), ("density", "codensity", "values"), "capacity")
+    if form is None:
+        raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
+
+    def refuse(space, k):
+        # every key names points of the carrier, read before the k + 1 levels are built
+        for key in _table(obj, form):
+            if form == "values":
+                subset_from_key(space, key)
+            elif key not in space.index:
+                raise ValidationError(f"{form} key {key!r} is not in the carrier")
+
+    space, chain = _space_chain_from(obj, refuse)
     if form == "values":
         table = {
             subset_from_key(space, key): level_from_string(chain, v)
             for key, v in _table(obj, "values").items()
         }
         return Capacity(space, chain, table)
-    raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
+    cls = PossibilityCapacity if form == "density" else NecessityCapacity
+    return cls(space, chain, _table_from_json(chain, _table(obj, form), form, "x", "a"))
 
 
 def union_map_to_json(xi: UnionStructureMap) -> dict:
@@ -327,13 +315,6 @@ def full_map_to_json(
     return out
 
 
-def full_map_from_json(obj: Mapping) -> CapacityStructureMap:
-    """Keys are value vectors over the nonempty subsets in canonical order."""
-    space, chain = _space_chain_from(obj, _read_by_pool)
-    table = _vectors_from_json(chain, obj, "xi_full", 2 ** len(space) - 1)
-    return CapacityStructureMap.from_table(space, chain, table)
-
-
 def embedding_result_to_json(res: EmbeddingSearchResult) -> dict:
     out = {
         "found": res.found,
@@ -358,7 +339,6 @@ _STRUCTURE_FORMS = {
     "phi": cube_from_json,
     "add/scale": partial(_structure_from_json, Semimodule),
     "xi": union_map_from_json,
-    "xi_full": full_map_from_json,
 }
 
 

@@ -1,12 +1,13 @@
-"""Finite spaces, subsets, subset families, and the inclusion-hyperspace monad.
+"""Finite spaces, subsets, table structures, and the inclusion-hyperspace monad.
 
 Every space is a finite list of distinct element names; its topology is
 discrete, so every subset is closed and all semicontinuity conditions in
 the source constructions hold vacuously.  An inclusion hyperspace is a
 nonempty family of nonempty subsets that is closed upward under
-inclusion.  Hyperspaces are stored as the antichain of their minimal
-members; the full membership list is materialized only on demand, which
-keeps the monad multiplication cheap on large carriers.
+inclusion.  Hyperspaces are stored only as the antichain of their minimal
+members, and a set is a member when it contains one of them; the full
+family is never listed, which keeps the monad multiplication cheap on
+large carriers.
 """
 
 from __future__ import annotations
@@ -162,48 +163,7 @@ class TableStructure:
         )))
 
 
-class SubsetFamily:
-    """An explicit family of nonempty subsets of a carrier."""
-
-    __slots__ = ("carrier", "sets")
-
-    def __init__(self, carrier: FiniteSpace, sets: Iterable[Subset]):
-        checked = []
-        for s in sets:
-            s = carrier.subset(s)
-            if not s:
-                raise ValidationError("families may not contain the empty set")
-            checked.append(s)
-        self.carrier = carrier
-        self.sets = frozenset(checked)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubsetFamily)
-            and other.carrier == self.carrier
-            and other.sets == self.sets
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, self.sets))
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __contains__(self, s) -> bool:
-        return frozenset(s) in self.sets
-
-    def __repr__(self):
-        names = [self.carrier.sorted_names(s) for s in self.sets]
-        return f"SubsetFamily({sorted(names)!r})"
-
-
-def exp_space(space: FiniteSpace) -> SubsetFamily:
-    """The hyperspace of all nonempty subsets (closed sets minus the empty one)."""
-    return SubsetFamily(space, space.subsets())
-
-
-def minimal_members(carrier: FiniteSpace, sets: Iterable[Subset]) -> frozenset:
+def minimal_members(sets: Iterable[Subset]) -> frozenset:
     """Antichain of inclusion-minimal members of a family."""
     pool = sorted(set(sets), key=len)
     kept: list[Subset] = []
@@ -211,18 +171,6 @@ def minimal_members(carrier: FiniteSpace, sets: Iterable[Subset]) -> frozenset:
         if not any(m <= s for m in kept):
             kept.append(s)
     return frozenset(kept)
-
-
-def is_inclusion_hyperspace(family: SubsetFamily) -> bool:
-    """Nonempty, members nonempty, and closed upward under inclusion."""
-    if not family.sets:
-        return False
-    universe = family.carrier.universe
-    for s in family.sets:
-        for extra in universe - s:
-            if s | {extra} not in family.sets:
-                return False
-    return True
 
 
 class InclusionHyperspace:
@@ -237,13 +185,15 @@ class InclusionHyperspace:
         if any(not g for g in gens):
             raise ValidationError("members must be nonempty subsets")
         self.carrier = carrier
-        self.min_sets = minimal_members(carrier, gens)
+        self.min_sets = minimal_members(gens)
 
     @classmethod
-    def from_family(cls, family: SubsetFamily) -> "InclusionHyperspace":
-        if not is_inclusion_hyperspace(family):
+    def from_family(cls, carrier: FiniteSpace, sets: Iterable[Subset]) -> "InclusionHyperspace":
+        """The hyperspace whose members are exactly ``sets``."""
+        family = {carrier.subset(s) for s in sets}
+        if any(s | {e} not in family for s in family for e in carrier.universe - s):
             raise ValidationError("family is not closed upward under inclusion")
-        return cls(family.carrier, family.sets)
+        return cls(carrier, family)
 
     def __eq__(self, other):
         return (
@@ -262,15 +212,6 @@ class InclusionHyperspace:
     def __repr__(self):
         names = sorted(self.carrier.sorted_names(s) for s in self.min_sets)
         return f"InclusionHyperspace(min={names!r})"
-
-    def sorted_min_sets(self) -> list[Subset]:
-        return sorted(self.min_sets, key=self.carrier.subset_key)
-
-    def members(self) -> Iterator[Subset]:
-        """All members, materialized; only use on small carriers."""
-        for s in self.carrier.subsets():
-            if s in self:
-                yield s
 
 
 def g_unit(space: FiniteSpace, x: str) -> InclusionHyperspace:
@@ -322,7 +263,7 @@ def g_mult(
             if inter is None:
                 inter = mins
             else:
-                inter = minimal_members(base, {a | b for a in inter for b in mins})
+                inter = minimal_members({a | b for a in inter for b in mins})
         assert inter is not None
         result_gens.update(inter)
     return InclusionHyperspace(base, result_gens)

@@ -83,7 +83,6 @@ from .spaces import (
     FiniteSpace,
     InclusionHyperspace,
     PointMap,
-    SubsetFamily,
     TableStructure,
     enumerate_hyperspaces,
     g_map,
@@ -356,7 +355,7 @@ def _mult_by_membership(outer: InclusionHyperspace, assignment) -> InclusionHype
         )
         in outer
     ]
-    return InclusionHyperspace.from_family(SubsetFamily(base, hit))
+    return InclusionHyperspace.from_family(base, hit)
 
 
 def g_monad_suite(

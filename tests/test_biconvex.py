@@ -62,7 +62,6 @@ from capalg.biconvex import (
     _coordinate_candidates,
     _lattice_diagnostics,
 )
-from capalg.serial import full_map_from_json, full_map_to_json
 from capalg.suites import (
     SuiteReport,
     _action_checks,
@@ -407,13 +406,23 @@ def test_quadruple_recovered_from_the_structure_map():
         assert quadruple_from_algebra(xi) == b
 
 
+def test_quadruple_recovery_refuses_a_map_whose_lattice_is_unlawful():
+    """A table-backed map sending every capacity to "0" recovers the join
+    1 v 1 = 0, which is not idempotent."""
+    b = chain_model(K1)
+    table = {key: "0" for key in CapacityStructureMap.from_biconvex(b).tabulate()}
+    xi = CapacityStructureMap.from_table(b.carrier, K1, table)
+    with pytest.raises(LawViolationError, match="recovered operations fail the lattice laws"):
+        quadruple_from_algebra(xi)
+
+
 def test_full_maps_check_the_carrier_and_chain_before_any_lookup():
     """A Dirac capacity on another carrier, or at another chain, has the
     same value vector as the Dirac capacity at "0"; neither backing may
     answer it from that entry."""
     b = chain_model(K1)
     by_structure = CapacityStructureMap.from_biconvex(b)
-    by_table = full_map_from_json(full_map_to_json(b, by_structure.tabulate()))
+    by_table = CapacityStructureMap.from_table(b.carrier, K1, by_structure.tabulate())
     own = unit_dirac(b.carrier, K1, "0")
     for xi in (by_structure, by_table):
         assert xi(own) == "0"

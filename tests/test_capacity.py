@@ -600,3 +600,13 @@ def test_set_functions_and_views_refuse_foreign_or_missing_sets():
     f = PointMap(X2, X3, {"a": "a", "b": "b"})
     with pytest.raises(CarrierMismatchError, match="capacity carrier differs from the map source"):
         PushforwardView(f, unit_dirac(X3, K2, "a"))
+    with pytest.raises(CarrierMismatchError, match="capacity carrier differs from the map source"):
+        pushforward(f, unit_dirac(X3, K2, "a"))
+    for c in (PossibilityCapacity(X2, K2, {"a": 1}), NecessityCapacity(X2, K2, {"a": 0})):
+        with pytest.raises(ValidationError, match=r"\['z'\] are not elements of the carrier"):
+            c.value(frozenset({"a", "z"}))
+    with pytest.raises(ValidationError, match="'z' is not in the space"):
+        dirac_density(X2, K2, "z")
+    # equal values on other carriers or chains are still other capacities
+    assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X3, K2, "a"))
+    assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X2, Chain(1), "a"))

@@ -169,6 +169,10 @@ def test_levels_against_non_levels():
         half < 1
     with pytest.raises(TypeError):
         half >= 0
+    with pytest.raises(TypeError):
+        half <= 1
+    with pytest.raises(TypeError):
+        half > 0
     assert half != 1
     assert not (half == 1)
     assert half != Fraction(1, 2)

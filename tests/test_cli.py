@@ -302,8 +302,8 @@ def test_full_xi_writes_the_tabulated_map(biconvex_file, tmp_path):
 
 def test_only_the_union_map_document_is_a_command_input(biconvex_file, tmp_path):
     """An ``xi`` document (here an unlawful one) is read by algebra-laws
-    and roundtrip; the ``xi_full`` object of a full-xi report loads as a full structure map,
-    which every command rejects with exit 2."""
+    and roundtrip; the ``xi_full`` object of a full-xi report is output only,
+    and every command refuses it as unrecognized with exit 2."""
     out = tmp_path / "full.json"
     assert main(["full-xi", "--structure", biconvex_file, "--out", str(out)]) == 0
     xi_full = tmp_path / "xi_full.json"
@@ -311,8 +311,10 @@ def test_only_the_union_map_document_is_a_command_input(biconvex_file, tmp_path)
     xi = tmp_path / "xi.json"
     xi.write_text(json.dumps(_golden_union_map()))
     for command in ("algebra-laws", "biconvex-laws", "full-xi", "roundtrip", "embed-search"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main([command, "--structure", str(xi_full)]) == 2, command
+            assert err.getvalue().startswith("error: unrecognized structure JSON"), command
             read = main([command, "--structure", str(xi)]) != 2
             assert read == (command in ("algebra-laws", "roundtrip")), command
 

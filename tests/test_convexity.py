@@ -1,6 +1,7 @@
 """Convex combination structures, their algebras, duals, and quotients."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -579,10 +580,24 @@ def _two_point_table(cells: str) -> ConvexStructure:
 @pytest.mark.parametrize("cells, escapes", [
     ("aaabaaba", "addition"),
     ("abaabaaa", "scaling"),
+    ("aaaaaaaa", "zero"),             # ic(x, a, y) = "a": no class is the identity tuple
 ])
 def test_quotient_of_an_unlawful_table_names_the_escaping_operation(cells, escapes):
     with pytest.raises(ValidationError, match=f"quotient {escapes} escapes the class set"):
         quotient_semimodule(_two_point_table(cells))
+
+
+def test_quotient_of_every_two_point_table_is_a_module_or_a_refusal():
+    """Each of the 256 tables on {a, b} at k = 1 yields a quotient or a
+    ValidationError, never another exception."""
+    outcomes = Counter()
+    for cells in itertools.product("ab", repeat=8):
+        try:
+            quotient_semimodule(_two_point_table(cells))
+            outcomes["quotient"] += 1
+        except ValidationError:
+            outcomes["refused"] += 1
+    assert outcomes == {"quotient": 95, "refused": 161}
 
 
 def test_semimodule_axiom_texts():
@@ -599,4 +614,16 @@ def test_semimodule_axiom_texts():
         "axiom-5: (min(1,0))b mismatch",
         "axiom-6: 1*b = a != b",
         "axiom-7: 0*b = b != zero",
+    ]
+    # a lawful join with zero a, and scaling by 0 that swaps a and b
+    join = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
+    swap = {(K1.zero, "a"): "b", (K1.zero, "b"): "a", (K1.one, "a"): "a", (K1.one, "b"): "b"}
+    assert check_semimodule_axioms(Semimodule(X2, K1, join, swap, "a")) == [
+        "axiom-4: 0(a+b) mismatch",
+        "axiom-4: 0(b+a) mismatch",
+        "axiom-5: (min(0,0))a mismatch",
+        "axiom-5: (min(0,0))b mismatch",
+        "axiom-4: (max(0,1))a mismatch",
+        "axiom-4: (max(1,0))a mismatch",
+        "axiom-7: 0*a = b != zero",
     ]

@@ -1,16 +1,17 @@
 """JSON round-trips and canonical bytes for every serialized form."""
 
 import hashlib
-import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from capalg.chain import Chain
 from capalg.errors import ValidationError
-from capalg.spaces import FiniteSpace, InclusionHyperspace, enumerate_hyperspaces
+from capalg import serial
+from capalg.spaces import FiniteSpace
 from capalg.capacity import (
     Capacity,
     NecessityCapacity,
@@ -44,10 +45,7 @@ from capalg.serial import (
     dump_canonical,
     dumps_canonical,
     embedding_result_to_json,
-    full_map_from_json,
     full_map_to_json,
-    hyperspace_from_json,
-    hyperspace_to_json,
     space_from_json,
     space_to_json,
     structure_from_json,
@@ -72,18 +70,6 @@ def test_space_and_subset_round_trip():
         space_from_json({})
     with pytest.raises(ValidationError):
         subset_from_key(X3, "a,z")
-
-
-def test_hyperspace_round_trip():
-    for h in enumerate_hyperspaces(X3):
-        assert hyperspace_from_json(hyperspace_to_json(h)) == h
-
-
-@pytest.mark.parametrize("entry", ["ab", [["a"]], [1], {"a": 1}])
-def test_hyperspace_loader_reads_min_sets_only_as_name_lists(entry):
-    # a string entry would otherwise read as the set of its characters
-    with pytest.raises(ValidationError, match="min_sets"):
-        hyperspace_from_json({"elements": ["a", "b"], "min_sets": [entry]})
 
 
 def test_capacity_round_trip_keeps_the_representation():
@@ -121,6 +107,23 @@ def test_capacity_loader_rejects_a_document_of_two_forms(second):
     )[second]
     with pytest.raises(ValidationError, match=f"mixes the forms density, {second}"):
         capacity_from_json(obj)
+
+
+@pytest.mark.parametrize("form, table", [
+    ("density", {"a": "1", "b": "1"}),
+    ("codensity", {"a": "0", "b": "0"}),
+    ("values", {"": "0", "a": "1", "b": "1"}),
+])
+def test_capacity_loader_checks_every_key_before_building_the_chain(form, table, monkeypatch):
+    """A key off the carrier is refused at once, whatever chain_k says."""
+    def never(k):
+        raise AssertionError(f"make_chain({k}) was called")
+
+    monkeypatch.setattr(serial, "make_chain", never)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="'b'"):
+        capacity_from_json({"chain_k": 300000, "elements": ["a"], form: table})
+    assert time.perf_counter() - start < 1
 
 
 def test_structure_loader_rejects_a_document_of_two_forms():
@@ -179,14 +182,6 @@ def test_cube_round_trip():
     assert back.phis == cube.phis
     with pytest.raises(ValidationError):
         cube_from_json({"chain_k": 2, "A": 3, "phi": [ {"0": "0", "1/2": "0", "1": "1"} ]})
-
-
-def test_full_map_round_trip():
-    b = chain_model(Chain(1))
-    xi = CapacityStructureMap.from_biconvex(b)
-    back = full_map_from_json(full_map_to_json(xi, xi.tabulate()))
-    for c in enumerate_capacities(b.carrier, b.chain):
-        assert back(c) == xi(c)
 
 
 def test_embedding_result_serializes_both_outcomes():
@@ -259,7 +254,6 @@ def _golden_documents():
     step = {K2.zero: K2.zero, K2.level("1/2"): K2.one, K2.one: K2.one}
     return {
         "space": space_to_json(X3),
-        "hyperspace": hyperspace_to_json(InclusionHyperspace(X3, [{"a"}, {"b", "c"}])),
         "possibility": capacity_to_json(PossibilityCapacity(X3, K2, {"a": 1, "b": "1/2"})),
         "necessity": capacity_to_json(NecessityCapacity(X3, K2, {"c": 0, "a": "1/2"})),
         "table": capacity_to_json(Capacity(X2, K2, {
@@ -283,7 +277,6 @@ def _golden_documents():
 # sha256 of dumps_canonical of each document above
 GOLDEN_DOCUMENTS = {
     "space": "ee046004ac19b972545df1c861344253a557e379204e1f34344d29ceb1f896ce",
-    "hyperspace": "890338a6b014228d756ab8f265d603dfc9f9a7ddeaed52820265247b87ad70d0",
     "possibility": "f118df811f4ea1af4d10403fe1a804c423a65458b6b447cc1819af6543ebd156",
     "necessity": "acc816714b662f0945a21b43c70d3f8380c6a317c4913f75ece336d9a475f2a4",
     "table": "a0e44f758acbe6b0ed04d17574ab25035fd55e4ca2cccdcefa8b5df0c74ac2c8",
@@ -317,20 +310,21 @@ def test_streamed_documents_have_the_canonical_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("key, match", [
-    ("1", "wrong arity"),             # one value where 2 points have 3 nonempty subsets
-    ("1/3,1,7", "1/3"),               # off-chain levels at k=2
+    ("1", "wrong arity"),             # one value where 2 points need a density of 2
+    ("1/3,1", "1/3"),                 # an off-chain level at k=2
 ])
-def test_full_map_loader_rejects_malformed_keys(key, match):
-    obj = {"elements": ["a", "b"], "chain_k": 2, "xi_full": {key: "a"}}
+def test_union_map_loader_rejects_malformed_keys(key, match):
+    obj = {"elements": ["a", "b"], "chain_k": 2, "xi": {key: "a"}}
     with pytest.raises(ValidationError, match=match):
-        full_map_from_json(obj)
+        union_map_from_json(obj)
 
 
-def test_full_map_loader_rejects_values_off_the_carrier():
-    obj = _full_map_document()
-    obj["xi_full"][next(iter(obj["xi_full"]))] = "zz"
+def test_union_map_loader_rejects_values_off_the_carrier():
+    s = next(iter(enumerate_convex_structures(X2, K2)))
+    obj = union_map_to_json(UnionStructureMap.from_convex(s))
+    obj["xi"][next(iter(obj["xi"]))] = "zz"
     with pytest.raises(ValidationError, match="'zz'"):
-        full_map_from_json(obj)
+        union_map_from_json(obj)
 
 
 def test_semimodule_loader_names_the_broken_field():
@@ -343,3 +337,7 @@ def test_semimodule_loader_names_the_broken_field():
     short_key = dict(good, add={"a": good["add"][next(iter(good["add"]))]})
     with pytest.raises(ValidationError, match="add key 'a'"):
         structure_from_json(short_key)
+    no_scale = dict(good)
+    del no_scale["scale"]
+    with pytest.raises(ValidationError, match="needs an object under 'scale'"):
+        structure_from_json(no_scale)

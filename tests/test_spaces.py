@@ -15,14 +15,11 @@ from capalg.spaces import (
     FiniteSpace,
     InclusionHyperspace,
     PointMap,
-    SubsetFamily,
     enumerate_hyperspaces,
-    exp_space,
     g_map,
     g_mult,
     g_unit,
     hyperspace_space,
-    is_inclusion_hyperspace,
     minimal_members,
     random_hyperspace,
 )
@@ -55,7 +52,7 @@ def mult_by_membership(outer, assignment):
         for s in base.subsets()
         if frozenset(n for n in outer.carrier.elements if s in assignment[n]) in outer
     ]
-    return InclusionHyperspace(base, minimal_members(base, hits))
+    return InclusionHyperspace(base, minimal_members(hits))
 
 
 def hyperspaces_by_combinations(space):
@@ -66,7 +63,7 @@ def hyperspaces_by_combinations(space):
     found, seen = [], set()
     for r in range(1, len(subsets) + 1):
         for combo in itertools.combinations(subsets, r):
-            anti = minimal_members(space, combo)
+            anti = minimal_members(combo)
             if len(anti) == r and anti not in seen:
                 seen.add(anti)
                 found.append(InclusionHyperspace(space, anti))
@@ -84,7 +81,7 @@ def test_hyperspace_counts_match_oracle():
         assert len(oracle) == expected == HYPERSPACE_COUNTS[len(space)]
         enumerated = enumerate_hyperspaces(space)
         assert len(enumerated) == expected
-        as_families = {frozenset(h.members()) for h in enumerated}
+        as_families = {frozenset(s for s in space.subsets() if s in h) for h in enumerated}
         assert as_families == set(oracle)
 
 
@@ -105,7 +102,7 @@ def test_minimal_members_is_an_antichain_generating_the_family():
             for m, n in itertools.permutations(mins, 2):
                 assert not m < n
             regenerated = {s for s in space.subsets() if any(m <= s for m in mins)}
-            assert regenerated == set(h.members())
+            assert InclusionHyperspace.from_family(space, regenerated) == h
 
 
 def test_unit_is_the_family_of_sets_containing_the_point():
@@ -210,11 +207,11 @@ def test_mult_associativity_on_random_instances():
 
 
 def test_exp_space_is_the_largest_hyperspace():
-    full = exp_space(X3)
-    assert is_inclusion_hyperspace(full)
-    assert InclusionHyperspace.from_family(full).min_sets == frozenset(
-        {frozenset({e}) for e in X3.elements}
-    )
+    """exp X, the family of all nonempty subsets, is generated by the
+    singletons and holds every member of every hyperspace."""
+    full = InclusionHyperspace.from_family(X3, X3.subsets())
+    assert full.min_sets == frozenset({frozenset({e}) for e in X3.elements})
+    assert all(m in full for h in enumerate_hyperspaces(X3) for m in h.min_sets)
 
 
 def test_space_and_family_validation():
@@ -228,9 +225,15 @@ def test_space_and_family_validation():
         InclusionHyperspace(X2, [frozenset()])
     with pytest.raises(ValidationError):
         X2.subset({"z"})
-    # {a} alone is not up-closed... it is ({a},{a,b} needed); {{a}} misses {a,b}
-    with pytest.raises(ValidationError):
-        InclusionHyperspace.from_family(SubsetFamily(X2, [frozenset({"a"})]))
+    # {{a}} misses {a, b}, so it is not closed upward
+    with pytest.raises(ValidationError, match="not closed upward under inclusion"):
+        InclusionHyperspace.from_family(X2, [{"a"}])
+    with pytest.raises(ValidationError, match="an inclusion hyperspace must be nonempty"):
+        InclusionHyperspace.from_family(X2, [])
+    with pytest.raises(ValidationError, match="members must be nonempty subsets"):
+        InclusionHyperspace.from_family(X2, X2.subsets(include_empty=True))
+    with pytest.raises(ValidationError, match=r"not elements of the space: \['z'\]"):
+        InclusionHyperspace.from_family(X2, [{"z"}])
     with pytest.raises(ValidationError):
         PointMap(X2, X2, {"a": "a"})
     with pytest.raises(CarrierMismatchError):
@@ -238,8 +241,8 @@ def test_space_and_family_validation():
 
 
 def test_enumeration_order_is_stable():
-    first = [h.sorted_min_sets() for h in enumerate_hyperspaces(X3)]
-    second = [h.sorted_min_sets() for h in enumerate_hyperspaces(X3)]
+    first = [sorted(h.min_sets, key=X3.subset_key) for h in enumerate_hyperspaces(X3)]
+    second = [sorted(h.min_sets, key=X3.subset_key) for h in enumerate_hyperspaces(X3)]
     assert first == second
 
 
