@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .chain import Chain, Level, complement
 from .errors import (
@@ -526,8 +525,7 @@ def is_biaffine(f: PointMap, b: BiconvexStructure, b2: BiconvexStructure) -> boo
     return True
 
 
-@dataclass
-class CubeStructure:
+class CubeStructure(NamedTuple):
     """Coordinatewise biconvex structure on chain^arity with level maps phi."""
 
     structure: BiconvexStructure
@@ -614,8 +612,7 @@ def diamond_structure(chain: Chain) -> BiconvexStructure:
     return BiconvexStructure(carrier, chain, bjoin, bmeet, smeet, sjoin)
 
 
-@dataclass
-class EmbeddingSearchResult:
+class EmbeddingSearchResult(NamedTuple):
     """Outcome of the bounded coordinate-embedding search."""
 
     found: bool

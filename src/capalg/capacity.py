@@ -13,6 +13,10 @@ The monad: the unit sends a point to its Dirac capacity, the functor
 acts by preimage, and the multiplication of an outer capacity over a
 carrier of named capacities picks, for each subset F, the largest level
 a such that the outer mass of {inner : inner(F) >= a} is itself >= a.
+Possibility and necessity capacities form submonads: a density outer D
+over densities d_n flattens to the density max_n min(D(n), d_n), and a
+codensity outer over codensities to a codensity; ``mult`` computes both
+in closed form.
 """
 
 from __future__ import annotations
@@ -80,10 +84,7 @@ class SetFunction:
         return hash((self.carrier, self.chain, canonical_key(self)))
 
     def __repr__(self):
-        parts = [
-            f"{{{','.join(self.carrier.sorted_names(s))}}}:{v}"
-            for s, v in sorted(self.table.items(), key=lambda kv: self.carrier.subset_key(kv[0]))
-        ]
+        parts = [f"{{{key}}}:{self.table[s]}" for s, key in self.carrier.subset_keys().items()]
         return f"{type(self).__name__}({'; '.join(parts)})"
 
 
@@ -224,13 +225,16 @@ class PushforwardView:
 def _support(outer) -> tuple[str, ...]:
     """Names of the outer's carrier that its value can see: C(A) equals
     C(A & support) for every A.  They are the non-fill names of a density
-    or codensity, the image of a pushforward view's map, and every name
-    of any other capacity."""
+    or codensity, the image of a pushforward view's map, the union of the
+    supports of the inner capacities a multiplication view reads, and
+    every name of any other capacity."""
     if isinstance(outer, _PointwiseCapacity):
         fill, _ = outer._ends(outer.chain)
         return tuple(n for n, w in outer._weights.items() if w != fill)
     if isinstance(outer, PushforwardView):
         return tuple(dict.fromkeys(outer.map.table.values()))
+    if isinstance(outer, MultView):
+        return tuple(dict.fromkeys(n for m in outer._support for n in _support(outer.assignment[m])))
     return outer.carrier.elements
 
 
@@ -241,6 +245,7 @@ class MultView:
     A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
     gives min_n max(e(n), c_n(F)); any other outer is scanned level by
     level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
+    ``mult`` returns it on bases of over 16 points and tabulates it below.
     """
 
     __slots__ = ("carrier", "chain", "outer", "assignment", "_support")
@@ -373,8 +378,9 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     it, reading the inner capacities only where the outer looks.
 
     The carrier and chain of every assigned capacity are checked before
-    any value is read.  The result is an explicit, validated table when
-    the base space is small enough and the lazy view otherwise.
+    any value is read.  On a base of over 16 points the result is the lazy
+    view; on a smaller one a table, in closed form where ``_pointwise_mult``
+    applies and otherwise the view's value at every subset, validated.
     """
     chain = outer.chain
     base: FiniteSpace | None = None
@@ -392,10 +398,36 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     view = MultView(base, outer, assignment)
     if len(base) > _MAX_TABLE_CARRIER:
         return view
+    closed = _pointwise_mult(base, outer, assignment, view._support)
+    if closed is not None:
+        return closed
     table: dict[Subset, Level] = {
         s: view.value(s) for s in base.subsets(include_empty=True)
     }
     return Capacity(base, chain, table)
+
+
+def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity | None:
+    """mult as a table when the outer and every inner capacity at its
+    support are of one pointwise class, a submonad (Zarichnyi and
+    Nykyforchyn 2008); None otherwise.  Densities flatten to the density
+    max_n min(D(n), d_n), codensities to the codensity min_n max(E(n), e_n),
+    on integer ranks.  A codensity is read at complements, and the
+    complement of each subset sits at the mirrored position of its order."""
+    cls = type(outer)
+    if cls not in _POINTWISE.values() or any(type(assignment[n]) is not cls for n in support):
+        return None
+    chain, bound, w = outer.chain, cls._bound, outer._weights
+    cross = min if bound is max else max
+    weights = {
+        x: bound(cross(w[n].i, assignment[n]._weights[x].i) for n in support)
+        for x in base.elements
+    }
+    keys = base.subset_keys()
+    ranks = [bound((weights[x] for x in s), default=cls._ends(chain)[0].i) for s in keys]
+    if cls._fill:
+        ranks.reverse()
+    return Capacity._trusted(base, chain, dict(zip(keys, map(chain.levels.__getitem__, ranks))))
 
 
 class ClassFlags(NamedTuple):

@@ -105,7 +105,7 @@ class Chain:
         self._by_value = {lv.value: lv for lv in self.levels}
 
     def __eq__(self, other):
-        return isinstance(other, Chain) and other.k == self.k
+        return other is self or (isinstance(other, Chain) and other.k == self.k)
 
     def __hash__(self):
         return hash(("Chain", self.k))

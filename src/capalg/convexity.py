@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .chain import Chain, Level
 from .errors import CarrierMismatchError, ValidationError
@@ -326,8 +325,7 @@ def check_semimodule_axioms(m: Semimodule) -> list[str]:
     return out
 
 
-@dataclass
-class QuotientSemimodule:
+class QuotientSemimodule(NamedTuple):
     """Result of the quotient construction for a convex structure."""
 
     semimodule: Semimodule

@@ -27,6 +27,7 @@ from .capacity import (
     CapacityLike,
     NecessityCapacity,
     PossibilityCapacity,
+    SetFunction,
     _check_cube_size,
     check_enumeration_budget,
 )
@@ -225,14 +226,20 @@ def _structure_from_json(cls: type[TableStructure], obj: Mapping):
 
 
 def capacity_to_json(c: CapacityLike) -> dict:
+    """A density, a codensity, or the value at every subset (a table's in
+    its own order, the subset order); set keys come from the carrier, and
+    each distinct level is written once per call."""
     base = _header(c.carrier, c.chain)
     if isinstance(c, (PossibilityCapacity, NecessityCapacity)):
         base[c._name] = _table_to_json(c._weights, "x", "a")
-    else:
-        base["values"] = {
-            subset_to_key(c.carrier, s): str(c.value(s))
-            for s in c.carrier.subsets(include_empty=True)
-        }
+        return base
+    keys = c.carrier.subset_keys()
+    values = c.table.values() if isinstance(c, SetFunction) else map(c.value, keys)
+    texts: dict[int, str] = {}
+    base["values"] = {
+        key: texts.get(v.i) or texts.setdefault(v.i, str(v))
+        for key, v in zip(keys.values(), values)
+    }
     return base
 
 

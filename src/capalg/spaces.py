@@ -23,7 +23,7 @@ Subset = frozenset  # subsets are plain frozensets of element names
 class FiniteSpace:
     """Ordered finite set of distinct element names."""
 
-    __slots__ = ("elements", "index", "_universe")
+    __slots__ = ("elements", "index", "_universe", "_subset_keys")
 
     def __init__(self, elements: Iterable[str]):
         elems = tuple(elements)
@@ -37,9 +37,10 @@ class FiniteSpace:
         self.elements = elems
         self.index = {e: i for i, e in enumerate(elems)}
         self._universe = frozenset(elems)
+        self._subset_keys: dict[Subset, str] | None = None
 
     def __eq__(self, other):
-        return isinstance(other, FiniteSpace) and other.elements == self.elements
+        return other is self or (isinstance(other, FiniteSpace) and other.elements == self.elements)
 
     def __hash__(self):
         return hash(self.elements)
@@ -71,6 +72,16 @@ class FiniteSpace:
         for r in range(0 if include_empty else 1, n + 1):
             for combo in itertools.combinations(self.elements, r):
                 yield frozenset(combo)
+
+    def subset_keys(self) -> dict[Subset, str]:
+        """Every subset, in ``subsets(include_empty=True)`` order, with its
+        names joined by commas in carrier order; built on first use and
+        kept with the space, so do not modify it."""
+        if self._subset_keys is None:
+            self._subset_keys = {
+                s: ",".join(self.sorted_names(s)) for s in self.subsets(include_empty=True)
+            }
+        return self._subset_keys
 
     def sorted_names(self, s: Subset) -> list[str]:
         return sorted(s, key=self.index.__getitem__)

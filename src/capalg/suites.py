@@ -12,10 +12,9 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable
+from typing import NamedTuple
 
 from .biconvex import (
     BiconvexStructure,
@@ -96,8 +95,7 @@ INDEPENDENCE_SEARCH_BUDGET = 100_000
 CONTINUITY_NOTE = "continuity requirements hold vacuously on finite discrete carriers"
 
 
-@dataclass
-class Finding:
+class Finding(NamedTuple):
     law: str
     witness: str
 
@@ -105,16 +103,16 @@ class Finding:
         return {"law": self.law, "witness": self.witness}
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one suite: counts, findings, notes; no timing."""
 
-    name: str
-    mode: str = "exhaustive"
-    cases: int = 0
-    findings: list[Finding] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "mode", "cases", "findings", "counts", "notes")
+
+    def __init__(self, name: str, mode: str = "exhaustive"):
+        self.name, self.mode, self.cases = name, mode, 0
+        self.findings: list[Finding] = []
+        self.counts: dict[str, int] = {}
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -252,26 +250,21 @@ def chain_suite() -> SuiteReport:
 # ---------------------------------------------------------------- monad laws
 
 
-@dataclass
 class _Monad:
     """One monad's operations over a base space for the law checks that the
     hyperspace and capacity suites share; ``pool`` names every element over
     the base space.  Each suite builds its record inside the call, so the
-    operations are the module's bindings at call time."""
+    operations are the module's bindings at call time: ``unit`` (base point
+    -> unit over the base space), ``name_unit`` (pool name -> unit over the
+    names), ``fmap`` ((PointMap, element) -> image element), ``mult``
+    ((outer, assignment) -> flattened element), ``key`` (element -> hashable
+    key, equal exactly for equal elements), ``equal``, ``draw`` ((carrier,
+    rng) -> seeded element over the carrier) and ``show`` (element -> text)."""
 
-    space: FiniteSpace
-    names: FiniteSpace
-    pool: dict
-    unit: Callable  # base point -> unit over the base space
-    name_unit: Callable  # pool name -> unit over the names
-    fmap: Callable  # (PointMap, element) -> image element
-    mult: Callable  # (outer, assignment) -> flattened element
-    key: Callable  # element -> hashable key, equal exactly for equal elements
-    equal: Callable
-    draw: Callable  # (carrier, rng) -> seeded element over the carrier
-    show: Callable  # element -> witness text
-
-    def __post_init__(self):
+    def __init__(self, space, names, pool, *, unit, name_unit, fmap, mult, key, equal, draw, show):
+        self.space, self.names, self.pool = space, names, pool
+        self.unit, self.name_unit, self.fmap, self.mult = unit, name_unit, fmap, mult
+        self.key, self.equal, self.draw, self.show = key, equal, draw, show
         self.name_of = {self.key(c): n for n, c in self.pool.items()}
         eta = {x: self.name_of[self.key(self.unit(x))] for x in self.space.elements}
         self.eta_hat = PointMap(self.space, self.names, eta)

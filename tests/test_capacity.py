@@ -8,6 +8,7 @@ of the flattening formula.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis
@@ -30,6 +31,7 @@ from capalg.spaces import (
     hyperspace_space,
     random_hyperspace,
 )
+import capalg.capacity as capacity_module
 from capalg.capacity import (
     Capacity,
     MultView,
@@ -54,6 +56,8 @@ from capalg.capacity import (
     random_capacity,
     unit_dirac,
     validate,
+    _pointwise_mult,
+    _support,
 )
 from capalg.suites import _random_pointwise
 
@@ -588,6 +592,74 @@ def test_mult_reads_inner_capacities_only_at_the_outer_support():
         mult(outer, assignment)
         read = {n for n, c in assignment.items() if c.reads}
         assert read == set(seen), type(outer).__name__
+
+
+def test_a_nested_outer_reads_only_the_supports_of_its_inner_capacities():
+    rng = random.Random(11)
+    names = names_of(20)  # above the table limit, so mult(theta, ...) is a view
+    level2 = names_of(2)
+    theta = random_capacity(level2, K2, rng)
+    nested = mult(theta, {
+        "n0": PossibilityCapacity(names, K2, {"n2": 1, "n5": "1/2"}),
+        "n1": NecessityCapacity(names, K2, {"n9": 0}),
+    })
+    assert isinstance(nested, MultView)
+    assignment = {
+        n: CountingCapacity(random_capacity(X3, K2, rng)) for n in names.elements
+    }
+    flat = mult(nested, assignment)
+    assert {n for n, c in assignment.items() if c.reads} == {"n2", "n5", "n9"}
+    for s in X3.subsets(include_empty=True):
+        assert flat.value(s) == written_out_mult(nested, assignment, s)
+
+
+# pure: every inner capacity at the support is of the outer's class;
+# mixed: one of them is a table, so mult takes the scan
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(
+    strat.sampled_from(["density", "codensity", "mixed"]),
+    strat.integers(min_value=1, max_value=4),
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mult_in_closed_form_matches_the_written_out_scan(form, points, k, seed):
+    rng = random.Random(seed)
+    chain = Chain(k)
+    base = FiniteSpace([f"x{i}" for i in range(points)])
+    cls = NecessityCapacity if form == "codensity" else PossibilityCapacity
+    names = names_of(rng.randint(2, 8))
+    outer = _random_pointwise(cls, names, chain, rng, max_support=len(names) - 1)
+    support = _support(outer)
+    assert len(support) < len(names)
+    assignment = {n: _random_pointwise(cls, base, chain, rng) for n in names.elements}
+    if form == "mixed":
+        assignment[rng.choice(support)] = random_capacity(base, chain, rng)
+    closed = _pointwise_mult(base, outer, assignment, support)
+    assert (closed is None) == (form == "mixed")
+    flat = mult(outer, assignment)
+    assert isinstance(flat, Capacity)
+    for s in base.subsets(include_empty=True):
+        assert flat.value(s) == written_out_mult(outer, assignment, s)
+
+
+def test_mult_of_a_density_over_densities_neither_scans_nor_validates(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(MultView, "value", counted("MultView.value", MultView.value))
+    monkeypatch.setattr(capacity_module, "validate", counted("validate", validate))
+    names, pool = capacity_pool(X3, K2, "union")
+    outer = PossibilityCapacity(names, K2, {"p0": "1/2", "p7": 1, "p12": "1/2"})
+    flat = mult(outer, pool)
+    assert calls == Counter()
+    assert isinstance(flat, Capacity)
+    for s in X3.subsets(include_empty=True):
+        assert flat.value(s) == written_out_mult(outer, pool, s)
 
 
 def test_set_functions_and_views_refuse_foreign_or_missing_sets():
