@@ -89,26 +89,28 @@ class SetFunction:
 
 
 class Capacity(SetFunction):
-    """A normalized monotone set function, table-backed."""
+    """A normalized monotone set function, table-backed.  ``_form`` is the
+    density or codensity the table was tabulated from, or None."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)
 
     def __init__(self, carrier, chain, table):
         super().__init__(carrier, chain, table)
         problems = validate(self)
         if problems:
             raise ValidationError("; ".join(problems))
+        self._form = None
 
     @classmethod
-    def _trusted(cls, carrier, chain, table: dict[Subset, Level]) -> "Capacity":
+    def _trusted(cls, carrier, chain, table: dict[Subset, Level], form) -> "Capacity":
         """Wrap a table known to be a capacity, without re-checking it.
 
         ``table`` must hold a level of ``chain`` for every subset, in
         ``carrier.subsets(include_empty=True)`` order, and be monotone and
-        normalized.
+        normalized; ``form`` is None or a pointwise capacity equal to it.
         """
         c = object.__new__(cls)
-        c.carrier, c.chain, c.table = carrier, chain, table
+        c.carrier, c.chain, c.table, c._form = carrier, chain, table, form
         return c
 
 
@@ -163,10 +165,6 @@ class PossibilityCapacity(_PointwiseCapacity):
     __slots__ = ("density",)
     _side, _name, _fill, _law = "possibility", "density", 0, "union"
 
-    @staticmethod
-    def _read_at(universe: Subset, x: str) -> Subset:
-        return frozenset([x])
-
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
         bad = members - self.carrier.universe
@@ -183,10 +181,6 @@ class NecessityCapacity(_PointwiseCapacity):
     __slots__ = ("codensity",)
     _side, _name, _fill, _law = "necessity", "codensity", 1, "intersection"
     _bound = staticmethod(min)
-
-    @staticmethod
-    def _read_at(universe: Subset, x: str) -> Subset:
-        return universe - {x}
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -353,12 +347,12 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     chain = c.chain
     if isinstance(c, _PointwiseCapacity):
         # a point's weight is the bound over its fiber, the neutral level
-        # when the fiber is empty
-        w, (fill, _) = c._weights, c._ends(chain)
-        return type(c)(f.target, chain, {
-            y: c._bound((w[x] for x in f.source.elements if f(x) == y), default=fill)
-            for y in f.target.elements
-        })
+        # when the fiber is empty: each source weight folds into its image
+        w, bound = c._weights, c._bound
+        ranks = dict.fromkeys(f.target.elements, c._ends(chain)[0].i)
+        for x, y in f.table.items():
+            ranks[y] = bound(ranks[y], w[x].i)
+        return type(c)(f.target, chain, {y: chain.levels[r] for y, r in ranks.items()})
     if len(f.target) > _MAX_TABLE_CARRIER:
         return PushforwardView(f, c)
     table = {
@@ -419,15 +413,18 @@ def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity |
         return None
     chain, bound, w = outer.chain, cls._bound, outer._weights
     cross = min if bound is max else max
-    weights = {
-        x: bound(cross(w[n].i, assignment[n]._weights[x].i) for n in support)
-        for x in base.elements
-    }
-    keys = base.subset_keys()
-    ranks = [bound((weights[x] for x in s), default=cls._ends(chain)[0].i) for s in keys]
+    inner = [(w[n].i, assignment[n]._weights) for n in support]
+    weights = [bound(cross(a, d[x].i) for a, d in inner) for x in base.elements]
+    # the empty set, then the singletons in carrier order, then the rest
+    ranks = [cls._ends(chain)[0].i, *weights] + [0] * (2 ** len(base) - len(base) - 1)
+    for i, j, l in base.subset_splits():
+        ranks[i] = bound(ranks[j], ranks[l])
     if cls._fill:
         ranks.reverse()
-    return Capacity._trusted(base, chain, dict(zip(keys, map(chain.levels.__getitem__, ranks))))
+    levels = chain.levels
+    form = cls(base, chain, dict(zip(base.elements, map(levels.__getitem__, weights))))
+    table = dict(zip(base.subset_keys(), map(levels.__getitem__, ranks)))
+    return Capacity._trusted(base, chain, table, form)
 
 
 class ClassFlags(NamedTuple):
@@ -435,28 +432,44 @@ class ClassFlags(NamedTuple):
     is_intersection: bool
 
 
+def _pointwise_form(cls, c: CapacityLike):
+    """The ``cls`` form of the capacity c, or None when c does not satisfy
+    the law of ``cls``.  A table is decided on integer ranks in n·2^n steps
+    (Grabisch 2016): the union law holds exactly when c(F) = max(c(F - {x}),
+    c({x})) at every nonempty F and its last point x, and the intersection
+    law exactly when that holds for the conjugate ranks k - r, each
+    complement read at its mirrored position."""
+    if isinstance(c, _PointwiseCapacity):
+        if isinstance(c, cls):
+            return c
+        # a capacity of both classes is a Dirac capacity: one point off the fill
+        support = _support(c)
+        dirac = len(support) == 1
+        return cls(c.carrier, c.chain, {support[0]: cls._ends(c.chain)[1]}) if dirac else None
+    c = as_capacity(c)  # a lazy view becomes a table, refused above 16 points
+    if isinstance(c._form, cls):
+        return c._form
+    ranks = [v.i for v in c.table.values()]
+    if cls._fill:
+        k = c.chain.k
+        ranks = [k - r for r in reversed(ranks)]
+    for i, j, l in c.carrier.subset_splits():
+        if ranks[i] != max(ranks[j], ranks[l]):
+            return None
+    # the singletons sit right after the empty set, in carrier order
+    levels = c.chain.levels
+    density = dict(zip(c.carrier.elements, map(levels.__getitem__, ranks[1:])))
+    form = PossibilityCapacity(c.carrier, c.chain, density)
+    return kappa_dual(form) if cls._fill else form
+
+
 def _as_pointwise(cls, c: CapacityLike):
-    """The ``cls`` form of the capacity c: its values at each point's
-    singleton (density) or complement (codensity), which must give c back.
-    c satisfies the union (max) or intersection (min) law over all subset
-    pairs exactly when they do (Grabisch 2016), so n·2^n reads decide it.
-    Raises ValidationError when c is not of the form."""
-    if isinstance(c, cls):
-        return c
-    universe = c.carrier.universe
-    weights = {x: c.value(cls._read_at(universe, x)) for x in c.carrier.elements}
-    form = cls(c.carrier, c.chain, weights)
-    if not capacity_equal(form, c):
+    """The ``cls`` form of the capacity c; raises ValidationError when c
+    does not satisfy the law of ``cls``."""
+    form = _pointwise_form(cls, c)
+    if form is None:
         raise ValidationError(f"capacity does not satisfy the {cls._law} law")
     return form
-
-
-def _pointwise_form(cls, c: CapacityLike):
-    """The ``cls`` form of the capacity c, or None when c has none."""
-    try:
-        return _as_pointwise(cls, c)
-    except ValidationError:
-        return None
 
 
 def classify(c: CapacityLike) -> ClassFlags:
@@ -490,7 +503,8 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
     universe = c.carrier.universe
     if isinstance(c, Capacity):
         t = c.table  # in subset order, as _trusted needs
-        return Capacity._trusted(c.carrier, chain, {s: level_complement(t[universe - s]) for s in t})
+        table = {s: level_complement(t[universe - s]) for s in t}
+        return Capacity._trusted(c.carrier, chain, table, None)
     table = {
         s: level_complement(c.value(universe - s))
         for s in c.carrier.subsets(include_empty=True)
@@ -593,7 +607,7 @@ def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
 
     def rec(i: int) -> Iterator[Capacity]:
         if i == len(proper):
-            yield Capacity._trusted(space, chain, {s: assignment[s] for s in order})
+            yield Capacity._trusted(space, chain, {s: assignment[s] for s in order}, None)
             return
         s = proper[i]
         lo = max(assignment[t].i for t in covered[i])

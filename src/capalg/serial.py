@@ -58,19 +58,50 @@ def _check_names(space: FiniteSpace) -> None:
             raise ValidationError(f"element name {x!r} clashes with key delimiters")
 
 
-# sorted keys and a fixed indentation give stable bytes
-_CANONICAL = dict(sort_keys=True, indent=2)
+# a container of only these types is written whole; any other type is written item by item
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _canonical_chunks(obj, depth: int, encoders: dict):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` at nesting
+    ``depth``, in pieces.  A scalar, or a container of scalars, is one
+    piece from the C encoder (the pure-Python one runs whenever ``indent``
+    is set), whose item separator carries the indentation of the depth;
+    any other container gives one piece per item.  ``encoders`` keeps
+    the encoder of each depth."""
+    enc = encoders.get(depth) or encoders.setdefault(depth, json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")))
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    if _SCALARS.issuperset(map(type, values)):
+        text = enc.encode(obj)
+        if values:
+            text = f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+        yield text
+        return
+    sep = ("{" if is_dict else "[") + "\n" + "  " * (depth + 1)
+    for item in sorted(obj.items()) if is_dict else obj:
+        if is_dict:
+            key, item = item
+            # keys as json writes them: non-strings through their JSON text
+            sep += enc.encode(key if isinstance(key, str) else enc.encode(key)) + ": "
+        pieces = _canonical_chunks(item, depth + 1, encoders)
+        yield sep + next(pieces)
+        yield from pieces
+        sep = ",\n" + "  " * (depth + 1)
+    yield "\n" + "  " * depth + ("}" if is_dict else "]")
 
 
 def dumps_canonical(obj) -> str:
-    """Stable bytes for reports."""
-    return json.dumps(obj, **_CANONICAL) + "\n"
+    """Stable bytes for reports: ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``."""
+    return "".join(_canonical_chunks(obj, 0, {})) + "\n"
 
 
 def dump_canonical(obj, fh) -> None:
     """Write ``dumps_canonical(obj)`` to the text file fh chunk by chunk,
     never holding the whole text."""
-    json.dump(obj, fh, **_CANONICAL)
+    for piece in _canonical_chunks(obj, 0, {}):
+        fh.write(piece)
     fh.write("\n")
 
 

@@ -56,9 +56,11 @@ from capalg.capacity import (
     random_capacity,
     unit_dirac,
     validate,
+    _pointwise_form,
     _pointwise_mult,
     _support,
 )
+from capalg.convexity import UnionStructureMap, density_key
 from capalg.suites import _random_pointwise
 
 K2 = Chain(2)
@@ -291,6 +293,99 @@ def test_class_conversions_round_trip_or_reject():
     assert not classify(lopsided).is_union
     with pytest.raises(ValidationError):
         as_possibility(lopsided)
+
+
+def test_a_capacity_outside_a_class_is_refused_for_the_law():
+    # its density would be (0, 0) and its conjugate's codensity (1, 1):
+    # the law is decided before either form is built
+    k1 = Chain(1)
+    lopsided = Capacity(
+        X2, k1, {frozenset(): 0, frozenset("a"): 0, frozenset("b"): 0, X2.universe: 1}
+    )
+    union = "^capacity does not satisfy the union law$"
+    with pytest.raises(ValidationError, match=union):
+        as_possibility(lopsided)
+    with pytest.raises(ValidationError, match=union):
+        UnionStructureMap.from_table(X2, k1, {})(lopsided)
+    with pytest.raises(ValidationError, match="^capacity does not satisfy the intersection law$"):
+        as_necessity(kappa_dual(lopsided))
+
+
+def pair_laws(c) -> tuple[bool, bool]:
+    """The union and intersection laws, written out over all pairs of subsets."""
+    pairs = list(itertools.product(c.carrier.subsets(include_empty=True), repeat=2))
+    return (
+        all(c.value(a | b) == max(c.value(a), c.value(b)) for a, b in pairs),
+        all(c.value(a & b) == min(c.value(a), c.value(b)) for a, b in pairs),
+    )
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(
+    strat.sampled_from(["table", "density", "codensity"]),
+    strat.integers(min_value=1, max_value=4),
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_class_decision_on_ranks_matches_the_pair_laws(form, points, k, seed):
+    rng = random.Random(seed)
+    chain = Chain(k)
+    base = FiniteSpace([f"x{i}" for i in range(points)])
+    cls = NecessityCapacity if form == "codensity" else PossibilityCapacity
+    if form == "table":
+        subjects = [random_capacity(base, chain, rng)]
+    else:
+        p = _random_pointwise(cls, base, chain, rng)
+        subjects = [as_capacity(p), p]
+    laws = pair_laws(subjects[0])
+    for c in subjects:
+        assert classify(c) == laws
+        for side, holds in zip((PossibilityCapacity, NecessityCapacity), laws):
+            got = _pointwise_form(side, c)
+            assert (got is not None) == holds
+            if holds:
+                assert isinstance(got, side) and capacity_equal(got, c)
+    if form != "table":
+        # the form a closed-form mult keeps is its table's
+        names = names_of(rng.randint(2, 6))
+        outer = _random_pointwise(cls, names, chain, rng)
+        flat = mult(outer, {n: _random_pointwise(cls, base, chain, rng) for n in names.elements})
+        assert type(flat) is Capacity
+        assert _pointwise_form(cls, flat) == _pointwise_form(cls, Capacity(base, chain, flat.table))
+
+
+def test_classes_of_large_carriers_are_decided_by_form_or_refused():
+    # a density or codensity is of the other class exactly when it is a
+    # Dirac capacity; a lazy view has no table to decide on above 16 points
+    big = FiniteSpace([f"y{i}" for i in range(17)])
+    assert classify(PossibilityCapacity(big, K2, {"y0": 1, "y3": "1/2"})) == (True, False)
+    assert classify(NecessityCapacity(big, K2, {"y3": 0})) == (True, True)
+    assert as_possibility(NecessityCapacity(big, K2, {"y3": 0})) == dirac_density(big, K2, "y3")
+    f = PointMap(X3, big, {"a": "y0", "b": "y5", "c": "y5"})
+    view = pushforward(f, random_capacity(X3, K2, random.Random(1)))
+    assert isinstance(view, PushforwardView)
+    with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
+        classify(view)
+
+
+def test_a_closed_form_mult_keeps_its_density_for_the_structure_map(monkeypatch):
+    names, pool = capacity_pool(X3, K2, "union")
+    outer = PossibilityCapacity(names, K2, {"p0": "1/2", "p7": 1, "p12": "1/2"})
+    flat = mult(outer, pool)
+    density = PossibilityCapacity(X3, K2, {x: flat.value(frozenset(x)) for x in X3.elements})
+    reads = []
+    value = SetFunction.value
+
+    def counted(self, members):
+        reads.append(members)
+        return value(self, members)
+
+    monkeypatch.setattr(SetFunction, "value", counted)
+    form = as_possibility(flat)
+    assert form == density and as_possibility(flat) is form
+    assert classify(flat).is_union
+    assert UnionStructureMap.from_table(X3, K2, {density_key(density): "b"})(flat) == "b"
+    assert reads == []
 
 
 def test_conjugation_is_an_involution_swapping_classes():

@@ -6,6 +6,8 @@ import random
 import time
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain
@@ -307,6 +309,44 @@ def test_streamed_documents_have_the_canonical_bytes(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             dump_canonical(doc, fh)
         assert path.read_text(encoding="utf-8") == dumps_canonical(doc), name
+
+
+# report-shaped values: nested and empty objects and lists over scalars,
+# with non-ASCII, escaped and delimiter characters in strings and keys
+_TEXTS = strat.text() | strat.text(alphabet=',:{}[]"\\\n\té ', max_size=6)
+_REPORT_VALUES = strat.recursive(
+    strat.none() | strat.booleans() | strat.integers() | strat.floats() | _TEXTS,
+    lambda inner: strat.lists(inner, max_size=4) | strat.dictionaries(_TEXTS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(_REPORT_VALUES)
+def test_canonical_writer_gives_the_bytes_of_json_dumps(obj):
+    assert dumps_canonical(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class _Writes:
+    """A text file that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_canonical_writer_streams_a_long_list_item_by_item():
+    items = [
+        {"i": i, "elements": ["a", "b"], "values": {"": "0", "a": "1/2", "a,b": "1", "b": "0"}}
+        for i in range(1000)
+    ]
+    fh = _Writes()
+    dump_canonical(items, fh)
+    assert "".join(fh.writes) == dumps_canonical(items)
+    assert len(fh.writes) > 1000
+    assert max(text.count('"i": ') for text in fh.writes) <= 1
 
 
 @pytest.mark.parametrize("key, match", [
