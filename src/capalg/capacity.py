@@ -47,16 +47,20 @@ EXHAUSTIVE_DENSITY_LIMIT = 1024
 POOL_SIZE = 9
 
 
+def _check_table_size(carrier: FiniteSpace) -> None:
+    if len(carrier) > _MAX_TABLE_CARRIER:
+        raise BudgetExceededError(
+            f"explicit tables are limited to carriers of size {_MAX_TABLE_CARRIER}"
+        )
+
+
 class SetFunction:
     """Explicit subset -> level table; not necessarily a capacity."""
 
     __slots__ = ("carrier", "chain", "table")
 
     def __init__(self, carrier: FiniteSpace, chain: Chain, table: Mapping[Subset, Level]):
-        if len(carrier) > _MAX_TABLE_CARRIER:
-            raise BudgetExceededError(
-                f"explicit tables are limited to carriers of size {_MAX_TABLE_CARRIER}"
-            )
+        _check_table_size(carrier)
         fixed: dict[Subset, Level] = {}
         for s in carrier.subsets(include_empty=True):
             if s not in table:
@@ -235,7 +239,8 @@ def _support(outer) -> tuple[str, ...]:
 class MultView:
     """Monad multiplication, evaluated one subset at a time.
 
-    Each inner capacity is read only at the outer's support (``_support``).
+    Each inner capacity is read only at ``support``, the outer's
+    ``_support``, which ``mult`` computes once for its closed form and view.
     A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
     gives min_n max(e(n), c_n(F)); any other outer is scanned level by
     level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
@@ -244,12 +249,12 @@ class MultView:
 
     __slots__ = ("carrier", "chain", "outer", "assignment", "_support")
 
-    def __init__(self, base: FiniteSpace, outer, assignment):
+    def __init__(self, base: FiniteSpace, outer, assignment, support: tuple[str, ...]):
         self.carrier = base
         self.chain = outer.chain
         self.outer = outer
         self.assignment = dict(assignment)
-        self._support = _support(outer)
+        self._support = support
 
     def value(self, members: Subset) -> Level:
         members = frozenset(members)
@@ -302,9 +307,12 @@ def validate(sf) -> list[str]:
 
 
 def as_capacity(c: CapacityLike) -> Capacity:
-    """Materialize any capacity-like object as an explicit table."""
+    """Materialize any capacity-like object as an explicit table, validated;
+    the one tabulator.  A carrier of over 16 points is refused before any
+    value is read."""
     if isinstance(c, Capacity):
         return c
+    _check_table_size(c.carrier)
     table = {s: c.value(s) for s in c.carrier.subsets(include_empty=True)}
     return Capacity(c.carrier, c.chain, table)
 
@@ -339,8 +347,8 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     """Image capacity F -> c(f^{-1}(F)); preserves the possibility/necessity classes.
 
     Density and codensity forms push to the same forms at any target
-    size; other inputs materialize a table when the target is small
-    enough and fall back to a lazy view otherwise.
+    size; any other input gives the lazy view, tabulated by ``as_capacity``
+    when the target has at most 16 points.
     """
     if c.carrier != f.source:
         raise CarrierMismatchError("capacity carrier differs from the map source")
@@ -353,13 +361,8 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
         for x, y in f.table.items():
             ranks[y] = bound(ranks[y], w[x].i)
         return type(c)(f.target, chain, {y: chain.levels[r] for y, r in ranks.items()})
-    if len(f.target) > _MAX_TABLE_CARRIER:
-        return PushforwardView(f, c)
-    table = {
-        s: c.value(f.preimage(s))
-        for s in f.target.subsets(include_empty=True)
-    }
-    return Capacity(f.target, chain, table)
+    view = PushforwardView(f, c)
+    return view if len(f.target) > _MAX_TABLE_CARRIER else as_capacity(view)
 
 
 def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> CapacityLike:
@@ -374,7 +377,7 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     The carrier and chain of every assigned capacity are checked before
     any value is read.  On a base of over 16 points the result is the lazy
     view; on a smaller one a table, in closed form where ``_pointwise_mult``
-    applies and otherwise the view's value at every subset, validated.
+    applies, with no view built, and otherwise ``as_capacity`` of the view.
     """
     chain = outer.chain
     base: FiniteSpace | None = None
@@ -389,16 +392,11 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
         elif inner.carrier != base:
             raise CarrierMismatchError("assigned capacities live on different spaces")
     assert base is not None
-    view = MultView(base, outer, assignment)
+    support = _support(outer)
     if len(base) > _MAX_TABLE_CARRIER:
-        return view
-    closed = _pointwise_mult(base, outer, assignment, view._support)
-    if closed is not None:
-        return closed
-    table: dict[Subset, Level] = {
-        s: view.value(s) for s in base.subsets(include_empty=True)
-    }
-    return Capacity(base, chain, table)
+        return MultView(base, outer, assignment, support)
+    closed = _pointwise_mult(base, outer, assignment, support)
+    return closed if closed is not None else as_capacity(MultView(base, outer, assignment, support))
 
 
 def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity | None:
@@ -493,23 +491,17 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
 
     Density-backed inputs stay one-dimensional: the conjugate of a
     possibility density d is the necessity codensity 1 - d, and back.
-    The conjugate of a ``Capacity`` is monotone and normalized, so it is
-    not checked again; other tables are.
+    Any other input is tabulated by ``as_capacity``, which checks it; the
+    conjugate of a capacity is one, so it is not checked again.
     """
     chain = c.chain
     if isinstance(c, _PointwiseCapacity):
         other = NecessityCapacity if isinstance(c, PossibilityCapacity) else PossibilityCapacity
         return other(c.carrier, chain, {x: level_complement(v) for x, v in c._weights.items()})
     universe = c.carrier.universe
-    if isinstance(c, Capacity):
-        t = c.table  # in subset order, as _trusted needs
-        table = {s: level_complement(t[universe - s]) for s in t}
-        return Capacity._trusted(c.carrier, chain, table, None)
-    table = {
-        s: level_complement(c.value(universe - s))
-        for s in c.carrier.subsets(include_empty=True)
-    }
-    return Capacity(c.carrier, chain, table)
+    t = as_capacity(c).table  # in subset order, as _trusted needs
+    table = {s: level_complement(t[universe - s]) for s in t}
+    return Capacity._trusted(c.carrier, chain, table, None)
 
 
 def embed_inclusion_hyperspace(hs: InclusionHyperspace, chain: Chain) -> Capacity:

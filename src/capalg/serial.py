@@ -2,14 +2,15 @@
 
 All level values are strings holding exact fractions ("0", "1/2", "1"),
 never floats; the chain is declared by an integer "chain_k" field and
-the carrier by an "elements" list.  Set-valued keys join element names
-with commas (empty string for the empty set); value-vector keys join
-levels with commas.  Operation-table keys join arguments with pipes,
-following the key shape each table structure declares in ``_tables``;
-densities, codensities and phi maps use the same table codec.  Element
-cells are kept as given, never coerced, and levels are parsed only from
-their strings.  Serialization is canonical: ``dumps_canonical`` sorts
-keys, and element order is fixed, so equal structures produce equal bytes.
+the carrier by an "elements" list.  Capacity documents are written, never
+read; their set-valued keys join element names with commas (empty string
+for the empty set).  Value-vector keys join levels with commas, and
+operation-table keys join arguments with pipes, following the key shape
+each table structure declares in ``_tables``; densities, codensities and
+phi maps use the same table codec.  Element cells are kept as given, never
+coerced, and levels are parsed only from their strings.  Serialization is
+canonical: ``dumps_canonical`` sorts keys, and element order is fixed, so
+equal structures produce equal bytes.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from typing import Mapping
 
 from .chain import Chain, level_from_string, make_chain
 from .errors import ValidationError
-from .spaces import FiniteSpace, Subset, TableStructure
+from .spaces import FiniteSpace, TableStructure
 from .capacity import (
     DEFAULT_ENUMERATION_BUDGET,
-    Capacity,
     CapacityLike,
     NecessityCapacity,
     PossibilityCapacity,
@@ -141,13 +141,13 @@ def _list(obj: Mapping, key: str) -> list:
 
 
 def _space_chain_from(obj: Mapping, refuse) -> tuple[FiniteSpace, Chain]:
-    """The carrier and the chain.  ``refuse(space, k)``, unless None, raises
-    for a resolution the document cannot use, before the k + 1 levels of
-    the chain are built."""
+    """The carrier and the chain.  ``refuse(space, k)`` raises for a
+    resolution the document cannot use, before the k + 1 levels of the
+    chain are built."""
     _object(obj, "structure JSON")
     k = _field(obj, "chain_k")
     space = FiniteSpace(_list(obj, "elements"))
-    if refuse is not None and type(k) is int and k >= 1:
+    if type(k) is int and k >= 1:
         refuse(space, k)
     return space, make_chain(k)
 
@@ -164,21 +164,6 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 def space_from_json(obj: Mapping) -> FiniteSpace:
     return FiniteSpace(_list(_object(obj, "space JSON"), "elements"))
-
-
-def subset_to_key(space: FiniteSpace, s: Subset) -> str:
-    return ",".join(sorted(s, key=space.index.__getitem__))
-
-
-def subset_from_key(space: FiniteSpace, key: str) -> Subset:
-    """The subset a key names; only the key ``subset_to_key`` writes is
-    read, so repeated or reordered names never alias another key."""
-    s = space.subset(key.split(",")) if key else frozenset()
-    if subset_to_key(space, s) != key:
-        raise ValidationError(
-            f"set key {key!r} is not canonical; write {subset_to_key(space, s)!r}"
-        )
-    return s
 
 
 def _cell_to_json(kind: str, v):
@@ -274,39 +259,6 @@ def capacity_to_json(c: CapacityLike) -> dict:
     return base
 
 
-def _form(obj: Mapping, markers: tuple[str, ...], what: str) -> str | None:
-    """The one marker key of ``markers`` that ``obj`` carries, if any;
-    a key "x/y" marks its form by either half."""
-    found = [m for m in markers if any(key in obj for key in m.split("/"))]
-    if len(found) > 1:
-        raise ValidationError(f"{what} JSON mixes the forms {', '.join(found)}")
-    return found[0] if found else None
-
-
-def capacity_from_json(obj: Mapping) -> CapacityLike:
-    form = _form(_object(obj, "capacity JSON"), ("density", "codensity", "values"), "capacity")
-    if form is None:
-        raise ValidationError("capacity JSON needs 'density', 'codensity', or 'values'")
-
-    def refuse(space, k):
-        # every key names points of the carrier, read before the k + 1 levels are built
-        for key in _table(obj, form):
-            if form == "values":
-                subset_from_key(space, key)
-            elif key not in space.index:
-                raise ValidationError(f"{form} key {key!r} is not in the carrier")
-
-    space, chain = _space_chain_from(obj, refuse)
-    if form == "values":
-        table = {
-            subset_from_key(space, key): level_from_string(chain, v)
-            for key, v in _table(obj, "values").items()
-        }
-        return Capacity(space, chain, table)
-    cls = PossibilityCapacity if form == "density" else NecessityCapacity
-    return cls(space, chain, _table_from_json(chain, _table(obj, form), form, "x", "a"))
-
-
 def union_map_to_json(xi: UnionStructureMap) -> dict:
     out = _header(xi.carrier, xi.chain)
     out["xi"] = _vectors_to_json(xi.tabulate())
@@ -382,8 +334,11 @@ _STRUCTURE_FORMS = {
 
 def structure_from_json(obj: Mapping):
     """The one reader of every structure document: dispatch on the one form
-    whose table keys are present."""
-    form = _form(_object(obj, "structure JSON"), tuple(_STRUCTURE_FORMS), "structure")
-    if form is None:
+    whose table keys are present; a key "x/y" marks its form by either half."""
+    _object(obj, "structure JSON")
+    found = [m for m in _STRUCTURE_FORMS if any(key in obj for key in m.split("/"))]
+    if len(found) > 1:
+        raise ValidationError(f"structure JSON mixes the forms {', '.join(found)}")
+    if not found:
         raise ValidationError("unrecognized structure JSON: no known table keys")
-    return _STRUCTURE_FORMS[form](obj)
+    return _STRUCTURE_FORMS[found[0]](obj)

@@ -76,7 +76,7 @@ from .convexity import (
     quotient_semimodule,
     structure_map_from_ic,
 )
-from .errors import BudgetExceededError, LawViolationError
+from .errors import BudgetExceededError, LawViolationError, ValidationError
 from .serial import capacity_to_json, structure_to_json
 from .spaces import (
     FiniteSpace,
@@ -172,7 +172,13 @@ def _compact(obj) -> str:
 
 
 def _cap_witness(c) -> str:
-    return _compact(capacity_to_json(c))
+    """The capacity's document or, when its element names cannot be joined
+    into set keys, its value vector over the nonempty subsets, written as
+    the ``xi_full`` keys are."""
+    try:
+        return _compact(capacity_to_json(c))
+    except ValidationError:
+        return ",".join(map(str, canonical_key(c)))
 
 
 def _hs_witness(h: InclusionHyperspace) -> str:

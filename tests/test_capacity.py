@@ -354,9 +354,10 @@ def test_class_decision_on_ranks_matches_the_pair_laws(form, points, k, seed):
         assert _pointwise_form(cls, flat) == _pointwise_form(cls, Capacity(base, chain, flat.table))
 
 
-def test_classes_of_large_carriers_are_decided_by_form_or_refused():
+def test_classes_of_large_carriers_are_decided_by_form_or_refused(monkeypatch):
     # a density or codensity is of the other class exactly when it is a
-    # Dirac capacity; a lazy view has no table to decide on above 16 points
+    # Dirac capacity; a lazy view has no table to decide on above 16 points,
+    # and is refused before any of its values is read
     big = FiniteSpace([f"y{i}" for i in range(17)])
     assert classify(PossibilityCapacity(big, K2, {"y0": 1, "y3": "1/2"})) == (True, False)
     assert classify(NecessityCapacity(big, K2, {"y3": 0})) == (True, True)
@@ -364,8 +365,17 @@ def test_classes_of_large_carriers_are_decided_by_form_or_refused():
     f = PointMap(X3, big, {"a": "y0", "b": "y5", "c": "y5"})
     view = pushforward(f, random_capacity(X3, K2, random.Random(1)))
     assert isinstance(view, PushforwardView)
+    reads = []
+    value = PushforwardView.value
+
+    def counted(self, members):
+        reads.append(members)
+        return value(self, members)
+
+    monkeypatch.setattr(PushforwardView, "value", counted)
     with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
         classify(view)
+    assert reads == []
 
 
 def test_a_closed_form_mult_keeps_its_density_for_the_structure_map(monkeypatch):
@@ -746,6 +756,7 @@ def test_mult_of_a_density_over_densities_neither_scans_nor_validates(monkeypatc
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(MultView, "__init__", counted("MultView", MultView.__init__))
     monkeypatch.setattr(MultView, "value", counted("MultView.value", MultView.value))
     monkeypatch.setattr(capacity_module, "validate", counted("validate", validate))
     names, pool = capacity_pool(X3, K2, "union")

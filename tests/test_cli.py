@@ -333,6 +333,27 @@ def test_full_xi_runs_on_cube_element_names(tmp_path):
     assert len(report["xi_full"]["xi_full"]) == 166
 
 
+def test_full_xi_reports_findings_on_names_that_set_keys_cannot_join(tmp_path):
+    """A corrupted diamond whose element names hold commas gives as many
+    findings as with plain names (exit 1, not 2); each capacity witness is
+    its value vector over the nonempty subsets, as xi_full keys are written."""
+    names = {"00": "0,0", "01": "0,1", "10": "1,0", "11": "1,1"}
+    doc = structure_to_json(diamond_structure(K1))
+    rename = lambda text: "|".join(names.get(part, part) for part in text.split("|"))
+    for table in ("bjoin", "bmeet", "smeet", "sjoin"):
+        doc[table] = {rename(key): rename(v) for key, v in doc[table].items()}
+    doc["elements"] = [names[x] for x in doc["elements"]]
+    doc["smeet"]["1|0,1"] = "0,0"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "full.json"
+    assert main(["full-xi", "--structure", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    found = [w["witness"] for w in report["witnesses"] if w["law"] == "factorization"]
+    assert len(found) == 166 and len(report["witnesses"]) == 168
+    assert found[0] == "0,0,0,0,0,0,0,0,0,0,0,0,0,0,1: possibility map forms disagree: 0,0 vs 0,1"
+
+
 def test_enumerate_emits_class_forms(tmp_path):
     out = tmp_path / "enum.json"
     code = main([
