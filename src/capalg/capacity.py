@@ -132,8 +132,10 @@ class _PointwiseCapacity:
             if x not in carrier.index:
                 raise ValidationError(f"{self._name} key {x!r} is not in the carrier")
         fill, pin = self._ends(chain)
-        fixed = {x: chain.level(weights.get(x, fill)) for x in carrier.elements}
-        if self._bound(fixed.values()) != pin:
+        # the fill is a level of the chain already: coerce the given weights only
+        fixed = dict.fromkeys(carrier.elements, fill)
+        fixed.update({x: chain.level(v) for x, v in weights.items()})
+        if self._bound(v.i for v in fixed.values()) != pin.i:
             raise ValidationError(f"a {self._side} {self._name} must attain {pin}")
         self.carrier = carrier
         self.chain = chain
@@ -162,21 +164,25 @@ class _PointwiseCapacity:
         parts = [f"{x}:{self._weights[x]}" for x in self.carrier.elements]
         return f"{type(self).__name__}({', '.join(parts)})"
 
-
-class PossibilityCapacity(_PointwiseCapacity):
-    """Capacity determined by a point density with maximum 1."""
-
-    __slots__ = ("density",)
-    _side, _name, _fill, _law = "possibility", "density", 0, "union"
-
     def value(self, members: Subset) -> Level:
+        """0 at the empty set, else the bound of the weights at the members
+        (a density) or outside them (a codensity; 1 when none is)."""
         members = frozenset(members)
         bad = members - self.carrier.universe
         if bad:
             raise ValidationError(f"{sorted(bad)} are not elements of the carrier")
         if not members:
             return self.chain.zero
-        return max(self.density[x] for x in members)
+        w = self._weights
+        read = self.carrier.universe - members if self._fill else members
+        return self._bound((w[x] for x in read), default=self.chain.one)
+
+
+class PossibilityCapacity(_PointwiseCapacity):
+    """Capacity determined by a point density with maximum 1."""
+
+    __slots__ = ("density",)
+    _side, _name, _fill, _law = "possibility", "density", 0, "union"
 
 
 class NecessityCapacity(_PointwiseCapacity):
@@ -185,18 +191,6 @@ class NecessityCapacity(_PointwiseCapacity):
     __slots__ = ("codensity",)
     _side, _name, _fill, _law = "necessity", "codensity", 1, "intersection"
     _bound = staticmethod(min)
-
-    def value(self, members: Subset) -> Level:
-        members = frozenset(members)
-        bad = members - self.carrier.universe
-        if bad:
-            raise ValidationError(f"{sorted(bad)} are not elements of the carrier")
-        if not members:
-            return self.chain.zero
-        outside = self.carrier.universe - members
-        if not outside:
-            return self.chain.one
-        return min(self.codensity[x] for x in outside)
 
 
 # the capacity classes of the one-dimensional forms
@@ -227,8 +221,8 @@ def _support(outer) -> tuple[str, ...]:
     supports of the inner capacities a multiplication view reads, and
     every name of any other capacity."""
     if isinstance(outer, _PointwiseCapacity):
-        fill, _ = outer._ends(outer.chain)
-        return tuple(n for n, w in outer._weights.items() if w != fill)
+        fill = outer._ends(outer.chain)[0].i
+        return tuple(n for n, w in outer._weights.items() if w.i != fill)
     if isinstance(outer, PushforwardView):
         return tuple(dict.fromkeys(outer.map.table.values()))
     if isinstance(outer, MultView):
@@ -244,7 +238,8 @@ class MultView:
     A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
     gives min_n max(e(n), c_n(F)); any other outer is scanned level by
     level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
-    ``mult`` returns it on bases of over 16 points and tabulates it below.
+    ``mult`` returns it on bases of over 16 points and tabulates it below,
+    on the inner rank vectors.
     """
 
     __slots__ = ("carrier", "chain", "outer", "assignment", "_support")
@@ -260,17 +255,25 @@ class MultView:
         members = frozenset(members)
         if not members:
             return self.chain.zero
-        outer = self.outer
-        inner = {n: self.assignment[n].value(members) for n in self._support}
-        if isinstance(outer, PossibilityCapacity):
-            return max(min(outer.density[n], v) for n, v in inner.items())
-        if isinstance(outer, NecessityCapacity):
-            return min(max(outer.codensity[n], v) for n, v in inner.items())
-        for alpha in reversed(self.chain.levels[1:]):
-            level_set = frozenset(n for n, v in inner.items() if v >= alpha)
-            if outer.value(level_set) >= alpha:
-                return alpha
-        return self.chain.zero
+        column = [_read(self.assignment[n], members) for n in self._support]
+        return self.chain.levels[self._flatten()(column)]
+
+    def _flatten(self):
+        """The view's rank at a nonempty subset from the inner ranks there,
+        one per support name: max-min for a density outer, min-max for a
+        codensity outer, and for any other outer the first level a, from
+        the top, whose level set has outer rank >= a."""
+        outer, support = self.outer, self._support
+        if isinstance(outer, _PointwiseCapacity):
+            bound = outer._bound
+            cross = min if bound is max else max
+            w = [outer._weights[n].i for n in support]
+            return lambda column: bound(map(cross, w, column))
+        top = range(self.chain.k, 0, -1)
+        return lambda column: next((
+            a for a in top
+            if _read(outer, frozenset(n for n, v in zip(support, column) if v >= a)) >= a
+        ), 0)
 
 
 CapacityLike = (
@@ -278,52 +281,100 @@ CapacityLike = (
 )
 
 
+def _fold(base: FiniteSpace, cls, chain: Chain, weights: list[int]) -> list[int]:
+    """Ranks, in ``subset_keys`` order, of the ``cls`` capacity with the point
+    ranks ``weights`` (in carrier order), built by mask one point at a time:
+    a mask with the point's bit bounds the rank without it by its weight.
+    A codensity is read at complements, at the mirrored positions."""
+    bound, by_mask = cls._bound, [cls._ends(chain)[0].i]
+    for w in weights:
+        by_mask += [bound(r, w) for r in by_mask]
+    ranks = [by_mask[m] for m in base.subset_masks()[0]]
+    return ranks[::-1] if cls._fill else ranks
+
+
+def _read(c, members: Subset) -> int:
+    """The rank of c at one subset, through its ``value``."""
+    return c.chain.level(c.value(members)).i
+
+
+def _ranks(c) -> list[int]:
+    """The ranks of the capacity-like c, at most 16 points, in ``subset_keys``
+    order: a table's own, a density's or codensity's fold, a pushforward
+    view's source ranks at each preimage mask, and a multiplication view's
+    flattening of its inner rank vectors; anything else is read per subset."""
+    if isinstance(c, SetFunction):
+        return [v.i for v in c.table.values()]
+    if isinstance(c, _PointwiseCapacity):
+        return _fold(c.carrier, type(c), c.chain, [w.i for w in c._weights.values()])
+    carrier = c.carrier
+    if isinstance(c, PushforwardView) and len(c.map.source) <= _MAX_TABLE_CARRIER:
+        f, source = c.map, _ranks(c.source)
+        # the preimage of each target point as a mask, then of each target mask
+        fiber = [0] * len(carrier)
+        for b, x in enumerate(f.source.elements):
+            fiber[carrier.index[f.table[x]]] |= 1 << b
+        pre = [0]
+        for bit in fiber:
+            pre += [m | bit for m in pre]
+        at = f.source.subset_masks()[1]
+        return [source[at[pre[m]]] for m in carrier.subset_masks()[0]]
+    if isinstance(c, MultView):
+        ranks = list(map(c._flatten(), zip(*(_ranks(c.assignment[n]) for n in c._support))))
+        ranks[0] = 0  # the empty set, read as 0 by MultView.value
+        return ranks
+    return [_read(c, s) for s in carrier.subsets(include_empty=True)]
+
+
 def validate(sf) -> list[str]:
     """Diagnostics for the capacity invariants; empty list means valid.
 
     Monotonicity is checked along covering pairs F vs F + {x}, which
-    suffices by transitivity.
+    suffices by transitivity; all checks run on the integer ranks, and a
+    diagnostic's text is written only for a failing pair.  Carriers of
+    over 16 points are refused.
     """
+    carrier, levels = sf.carrier, sf.chain.levels
+    _check_table_size(carrier)
     problems: list[str] = []
-    carrier, chain = sf.carrier, sf.chain
-    empty_val = sf.value(frozenset())
-    if empty_val != chain.zero:
-        problems.append(f"empty-set-nonzero: value(∅)={empty_val}")
-    for s in carrier.subsets(include_empty=True):
-        v = sf.value(s)
-        for extra in carrier.elements:
-            if extra in s:
-                continue
-            bigger = s | {extra}
-            w = sf.value(bigger)
-            if v > w:
-                a = "{" + ",".join(carrier.sorted_names(s)) + "}"
-                b = "{" + ",".join(carrier.sorted_names(bigger)) + "}"
-                problems.append(f"monotonicity violated at {a}⊆{b}: {v} > {w}")
-    top = sf.value(carrier.universe)
-    if top != chain.one:
-        problems.append(f"not-normalized: value(X)={top}")
+    ranks = _ranks(sf)
+    if ranks[0]:
+        problems.append(f"empty-set-nonzero: value(∅)={levels[ranks[0]]}")
+    masks, at = carrier.subset_masks()
+    by_mask, bits = [ranks[i] for i in at], [1 << b for b in range(len(carrier))]
+    for i, (m, v) in enumerate(zip(masks, ranks)):
+        for b in bits:  # an x already in F gives F itself, never a violation
+            if v > by_mask[m | b]:
+                j, keys = at[m | b], list(carrier.subset_keys().values())
+                problems.append(f"monotonicity violated at {{{keys[i]}}}⊆{{{keys[j]}}}: "
+                                f"{levels[v]} > {levels[ranks[j]]}")
+    if ranks[-1] != sf.chain.k:
+        problems.append(f"not-normalized: value(X)={levels[ranks[-1]]}")
     return problems
 
 
 def as_capacity(c: CapacityLike) -> Capacity:
     """Materialize any capacity-like object as an explicit table, validated;
-    the one tabulator.  A carrier of over 16 points is refused before any
-    value is read."""
+    the one tabulator.  It tabulates from ``_ranks``, and a carrier of over
+    16 points is refused before any value is read."""
     if isinstance(c, Capacity):
         return c
     _check_table_size(c.carrier)
-    table = {s: c.value(s) for s in c.carrier.subsets(include_empty=True)}
-    return Capacity(c.carrier, c.chain, table)
+    table = dict(zip(c.carrier.subset_keys(), map(c.chain.levels.__getitem__, _ranks(c))))
+    cap = Capacity._trusted(c.carrier, c.chain, table, None)
+    problems = validate(cap)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return cap
 
 
 def capacity_equal(a: CapacityLike, b: CapacityLike) -> bool:
-    """Value-wise equality across representations (small carriers only)."""
+    """Value-wise equality across representations, on ranks; carriers of
+    over 16 points are refused."""
     if a.carrier != b.carrier or a.chain != b.chain:
         return False
-    return all(
-        a.value(s) == b.value(s) for s in a.carrier.subsets(include_empty=True)
-    )
+    _check_table_size(a.carrier)
+    return _ranks(a) == _ranks(b)
 
 
 def canonical_key(c: CapacityLike) -> tuple:
@@ -385,11 +436,11 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
         inner = assignment.get(name)
         if inner is None:
             raise ValidationError(f"no capacity assigned to carrier element {name!r}")
-        if inner.chain != chain:
+        if inner.chain is not chain and inner.chain != chain:
             raise ValidationError("inner capacities must share the outer chain")
         if base is None:
             base = inner.carrier
-        elif inner.carrier != base:
+        elif inner.carrier is not base and inner.carrier != base:
             raise CarrierMismatchError("assigned capacities live on different spaces")
     assert base is not None
     support = _support(outer)
@@ -404,8 +455,7 @@ def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity |
     support are of one pointwise class, a submonad (Zarichnyi and
     Nykyforchyn 2008); None otherwise.  Densities flatten to the density
     max_n min(D(n), d_n), codensities to the codensity min_n max(E(n), e_n),
-    on integer ranks.  A codensity is read at complements, and the
-    complement of each subset sits at the mirrored position of its order."""
+    on integer ranks, tabulated by ``_fold``."""
     cls = type(outer)
     if cls not in _POINTWISE.values() or any(type(assignment[n]) is not cls for n in support):
         return None
@@ -413,15 +463,9 @@ def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity |
     cross = min if bound is max else max
     inner = [(w[n].i, assignment[n]._weights) for n in support]
     weights = [bound(cross(a, d[x].i) for a, d in inner) for x in base.elements]
-    # the empty set, then the singletons in carrier order, then the rest
-    ranks = [cls._ends(chain)[0].i, *weights] + [0] * (2 ** len(base) - len(base) - 1)
-    for i, j, l in base.subset_splits():
-        ranks[i] = bound(ranks[j], ranks[l])
-    if cls._fill:
-        ranks.reverse()
     levels = chain.levels
     form = cls(base, chain, dict(zip(base.elements, map(levels.__getitem__, weights))))
-    table = dict(zip(base.subset_keys(), map(levels.__getitem__, ranks)))
+    table = dict(zip(base.subset_keys(), map(levels.__getitem__, _fold(base, cls, chain, weights))))
     return Capacity._trusted(base, chain, table, form)
 
 
@@ -432,11 +476,11 @@ class ClassFlags(NamedTuple):
 
 def _pointwise_form(cls, c: CapacityLike):
     """The ``cls`` form of the capacity c, or None when c does not satisfy
-    the law of ``cls``.  A table is decided on integer ranks in n·2^n steps
+    the law of ``cls``.  A table is decided on integer ranks in 2^n steps
     (Grabisch 2016): the union law holds exactly when c(F) = max(c(F - {x}),
-    c({x})) at every nonempty F and its last point x, and the intersection
-    law exactly when that holds for the conjugate ranks k - r, each
-    complement read at its mirrored position."""
+    c({x})) at every F of two or more points and its first point x, and the
+    intersection law exactly when that holds for the conjugate ranks k - r,
+    each complement read at its mirrored position."""
     if isinstance(c, _PointwiseCapacity):
         if isinstance(c, cls):
             return c
@@ -447,14 +491,14 @@ def _pointwise_form(cls, c: CapacityLike):
     c = as_capacity(c)  # a lazy view becomes a table, refused above 16 points
     if isinstance(c._form, cls):
         return c._form
-    ranks = [v.i for v in c.table.values()]
+    ranks = _ranks(c)
     if cls._fill:
-        k = c.chain.k
-        ranks = [k - r for r in reversed(ranks)]
-    for i, j, l in c.carrier.subset_splits():
-        if ranks[i] != max(ranks[j], ranks[l]):
-            return None
+        ranks = [c.chain.k - r for r in reversed(ranks)]
+    masks, at = c.carrier.subset_masks()
     # the singletons sit right after the empty set, in carrier order
+    for m in masks[len(c.carrier) + 1:]:
+        if ranks[at[m]] != max(ranks[at[m & (m - 1)]], ranks[at[m & -m]]):
+            return None
     levels = c.chain.levels
     density = dict(zip(c.carrier.elements, map(levels.__getitem__, ranks[1:])))
     form = PossibilityCapacity(c.carrier, c.chain, density)
@@ -498,9 +542,9 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
     if isinstance(c, _PointwiseCapacity):
         other = NecessityCapacity if isinstance(c, PossibilityCapacity) else PossibilityCapacity
         return other(c.carrier, chain, {x: level_complement(v) for x, v in c._weights.items()})
-    universe = c.carrier.universe
-    t = as_capacity(c).table  # in subset order, as _trusted needs
-    table = {s: level_complement(t[universe - s]) for s in t}
+    # the complement of each subset sits at the mirrored position
+    ranks = reversed(_ranks(as_capacity(c)))
+    table = dict(zip(c.carrier.subset_keys(), [chain.levels[chain.k - r] for r in ranks]))
     return Capacity._trusted(c.carrier, chain, table, None)
 
 
@@ -676,7 +720,8 @@ class StructureMap:
         self._table = dict(table) if table is not None else None
         self._structure = structure
         self._cache = self._table if self._table is not None else {}
-        self._along: dict[FiniteSpace, PointMap] = {}
+        # (pool, names, n -> xi(pool[n])) of the last mult_case
+        self._along: tuple | None = None
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
@@ -721,14 +766,16 @@ class StructureMap:
     def mult_case(self, outer: CapacityLike, pool: Mapping[str, CapacityLike]) -> LawCase:
         """The multiplication law at an outer capacity C over the named
         capacities of ``pool``: xi(mu C) = xi(M xi (C)), where M xi pushes C
-        forward along n -> xi(pool[n]), kept per set of names."""
+        forward along n -> xi(pool[n]).  That map is kept for the next case
+        only while it comes with the same pool object and set of names."""
         names = outer.carrier
 
         def sides():
-            if names not in self._along:
+            along = self._along
+            if along is None or along[0] is not pool or along[1] != names:
                 images = {n: self(pool[n]) for n in names.elements}
-                self._along[names] = PointMap(names, self.carrier, images)
-            return self(mult(outer, pool)), self(pushforward(self._along[names], outer))
+                along = self._along = (pool, names, PointMap(names, self.carrier, images))
+            return self(mult(outer, pool)), self(pushforward(along[2], outer))
 
         return self._law_case(sides)
 

@@ -23,7 +23,7 @@ Subset = frozenset  # subsets are plain frozensets of element names
 class FiniteSpace:
     """Ordered finite set of distinct element names."""
 
-    __slots__ = ("elements", "index", "_universe", "_subset_keys", "_splits")
+    __slots__ = ("elements", "index", "_universe", "_subset_keys", "_masks")
 
     def __init__(self, elements: Iterable[str]):
         elems = tuple(elements)
@@ -38,7 +38,7 @@ class FiniteSpace:
         self.index = {e: i for i, e in enumerate(elems)}
         self._universe = frozenset(elems)
         self._subset_keys: dict[Subset, str] | None = None
-        self._splits: tuple[tuple[int, int, int], ...] | None = None
+        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __eq__(self, other):
         return other is self or (isinstance(other, FiniteSpace) and other.elements == self.elements)
@@ -84,17 +84,14 @@ class FiniteSpace:
             }
         return self._subset_keys
 
-    def subset_splits(self) -> tuple[tuple[int, int, int], ...]:
-        """Positions (i, j, l), in ``subset_keys`` order, of each nonempty subset
-        F, of F without its last element x and of {x}; built once, like it."""
-        if self._splits is None:
-            pos = {s: i for i, s in enumerate(self.subset_keys())}
-            self._splits = tuple(
-                (i, pos[s - {x}], pos[frozenset([x])])
-                for s, i in pos.items() if s
-                for x in (max(s, key=self.index.__getitem__),)
-            )
-        return self._splits
+    def subset_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The bitmask of each subset in ``subset_keys`` order (bit i for the
+        i-th element) and the position of each mask; built once, like it."""
+        if self._masks is None:
+            bits = [1 << i for i in range(len(self.elements))]
+            masks = tuple(sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r))
+            self._masks = (masks, tuple(sorted(range(len(masks)), key=masks.__getitem__)))
+        return self._masks
 
     def sorted_names(self, s: Subset) -> list[str]:
         return sorted(s, key=self.index.__getitem__)

@@ -32,6 +32,7 @@ from capalg.capacity import (
     is_algebra_morphism,
     mult,
     capacity_equal,
+    dirac_density,
     unit_dirac,
 )
 from capalg.biconvex import (
@@ -309,6 +310,22 @@ def test_one_sided_maps_satisfy_unit_laws_everywhere():
             dirac_n = NecessityCapacity(b.carrier, b.chain, cod)
             assert structure_map_possibility(b, dirac_p) == x
             assert structure_map_necessity(b, dirac_n) == x
+
+
+def test_multiplication_law_case_reads_each_pool_it_is_given():
+    # the map n -> xi(pool[n]) is kept only for the pool object it was
+    # computed from: a second pool on an equal set of names gets its own
+    (b,) = enumerate_biconvex_structures(X2, K1)
+    xi = CapacityStructureMap.from_biconvex(b)
+    names = FiniteSpace(["n0"])
+    outer = dirac_density(names, K1, "n0")
+    pools = [{"n0": dirac_density(X2, K1, x)} for x in "ab"]
+    for pool, x in zip(pools, "ab"):
+        assert xi.mult_case(outer, pool) == (x, x, None)
+    # an equal copy of the first pool, then an outer on an equal set of names
+    assert xi.mult_case(outer, dict(pools[0])) == ("a", "a", None)
+    again = dirac_density(FiniteSpace(["n0"]), K1, "n0")
+    assert xi.mult_case(again, pools[1]) == ("b", "b", None)
 
 
 def test_factorization_routes_agree_on_every_capacity():

@@ -8,6 +8,7 @@ of the flattening formula.
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -788,3 +789,186 @@ def test_set_functions_and_views_refuse_foreign_or_missing_sets():
     # equal values on other carriers or chains are still other capacities
     assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X3, K2, "a"))
     assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X2, Chain(1), "a"))
+
+
+# ------------------------------------------- tabulation on integer ranks
+
+
+POINTWISE = (PossibilityCapacity, NecessityCapacity)
+
+
+def per_subset(c):
+    """The values of c read one subset at a time, in subset order."""
+    return [c.value(s) for s in c.carrier.subsets(include_empty=True)]
+
+
+def random_map(source, target, rng):
+    return PointMap(source, target, {x: rng.choice(target.elements) for x in source.elements})
+
+
+def random_form(space, chain, rng, classes=(Capacity, PossibilityCapacity, NecessityCapacity)):
+    """A seeded table, density or codensity on the space, its class drawn
+    from ``classes``; no pool is built, so any size up to 16 points is cheap."""
+    cls = rng.choice(classes)
+    if cls is Capacity:
+        return random_capacity(space, chain, rng)
+    return _random_pointwise(cls, space, chain, rng)
+
+
+def pushforward_view(base, chain, rng):
+    """A pushforward view onto the base, from a table, density, codensity
+    or (one level down) pushforward view on 1-4 points."""
+    source = names_of(rng.randint(1, 4))
+    c = random_form(source, chain, rng)
+    if rng.random() < 0.25:
+        c = PushforwardView(random_map(source, source, rng), c)
+    return PushforwardView(random_map(source, base, rng), c)
+
+
+def mult_view(outer, base, chain, rng, classes=(Capacity, PossibilityCapacity, NecessityCapacity)):
+    """The multiplication view itself, built without ``mult``, so that a
+    pure closed-form case is tabulated from the view as well."""
+    assignment = {n: random_form(base, chain, rng, classes) for n in outer.carrier.elements}
+    return MultView(base, outer, assignment, _support(outer))
+
+
+def nested_view_outer(chain, rng):
+    """A multiplication view over names, as an outer read through its
+    ``value``: on at most 4 names, or on 17-20, where ``mult`` keeps it lazy."""
+    names = names_of(rng.choice([rng.randint(1, 4), rng.randint(17, 20)]))
+    theta = random_form(names_of(rng.randint(1, 3)), chain, rng)
+    return mult_view(theta, names, chain, rng, POINTWISE)
+
+
+def view_of_form(form, base, chain, rng):
+    if form == "pushforward":
+        return pushforward_view(base, chain, rng)
+    if form in ("density", "codensity"):
+        cls = PossibilityCapacity if form == "density" else NecessityCapacity
+        outer = _random_pointwise(cls, names_of(rng.randint(1, 6)), chain, rng)
+        return mult_view(outer, base, chain, rng, (cls,))
+    if form == "mixed":
+        outer = random_form(names_of(rng.randint(1, 6)), chain, rng, POINTWISE)
+        return mult_view(outer, base, chain, rng)
+    if form == "table":
+        return mult_view(random_capacity(names_of(rng.randint(1, 4)), chain, rng), base, chain, rng)
+    if form == "pushforward-outer":
+        return mult_view(pushforward_outer(chain, rng), base, chain, rng)
+    return mult_view(nested_view_outer(chain, rng), base, chain, rng)
+
+
+VIEW_FORMS = [
+    "pushforward", "density", "codensity", "mixed", "table", "pushforward-outer", "nested",
+]
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(
+    strat.sampled_from(VIEW_FORMS),
+    strat.integers(min_value=1, max_value=4),
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tabulation_on_ranks_matches_the_per_subset_reading(form, points, k, seed):
+    rng = random.Random(seed)
+    chain = Chain(k)
+    base = names_of(points)
+    view = view_of_form(form, base, chain, rng)
+    table = as_capacity(view)
+    assert list(table.table) == list(base.subsets(include_empty=True))
+    assert list(table.table.values()) == per_subset(view)
+
+
+def test_tabulation_on_ranks_matches_the_per_subset_reading_on_the_pool_names():
+    # the 9-name pool of the two-point k=2 monad laws, as the base that
+    # fmap(eta_hat, c) and mult(theta, assign2) tabulate on
+    names, pool = capacity_pool(X2, K2, "all")
+    rng = random.Random(21)
+    for form in VIEW_FORMS * 3:
+        if form == "pushforward":
+            view = PushforwardView(random_map(X2, names, rng), rng.choice(list(pool.values())))
+        else:
+            view = view_of_form(form, names, K2, rng)
+        assert list(as_capacity(view).table.values()) == per_subset(view), form
+
+
+def written_out_validate(sf):
+    """Independent diagnostics oracle: every covering pair F vs F + {x},
+    read subset by subset through ``value``, subsets in order and x in
+    carrier order, between the empty-set and the normalization checks."""
+    carrier, chain = sf.carrier, sf.chain
+    problems = []
+    if sf.value(frozenset()) != chain.zero:
+        problems.append(f"empty-set-nonzero: value(∅)={sf.value(frozenset())}")
+    for s in carrier.subsets(include_empty=True):
+        for x in carrier.elements:
+            v, w = sf.value(s), sf.value(s | {x})
+            if x not in s and v > w:
+                a, b = (",".join(carrier.sorted_names(t)) for t in (s, s | {x}))
+                problems.append(f"monotonicity violated at {{{a}}}⊆{{{b}}}: {v} > {w}")
+    if sf.value(carrier.universe) != chain.one:
+        problems.append(f"not-normalized: value(X)={sf.value(carrier.universe)}")
+    return problems
+
+
+def test_validate_on_ranks_gives_the_per_subset_diagnostics_in_order():
+    droop = SetFunction(
+        X2, K2,
+        {frozenset(): 0, frozenset("a"): 1, frozenset("b"): 0, frozenset("ab"): "1/2"},
+    )
+    assert validate(droop) == [
+        "monotonicity violated at {a}⊆{a,b}: 1 > 1/2",
+        "not-normalized: value(X)=1/2",
+    ]
+    leaky = SetFunction(X2, K2, {s: "1/2" for s in X2.subsets(include_empty=True)})
+    assert validate(leaky) == ["empty-set-nonzero: value(∅)=1/2", "not-normalized: value(X)=1/2"]
+    rng = random.Random(4)
+    tables = [droop, leaky]
+    for space in (FiniteSpace(["a"]), X2, X3, FiniteSpace(list("abcd"))):
+        for _ in range(10):
+            levels = Chain(rng.randint(1, 3)).levels
+            tables.append(SetFunction(
+                space, levels[0].chain,
+                {s: rng.choice(levels) for s in space.subsets(include_empty=True)},
+            ))
+    # a view of a set function that is not a capacity is read the same way
+    views = [PushforwardView(random_map(t.carrier, X3, rng), t) for t in tables]
+    # a multiplication view reads 0 at the empty set whatever its inner values
+    one = names_of(1)
+    views.append(MultView(X2, dirac_density(one, K2, "n0"), {"n0": leaky}, ("n0",)))
+    views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
+    assert [validate(v) for v in views[-2:]] == [["not-normalized: value(X)=1/2"]] * 2
+    assert any(validate(t) for t in tables[2:])
+    for sf in tables + views:
+        problems = validate(sf)
+        assert problems == written_out_validate(sf)
+        if problems:
+            with pytest.raises(ValidationError, match="^" + re.escape("; ".join(problems)) + "$"):
+                as_capacity(sf)
+
+
+def test_mult_and_pushforward_above_sixteen_points_stay_lazy(monkeypatch):
+    # neither is tabulated nor validated there, and both refuse a table
+    # before any value is read
+    rng = random.Random(8)
+    big, names = names_of(17), names_of(3)
+    f, table = random_map(X3, big, rng), random_capacity(X3, K2, rng)
+    cases = [
+        (random_form(names, K2, rng, (outer,)),
+         {n: _random_pointwise(inner, big, K2, rng) for n in names.elements})
+        for outer in (PossibilityCapacity, NecessityCapacity, Capacity)
+        for inner in POINTWISE
+    ]
+    reads = []
+    for view_cls in (MultView, PushforwardView):
+        read = view_cls.value
+        counted = lambda self, s, read=read: reads.append(s) or read(self, s)
+        monkeypatch.setattr(view_cls, "value", counted)
+    monkeypatch.setattr(capacity_module, "validate", lambda sf: reads.append(sf) or [])
+    lazy = [pushforward(f, table)] + [mult(outer, assignment) for outer, assignment in cases]
+    assert [type(c) for c in lazy] == [PushforwardView] + [MultView] * 6
+    for c in lazy:
+        for refuse in (as_capacity, validate, classify, lambda c: capacity_equal(c, c)):
+            with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
+                refuse(c)
+    assert reads == []

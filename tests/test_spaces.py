@@ -246,6 +246,19 @@ def test_enumeration_order_is_stable():
     assert first == second
 
 
+def test_subset_masks_follow_the_subset_order():
+    # mask bit i is the i-th element, and each mask's position inverts the order
+    for space in (FiniteSpace(["a"]), X2, X3, X4):
+        order = list(space.subsets(include_empty=True))
+        assert list(space.subset_keys()) == order
+        masks, at = space.subset_masks()
+        named = [frozenset(x for i, x in enumerate(space.elements) if m >> i & 1) for m in masks]
+        assert named == order
+        assert sorted(masks) == list(range(2 ** len(space)))
+        assert [at[m] for m in masks] == list(range(len(order)))
+        assert space.subset_masks() is space.subset_masks()
+
+
 @pytest.mark.parametrize("call, error, text", [
     (lambda: PointMap(X2, X2, {"a": "a", "b": "b", "z": "a"}),
      ValidationError, "'z' is not in the source space"),
