@@ -11,6 +11,8 @@ embedding search, JSON serialization, and law-check suites exposed both
 as a library and through the ``capalg`` command line tool.
 """
 
+import types
+
 from .chain import Chain, Level, complement, join, make_chain, meet
 from .errors import (
     BudgetExceededError,
@@ -95,83 +97,8 @@ from .serial import dumps_canonical, structure_from_json, structure_to_json
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiconvexStructure",
-    "BudgetExceededError",
-    "Capacity",
-    "CapacityStructureMap",
-    "CapalgError",
-    "CarrierMismatchError",
-    "Chain",
-    "ChainMismatchError",
-    "ConvexStructure",
-    "CubeStructure",
-    "DualConvexStructure",
-    "FiniteSpace",
-    "InclusionHyperspace",
-    "InvalidResolutionError",
-    "LawViolationError",
-    "Level",
-    "NecessityCapacity",
-    "PointMap",
-    "PossibilityCapacity",
-    "Semimodule",
-    "TripleStructure",
-    "UnionStructureMap",
-    "ValidationError",
-    "as_capacity",
-    "as_necessity",
-    "as_possibility",
-    "biconvex_from_triple",
-    "capacity_equal",
-    "capacity_space",
-    "chain_model",
-    "check_algebra_laws",
-    "check_biconvex",
-    "check_ci_axioms",
-    "check_ic_axioms",
-    "check_semimodule_axioms",
-    "check_triple",
-    "classify",
-    "complement",
-    "cube_structure",
-    "diamond_structure",
-    "dirac_density",
-    "dual_structure_map",
-    "dumps_canonical",
-    "embed_inclusion_hyperspace",
-    "embedding_search",
-    "enumerate_biconvex_structures",
-    "enumerate_capacities",
-    "enumerate_convex_structures",
-    "enumerate_hyperspaces",
-    "enumerate_lawful_triples",
-    "enumerate_union_algebras",
-    "g_map",
-    "g_mult",
-    "g_unit",
-    "hyperspace_space",
-    "ic_from_structure_map",
-    "is_affine",
-    "is_biaffine",
-    "join",
-    "kappa_dual",
-    "make_chain",
-    "meet",
-    "mult",
-    "nary_combination",
-    "necessity_space",
-    "possibility_space",
-    "pushforward",
-    "quadruple_from_algebra",
-    "quotient_semimodule",
-    "structure_from_json",
-    "structure_to_json",
-    "structure_map_from_ic",
-    "structure_map_full",
-    "structure_map_full_dual",
-    "sugeno_form",
-    "triple_from_biconvex",
-    "unit_dirac",
-    "validate",
-]
+# the public surface: every name imported above, so it is listed once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -353,16 +353,32 @@ def validate(sf) -> list[str]:
     return problems
 
 
+# the classes whose instances were checked to be capacities when built
+_CHECKED = frozenset((Capacity, PossibilityCapacity, NecessityCapacity))
+
+
+def _is_capacity(c) -> bool:
+    """Whether c is a capacity by construction: an instance of ``_CHECKED``,
+    a pushforward view of a capacity by construction, or a multiplication
+    view of one over ``_CHECKED`` inner capacities at its support."""
+    if isinstance(c, PushforwardView):
+        return _is_capacity(c.source)
+    if isinstance(c, MultView):
+        return _is_capacity(c.outer) and all(type(c.assignment[n]) in _CHECKED for n in c._support)
+    return type(c) in _CHECKED
+
+
 def as_capacity(c: CapacityLike) -> Capacity:
-    """Materialize any capacity-like object as an explicit table, validated;
-    the one tabulator.  It tabulates from ``_ranks``, and a carrier of over
-    16 points is refused before any value is read."""
+    """Materialize any capacity-like object as an explicit table; the one
+    tabulator.  It tabulates from ``_ranks``, and a carrier of over 16
+    points is refused before any value is read.  The table is validated
+    unless ``_is_capacity`` holds; a density or codensity is kept as its form."""
     if isinstance(c, Capacity):
         return c
     _check_table_size(c.carrier)
     table = dict(zip(c.carrier.subset_keys(), map(c.chain.levels.__getitem__, _ranks(c))))
-    cap = Capacity._trusted(c.carrier, c.chain, table, None)
-    problems = validate(cap)
+    cap = Capacity._trusted(c.carrier, c.chain, table, c if isinstance(c, _PointwiseCapacity) else None)
+    problems = [] if _is_capacity(c) else validate(cap)
     if problems:
         raise ValidationError("; ".join(problems))
     return cap
@@ -474,13 +490,23 @@ class ClassFlags(NamedTuple):
     is_intersection: bool
 
 
+def _splits(ranks, carrier: FiniteSpace) -> bool:
+    """The union law on a capacity's ranks in subset order, in 2^n steps
+    (Grabisch 2016): c(F) = max(c(F - {x}), c({x})) at every F of two or
+    more points and its first point x.  The intersection law is this test
+    on the conjugate ranks k - r, reversed."""
+    masks, at = carrier.subset_masks()
+    # the singletons sit right after the empty set, in carrier order
+    for i in range(len(carrier) + 1, len(masks)):
+        m = masks[i]
+        if ranks[i] != max(ranks[at[m & (m - 1)]], ranks[at[m & -m]]):
+            return False
+    return True
+
+
 def _pointwise_form(cls, c: CapacityLike):
     """The ``cls`` form of the capacity c, or None when c does not satisfy
-    the law of ``cls``.  A table is decided on integer ranks in 2^n steps
-    (Grabisch 2016): the union law holds exactly when c(F) = max(c(F - {x}),
-    c({x})) at every F of two or more points and its first point x, and the
-    intersection law exactly when that holds for the conjugate ranks k - r,
-    each complement read at its mirrored position."""
+    the law of ``cls``; a table is decided by ``_splits``."""
     if isinstance(c, _PointwiseCapacity):
         if isinstance(c, cls):
             return c
@@ -494,11 +520,8 @@ def _pointwise_form(cls, c: CapacityLike):
     ranks = _ranks(c)
     if cls._fill:
         ranks = [c.chain.k - r for r in reversed(ranks)]
-    masks, at = c.carrier.subset_masks()
-    # the singletons sit right after the empty set, in carrier order
-    for m in masks[len(c.carrier) + 1:]:
-        if ranks[at[m]] != max(ranks[at[m & (m - 1)]], ranks[at[m & -m]]):
-            return None
+    if not _splits(ranks, c.carrier):
+        return None
     levels = c.chain.levels
     density = dict(zip(c.carrier.elements, map(levels.__getitem__, ranks[1:])))
     form = PossibilityCapacity(c.carrier, c.chain, density)
@@ -580,6 +603,41 @@ def _check_cube_size(k: int, arity: int) -> None:
             )
 
 
+def enumerate_ranks(space: FiniteSpace, k: int, kind: str = "all") -> Iterator[tuple[int, ...]]:
+    """The stream of ``enumerate_capacities`` on integer ranks, with no budget
+    check: each capacity's ranks in subset order (kind "all"), or each
+    density's or codensity's weights in carrier order."""
+    cls = _POINTWISE.get(kind)
+    if cls is not None:
+        pin = 0 if cls._fill else k
+        return (w for w in itertools.product(range(k + 1), repeat=len(space)) if cls._bound(w) == pin)
+    if kind != "all":
+        raise ValidationError(f"unknown capacity class {kind!r}")
+    return _rank_walk(space, k)
+
+
+def _rank_walk(space: FiniteSpace, k: int) -> Iterator[tuple[int, ...]]:
+    """The ranks, in subset order, of every capacity on the space at
+    resolution k, lexicographically: each proper subset runs from the max
+    rank at its immediate subsets, found once by mask, up to k."""
+    masks, at = space.subset_masks()
+    below = [[at[m & ~(1 << b)] for b in range(len(space)) if m >> b & 1] for m in masks]
+    last = len(masks) - 2
+    ranks, i = [0] * last + [0, k], 1
+    while True:
+        while i <= last:  # each later subset starts at its least admissible rank
+            ranks[i] = max([ranks[j] for j in below[i]])
+            i += 1
+        yield tuple(ranks)
+        i = last  # then the last proper subset below k goes up one
+        while i and ranks[i] == k:
+            i -= 1
+        if not i:
+            return
+        ranks[i] += 1
+        i += 1
+
+
 def enumerate_capacities(
     space: FiniteSpace,
     chain: Chain,
@@ -591,16 +649,32 @@ def enumerate_capacities(
     kind="all" walks subsets by (size, position) and assigns each the
     smallest admissible levels first, so the stream is lexicographic in
     the value tuple.  kind="union" / "intersection" run over densities
-    with max 1 / codensities with min 0 in lexicographic order.
+    with max 1 / codensities with min 0 in lexicographic order.  Each comes
+    from ``enumerate_ranks``; a table, a capacity by construction, is not
+    checked again.
     """
     check_enumeration_budget(space, chain.k, budget)
+    cls, levels = _POINTWISE.get(kind), chain.levels
+    keys = space.elements if cls else space.subset_keys()
+    for ranks in enumerate_ranks(space, chain.k, kind):
+        table = dict(zip(keys, map(levels.__getitem__, ranks)))
+        yield cls(space, chain, table) if cls else Capacity._trusted(space, chain, table, None)
+
+
+def rank_flags(space: FiniteSpace, k: int, kind: str):
+    """``classify`` on the ranks of ``enumerate_ranks``: ``_splits`` of a
+    capacity's ranks and of its conjugate's.  A density or codensity is of
+    its own class, and of the other exactly when it is Dirac: one weight
+    off the fill."""
     if kind == "all":
-        yield from _enumerate_all(space, chain)
-        return
-    cls = _POINTWISE.get(kind)
-    if cls is None:
-        raise ValidationError(f"unknown capacity class {kind!r}")
-    yield from _pointwise_capacities(cls, space, chain)
+        return lambda r: ClassFlags(_splits(r, space), _splits([k - v for v in reversed(r)], space))
+    necessity = _POINTWISE[kind]._fill == 1
+    fill = k if necessity else 0
+
+    def flags(w):
+        dirac = w.count(fill) == len(w) - 1
+        return ClassFlags(dirac or not necessity, dirac or necessity)
+    return flags
 
 
 def pinned_table(cls, carrier, chain, rows, levels, value) -> dict[tuple, str]:
@@ -615,44 +689,15 @@ def pinned_table(cls, carrier, chain, rows, levels, value) -> dict[tuple, str]:
     }
 
 
-def _pointwise_capacities(cls, space: FiniteSpace, chain: Chain) -> Iterator:
-    """Every ``cls`` capacity on the space, its weight tuples in
-    ``itertools.product`` order of the levels."""
-    _, pin = cls._ends(chain)
-    for combo in itertools.product(chain.levels, repeat=len(space)):
-        if cls._bound(combo) == pin:
-            yield cls(space, chain, dict(zip(space.elements, combo)))
-
-
 def _exhaustive_densities(space: FiniteSpace, chain: Chain) -> list | None:
     """Every density on the space as ``enumerate_capacities`` orders them,
     or None when their number (k+1)^m - k^m exceeds EXHAUSTIVE_DENSITY_LIMIT."""
     m = len(space)
     if (chain.k + 1) ** m - chain.k ** m > EXHAUSTIVE_DENSITY_LIMIT:
         return None
-    return list(_pointwise_capacities(PossibilityCapacity, space, chain))
-
-
-def _enumerate_all(space: FiniteSpace, chain: Chain) -> Iterator[Capacity]:
-    order = list(space.subsets(include_empty=True))
-    proper = order[1:-1]
-    # the immediate subsets of each proper subset; their values bound it below
-    covered = [[s - {x} for x in s] for s in proper]
-    levels = chain.levels
-    assignment: dict[Subset, Level] = {order[0]: chain.zero, order[-1]: chain.one}
-
-    def rec(i: int) -> Iterator[Capacity]:
-        if i == len(proper):
-            yield Capacity._trusted(space, chain, {s: assignment[s] for s in order}, None)
-            return
-        s = proper[i]
-        lo = max(assignment[t].i for t in covered[i])
-        for lv in levels[lo:]:
-            assignment[s] = lv
-            yield from rec(i + 1)
-        del assignment[s]
-
-    yield from rec(0)
+    weights = (dict(zip(space.elements, map(chain.levels.__getitem__, w)))
+               for w in enumerate_ranks(space, chain.k, "union"))
+    return [PossibilityCapacity(space, chain, d) for d in weights]
 
 
 _NAME_PREFIX = {"all": "c", "union": "p", "intersection": "n"}
@@ -707,10 +752,11 @@ class LawCase(NamedTuple):
 class StructureMap:
     """Assigns an element to every capacity of one class (``_kind``, as
     ``capacity_pool`` names it) from a table, or from a backing structure
-    through ``_evaluate`` with each value kept per ``_key``.  A capacity on
-    another carrier or chain is rejected before any lookup; one of the
-    class in another form (a table) is brought into the class's form.
-    ``unit_case`` and ``mult_case`` are its algebra laws, case by case."""
+    through ``_evaluate`` with each value kept per ``_cache_key``, by default
+    ``_key``, the key of its tables.  A capacity on another carrier or chain
+    is rejected before any lookup; one of the class in another form (a
+    table) is brought into the class's form.  ``unit_case`` and
+    ``mult_case`` are its algebra laws, case by case."""
 
     __slots__ = ("carrier", "chain", "_table", "_structure", "_cache", "_along")
 
@@ -719,7 +765,7 @@ class StructureMap:
         self.chain = chain
         self._table = dict(table) if table is not None else None
         self._structure = structure
-        self._cache = self._table if self._table is not None else {}
+        self._cache = {} if table is None else {self._cache_key_of(t): z for t, z in self._table.items()}
         # (pool, names, n -> xi(pool[n])) of the last mult_case
         self._along: tuple | None = None
 
@@ -737,13 +783,20 @@ class StructureMap:
             raise ValidationError("capacity uses a different chain")
         if self._kind in _POINTWISE:
             c = _as_pointwise(_POINTWISE[self._kind], c)
-        key = self._key(c)
+        key = self._cache_key(c)
         got = self._cache.get(key)
         if got is None:
             if self._table is not None:
-                raise ValidationError(f"table has no entry for {','.join(map(str, key))}")
+                raise ValidationError(f"table has no entry for {','.join(map(str, self._key(c)))}")
             got = self._cache[key] = self._evaluate(c)
         return got
+
+    def _cache_key(self, c):
+        return self._key(c)
+
+    def _cache_key_of(self, key):
+        """The cache key of a table key."""
+        return key
 
     def tabulate(self) -> dict[tuple, str]:
         """Explicit table over every capacity of the map's class on the carrier."""

@@ -28,8 +28,9 @@ from .biconvex import (
 from .capacity import (
     DEFAULT_ENUMERATION_BUDGET,
     check_enumeration_budget,
-    classify,
     enumerate_capacities,
+    enumerate_ranks,
+    rank_flags,
 )
 from .chain import make_chain
 from .convexity import (
@@ -44,7 +45,7 @@ from .convexity import (
 )
 from .errors import CapalgError, LawViolationError
 from .serial import (
-    capacity_to_json,
+    capacity_renderer,
     dump_canonical,
     embedding_result_to_json,
     full_map_to_json,
@@ -256,15 +257,16 @@ def _run_enumerate(args: argparse.Namespace):
     space = _load_space(args)
     # refused before the chain's k + 1 levels are built
     check_enumeration_budget(space, args.chain_k, DEFAULT_ENUMERATION_BUDGET)
-    chain = make_chain(args.chain_k)
-    # one pass: each capacity is classified and serialized, then dropped
+    chain, kind = make_chain(args.chain_k), args.capacity_class
+    # one walk on rank vectors: each capacity is classified and rendered from its ranks
+    flags, render = rank_flags(space, chain.k, kind), capacity_renderer(space, chain, kind)
     items = []
     union = intersection = 0
-    for c in enumerate_capacities(space, chain, args.capacity_class):
-        flags = classify(c)
-        union += flags.is_union
-        intersection += flags.is_intersection
-        items.append(capacity_to_json(c))
+    for ranks in enumerate_ranks(space, chain.k, kind):
+        is_union, is_intersection = flags(ranks)
+        union += is_union
+        intersection += is_intersection
+        items.append(render(ranks))
     rep = SuiteReport("enumerate-capacities")
     rep.cases = len(items)
     rep.counts.update(count=len(items), union=union, intersection=intersection)
@@ -283,7 +285,9 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
-    """Execute one command; returns (exit_code, report_payload)."""
+    """Execute one command; returns (exit_code, report_payload).  The
+    ``enumerate`` items are rendered text that only the canonical writer
+    (``dump_canonical``, ``dumps_canonical``) writes as JSON objects."""
     t0 = time.perf_counter()
     try:
         reports, payload = _HANDLERS[args.command](args)

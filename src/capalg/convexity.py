@@ -155,6 +155,14 @@ class UnionStructureMap(StructureMap):
     _kind = "union"
     _key = staticmethod(density_key)
 
+    @staticmethod
+    def _cache_key(p: PossibilityCapacity) -> tuple:
+        # the weight ranks, which hash as ints and not as Fractions
+        return tuple(w.i for w in p.density.values())
+
+    def _cache_key_of(self, key):
+        return tuple(self.chain.level(v).i for v in key)
+
     @classmethod
     def from_convex(cls, s: ConvexStructure) -> "UnionStructureMap":
         return cls(s.carrier, s.chain, structure=s)

@@ -28,6 +28,7 @@ from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     SetFunction,
+    _POINTWISE,
     _check_cube_size,
     check_enumeration_budget,
 )
@@ -62,13 +63,24 @@ def _check_names(space: FiniteSpace) -> None:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+class _Rendered(str):
+    """Text ``_canonical_chunks`` wrote for a document at depth 0."""
+
+    __slots__ = ()
+
+
 def _canonical_chunks(obj, depth: int, encoders: dict):
     """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` at nesting
     ``depth``, in pieces.  A scalar, or a container of scalars, is one
     piece from the C encoder (the pure-Python one runs whenever ``indent``
     is set), whose item separator carries the indentation of the depth;
-    any other container gives one piece per item.  ``encoders`` keeps
-    the encoder of each depth."""
+    any other container gives one piece per item, and ``_Rendered`` text
+    is one piece, re-indented to the depth.  ``encoders`` keeps the
+    encoder of each depth."""
+    if type(obj) is _Rendered:
+        # JSON text holds no raw newline but the ones that indent it
+        yield obj.replace("\n", "\n" + "  " * depth)
+        return
     enc = encoders.get(depth) or encoders.setdefault(depth, json.JSONEncoder(
         sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")))
     is_dict = isinstance(obj, dict)
@@ -244,19 +256,33 @@ def _structure_from_json(cls: type[TableStructure], obj: Mapping):
 def capacity_to_json(c: CapacityLike) -> dict:
     """A density, a codensity, or the value at every subset (a table's in
     its own order, the subset order); set keys come from the carrier, and
-    each distinct level is written once per call."""
+    each level's text is made once per call."""
     base = _header(c.carrier, c.chain)
     if isinstance(c, (PossibilityCapacity, NecessityCapacity)):
         base[c._name] = _table_to_json(c._weights, "x", "a")
         return base
     keys = c.carrier.subset_keys()
     values = c.table.values() if isinstance(c, SetFunction) else map(c.value, keys)
-    texts: dict[int, str] = {}
-    base["values"] = {
-        key: texts.get(v.i) or texts.setdefault(v.i, str(v))
-        for key, v in zip(keys.values(), values)
-    }
+    texts = [str(v) for v in c.chain.levels]
+    base["values"] = {key: texts[v.i] for key, v in zip(keys.values(), values)}
     return base
+
+
+def capacity_renderer(space: FiniteSpace, chain: Chain, kind: str):
+    """``capacity_to_json`` of each capacity ``enumerate_ranks`` yields for
+    ``kind``, as ``_Rendered`` text made from its ranks.  The canonical
+    writer renders, once per call, a probe: the header and a "|" at each
+    value, which no name can hold (``_check_names``).  Each capacity fills
+    those cells, in sorted-key order, with the JSON text of its levels."""
+    cls = _POINTWISE.get(kind)
+    name, keys = (cls._name, list(space.elements)) if cls else ("values", list(space.subset_keys().values()))
+    probe = _header(space, chain)
+    probe[name] = dict.fromkeys(keys, "|")
+    parts = "".join(_canonical_chunks(probe, 0, {})).split('"|"')
+    template = "%s".join(part.replace("%", "%%") for part in parts)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    cells = [json.dumps(str(v)) for v in chain.levels]
+    return lambda ranks: _Rendered(template % tuple([cells[ranks[i]] for i in order]))
 
 
 def union_map_to_json(xi: UnionStructureMap) -> dict:

@@ -51,6 +51,7 @@ from capalg.capacity import (
     dirac_density,
     embed_inclusion_hyperspace,
     enumerate_capacities,
+    enumerate_ranks,
     kappa_dual,
     mult,
     pushforward,
@@ -146,6 +147,38 @@ def test_enumeration_stream_is_the_brute_force_oracle_in_order():
                 assert list(c.table) == list(space.subsets(include_empty=True))
                 assert validate(c) == []
                 assert c == Capacity(space, chain, c.table)
+
+
+def pruned_product_capacities(space, chain):
+    """The brute-force oracle's value tuples, in its product order, on more
+    points: a prefix is cut as soon as a subset's level falls below that
+    of a subset it contains."""
+    subsets, found, prefix = list(space.subsets()), [], []
+
+    def grow(i):
+        if i == len(subsets):
+            found.append(tuple(lv.value for lv in prefix))
+            return
+        for lv in chain.levels if i < len(subsets) - 1 else [chain.one]:
+            if all(lv >= prefix[j] for j, t in enumerate(subsets[:i]) if t < subsets[i]):
+                prefix.append(lv)
+                grow(i + 1)
+                prefix.pop()
+
+    grow(0)
+    return found
+
+
+def test_rank_walk_is_the_brute_force_order_on_four_points():
+    for space in (X2, X3):
+        assert pruned_product_capacities(space, K2) == [
+            tuple(t[s].value for s in space.subsets()) for t in brute_force_capacities(space, K2)
+        ]
+    x4 = FiniteSpace(list("abcd"))
+    oracle = pruned_product_capacities(x4, K2)
+    assert len(oracle) == 7246
+    assert [tuple(Fraction(r, 2) for r in ranks[1:]) for ranks in enumerate_ranks(x4, 2)] == oracle
+    assert [canonical_key(c) for c in enumerate_capacities(x4, K2)] == oracle
 
 
 def test_enumeration_on_four_points_yields_only_capacities():
@@ -876,6 +909,37 @@ def test_tabulation_on_ranks_matches_the_per_subset_reading(form, points, k, see
     view = view_of_form(form, base, chain, rng)
     table = as_capacity(view)
     assert list(table.table) == list(base.subsets(include_empty=True))
+    assert list(table.table.values()) == per_subset(view)
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(
+    strat.sampled_from(VIEW_FORMS + ["fold"]),
+    strat.integers(min_value=1, max_value=4),
+    strat.integers(min_value=1, max_value=3),
+    strat.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_views_over_capacities_are_tabulated_unchecked_and_are_capacities(form, points, k, seed):
+    # a pushforward or multiplication view over tables, densities and
+    # codensities only, and the fold of a density or codensity, is a
+    # capacity: as_capacity takes its table without validate, and
+    # validate finds nothing on it
+    rng = random.Random(seed)
+    chain = Chain(k)
+    base = names_of(points)
+    if form == "fold":
+        view = _random_pointwise(rng.choice(POINTWISE), base, chain, rng)
+    else:
+        view = view_of_form(form, base, chain, rng)
+    checked = []
+    real = capacity_module.validate
+    capacity_module.validate = lambda sf: checked.append(sf) or real(sf)
+    try:
+        table = as_capacity(view)
+    finally:
+        capacity_module.validate = real
+    assert checked == []
+    assert validate(view) == validate(table) == []
     assert list(table.table.values()) == per_subset(view)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -15,6 +16,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from capalg import cli, serial
+from capalg.capacity import classify, enumerate_capacities
 from capalg.chain import Chain
 from capalg.cli import main
 from capalg.convexity import ConvexStructure
@@ -26,6 +28,7 @@ from capalg.biconvex import (
     triple_from_biconvex,
 )
 from capalg.serial import (
+    capacity_to_json,
     cube_to_json,
     dumps_canonical,
     full_map_to_json,
@@ -364,6 +367,67 @@ def test_enumerate_emits_class_forms(tmp_path):
     items = report["items"]
     assert len(items) == 5
     assert all("density" in item for item in items)
+
+
+class _OldItems(list):
+    """The items of an ``enumerate`` report as the per-capacity writer made
+    them, ``capacity_to_json`` of each enumerated capacity, made afresh
+    each time the writer reads them; ``classify`` of each is counted."""
+
+    def __init__(self, space, chain, kind):
+        super().__init__()
+        self.args, self.counts = (space, chain, kind), None
+
+    def __iter__(self):
+        self.counts = [0, 0]
+        for c in enumerate_capacities(*self.args):
+            self.counts = [n + flag for n, flag in zip(self.counts, classify(c))]
+            yield capacity_to_json(c)
+
+
+class _Digest:
+    """A text file that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("utf-8"))
+
+
+# carriers of plain names, swept at every k the budget admits, and of
+# names that need JSON escaping or look like the renderer's "|" cell, its
+# "%s" slots or their escapes, swept at k = 1 and 2
+ENUMERATE_NAMES = [
+    ["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"],
+    ["é", '""'], ['"\\u007c"', "%s", "\\"], ["☃", "%", '"', "%%s"],
+]
+
+
+@pytest.mark.parametrize(
+    "names", ENUMERATE_NAMES, ids=["a", "ab", "abc", "abcd", "escaped2", "escaped3", "escaped4"]
+)
+def test_enumerate_report_bytes_match_the_capacity_writer(names, tmp_path, monkeypatch):
+    # every class: the rendered items give the bytes of the report with a
+    # capacity_to_json item per capacity
+    monkeypatch.chdir(tmp_path)
+    Path("space.json").write_text(json.dumps({"elements": names}))
+    space = FiniteSpace(names)
+    ks = [k for k in range(1, 65) if (2 ** len(names) - 1) * (k + 1) <= 64]
+    if not all(x.isalpha() for x in names):
+        ks = ks[:2]
+    for k, kind in itertools.product(ks, ("all", "union", "intersection")):
+        argv = ["enumerate", "--space", "space.json", "--chain", str(k),
+                "--capacity-class", kind, "--out", "out.json"]
+        code, report = cli.run(cli._build_parser().parse_args(argv), argv)
+        assert code == 0
+        old = _OldItems(space, Chain(k), kind)
+        expected = _Digest()
+        serial.dump_canonical(dict(report, items=old), expected)
+        got = hashlib.sha256(Path("out.json").read_bytes()).hexdigest()
+        assert got == expected.hash.hexdigest(), (k, kind)
+        counts = report["suites"][0]["counts"]
+        assert [counts["union"], counts["intersection"]] == old.counts, (k, kind)
 
 
 # ------------------------------------------------ golden reports on unlawful input

@@ -226,6 +226,20 @@ def test_broken_table_fails_the_algebra_laws():
     assert any(p.startswith("unit-law") for p in problems)
 
 
+def test_union_map_keys_its_cache_by_weight_ranks():
+    # the cache and a table's lookups go by weight ranks; tabulate() and
+    # from_table keep the density_key values of the documents
+    s = chain_model_convex(K2)
+    for xi in (UnionStructureMap.from_convex(s),
+               UnionStructureMap.from_table(s.carrier, K2, UnionStructureMap.from_convex(s).tabulate())):
+        table = xi.tabulate()
+        assert all(isinstance(v, Fraction) for key in table for v in key)
+        for p in enumerate_capacities(s.carrier, K2, "union"):
+            assert xi(p) == table[density_key(p)]
+        assert set(xi._cache) == {tuple(w.i for w in p.density.values())
+                                  for p in enumerate_capacities(s.carrier, K2, "union")}
+
+
 def test_nary_combination_is_the_structure_map_of_its_density():
     for s in structures(X3, K2):
         for coeffs in itertools.product(K2.levels, repeat=3):

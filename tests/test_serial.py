@@ -9,6 +9,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from capalg import serial
 from capalg.chain import Chain
 from capalg.errors import ValidationError
 from capalg.spaces import FiniteSpace
@@ -276,6 +277,18 @@ _REPORT_VALUES = strat.recursive(
 @hypothesis.given(_REPORT_VALUES)
 def test_canonical_writer_gives_the_bytes_of_json_dumps(obj):
     assert dumps_canonical(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(_REPORT_VALUES, strat.integers(min_value=0, max_value=3), _TEXTS)
+def test_rendered_text_is_written_again_at_its_depth(obj, depth, key):
+    # text the writer rendered at depth 0, placed at depth 0-3, gives the
+    # bytes json.dumps gives for the document in its place
+    outer = serial._Rendered("".join(serial._canonical_chunks(obj, 0, {})))
+    doc = obj
+    for i in range(depth):
+        outer, doc = ({key: outer}, {key: doc}) if i % 2 else ([None, outer], [None, doc])
+    assert dumps_canonical(outer) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class _Writes:
