@@ -25,14 +25,14 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .chain import Chain, Level, complement as level_complement
+from .chain import Chain, Level
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
     LawViolationError,
     ValidationError,
 )
-from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset
+from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset, _assigned_base
 
 # explicit tables hold 2^n entries; keep that honest
 _MAX_TABLE_CARRIER = 16
@@ -122,9 +122,10 @@ class _PointwiseCapacity:
     """Carrier + chain + one validated level per point under the attribute
     ``_name`` (``density`` or ``codensity``); missing points get the level
     ``_fill`` (0 or 1), and ``_bound`` (max or min) of all must be 1 - _fill.
+    ``_sup`` keeps the rank of each point off the fill, the support.
     """
 
-    __slots__ = ("carrier", "chain")
+    __slots__ = ("carrier", "chain", "_sup")
     _bound = staticmethod(max)
 
     def __init__(self, carrier: FiniteSpace, chain: Chain, weights: Mapping[str, Level]):
@@ -133,13 +134,25 @@ class _PointwiseCapacity:
                 raise ValidationError(f"{self._name} key {x!r} is not in the carrier")
         fill, pin = self._ends(chain)
         # the fill is a level of the chain already: coerce the given weights only
-        fixed = dict.fromkeys(carrier.elements, fill)
-        fixed.update({x: chain.level(v) for x, v in weights.items()})
-        if self._bound(v.i for v in fixed.values()) != pin.i:
+        given = {x: chain.level(v) for x, v in weights.items()}
+        sup = {x: v.i for x, v in given.items() if v.i != fill.i}
+        if pin.i not in sup.values():
             raise ValidationError(f"a {self._side} {self._name} must attain {pin}")
-        self.carrier = carrier
-        self.chain = chain
+        fixed = dict.fromkeys(carrier.elements, fill)
+        fixed.update(given)
+        self.carrier, self.chain, self._sup = carrier, chain, sup
         setattr(self, self._name, fixed)
+
+    @classmethod
+    def _trusted(cls, carrier: FiniteSpace, chain: Chain, sup: dict[str, int]):
+        """The capacity with the support ranks ``sup``, unchecked: each must
+        be off the fill, and one must be 1 - _fill."""
+        c = object.__new__(cls)
+        fixed = dict.fromkeys(carrier.elements, cls._ends(chain)[0])
+        fixed.update({x: chain.levels[r] for x, r in sup.items()})
+        c.carrier, c.chain, c._sup = carrier, chain, sup
+        setattr(c, cls._name, fixed)
+        return c
 
     @classmethod
     def _ends(cls, chain: Chain) -> tuple[Level, Level]:
@@ -154,7 +167,7 @@ class _PointwiseCapacity:
             isinstance(other, type(self))
             and other.carrier == self.carrier
             and other.chain == self.chain
-            and other._weights == self._weights
+            and other._sup == self._sup
         )
 
     def __hash__(self):
@@ -171,11 +184,13 @@ class _PointwiseCapacity:
         bad = members - self.carrier.universe
         if bad:
             raise ValidationError(f"{sorted(bad)} are not elements of the carrier")
-        if not members:
-            return self.chain.zero
-        w = self._weights
-        read = self.carrier.universe - members if self._fill else members
-        return self._bound((w[x] for x in read), default=self.chain.one)
+        return self.chain.levels[self._rank(members)]
+
+    def _rank(self, members) -> int:
+        """``value``'s rank at a set of carrier names, read on the support."""
+        if self._fill:
+            return min((r for x, r in self._sup.items() if x not in members), default=self.chain.k)
+        return max((r for x, r in self._sup.items() if x in members), default=0)
 
 
 class PossibilityCapacity(_PointwiseCapacity):
@@ -221,8 +236,7 @@ def _support(outer) -> tuple[str, ...]:
     supports of the inner capacities a multiplication view reads, and
     every name of any other capacity."""
     if isinstance(outer, _PointwiseCapacity):
-        fill = outer._ends(outer.chain)[0].i
-        return tuple(n for n, w in outer._weights.items() if w.i != fill)
+        return tuple(outer._sup)
     if isinstance(outer, PushforwardView):
         return tuple(dict.fromkeys(outer.map.table.values()))
     if isinstance(outer, MultView):
@@ -242,7 +256,7 @@ class MultView:
     on the inner rank vectors.
     """
 
-    __slots__ = ("carrier", "chain", "outer", "assignment", "_support")
+    __slots__ = ("carrier", "chain", "outer", "assignment", "_support", "_flat")
 
     def __init__(self, base: FiniteSpace, outer, assignment, support: tuple[str, ...]):
         self.carrier = base
@@ -250,51 +264,60 @@ class MultView:
         self.outer = outer
         self.assignment = dict(assignment)
         self._support = support
+        self._flat = self._flatten()
 
     def value(self, members: Subset) -> Level:
-        members = frozenset(members)
+        return self.chain.levels[self._rank(self.carrier.subset(members))]
+
+    def _rank(self, members) -> int:
+        """``value``'s rank at a set of base names: 0 at the empty set."""
         if not members:
-            return self.chain.zero
-        column = [_read(self.assignment[n], members) for n in self._support]
-        return self.chain.levels[self._flatten()(column)]
+            return 0
+        return self._flat([_read(self.assignment[n], members) for n in self._support])
 
     def _flatten(self):
         """The view's rank at a nonempty subset from the inner ranks there,
         one per support name: max-min for a density outer, min-max for a
-        codensity outer, and for any other outer the first level a, from
-        the top, whose level set has outer rank >= a."""
+        codensity outer, and for any other outer the first level a, from the
+        top, whose level set has outer rank >= a (read once per view)."""
         outer, support = self.outer, self._support
         if isinstance(outer, _PointwiseCapacity):
-            bound = outer._bound
+            bound, fill = outer._bound, outer._ends(self.chain)[0].i
             cross = min if bound is max else max
-            w = [outer._weights[n].i for n in support]
+            w = [outer._sup.get(n, fill) for n in support]
             return lambda column: bound(map(cross, w, column))
-        top = range(self.chain.k, 0, -1)
-        return lambda column: next((
-            a for a in top
-            if _read(outer, frozenset(n for n, v in zip(support, column) if v >= a)) >= a
-        ), 0)
+        top, seen = range(self.chain.k, 0, -1), {}
+
+        def rank_at(column, a: int) -> int:
+            level_set = frozenset(n for n, v in zip(support, column) if v >= a)
+            if level_set not in seen:
+                seen[level_set] = _read(outer, level_set)
+            return seen[level_set]
+        return lambda column: next((a for a in top if rank_at(column, a) >= a), 0)
 
 
-CapacityLike = (
-    SetFunction | PossibilityCapacity | NecessityCapacity | PushforwardView | MultView
-)
+CapacityLike = SetFunction | PossibilityCapacity | NecessityCapacity | PushforwardView | MultView
 
 
-def _fold(base: FiniteSpace, cls, chain: Chain, weights: list[int]) -> list[int]:
-    """Ranks, in ``subset_keys`` order, of the ``cls`` capacity with the point
-    ranks ``weights`` (in carrier order), built by mask one point at a time:
-    a mask with the point's bit bounds the rank without it by its weight.
-    A codensity is read at complements, at the mirrored positions."""
-    bound, by_mask = cls._bound, [cls._ends(chain)[0].i]
-    for w in weights:
-        by_mask += [bound(r, w) for r in by_mask]
-    ranks = [by_mask[m] for m in base.subset_masks()[0]]
-    return ranks[::-1] if cls._fill else ranks
+def _fold(c) -> list[int]:
+    """Ranks, in ``subset_keys`` order, of the density or codensity c.  A
+    density's are built by mask one point at a time: a mask with the point's
+    bit raises the rank without it to the point's weight.  A codensity's are
+    its conjugate density's, conjugated, at the mirrored positions."""
+    sup = {x: c.chain.k - r for x, r in c._sup.items()} if c._fill else c._sup
+    by_mask = [0]
+    for w in (sup.get(x, 0) for x in c.carrier.elements):
+        by_mask += [r if r > w else w for r in by_mask]
+    ranks = [by_mask[m] for m in c.carrier.subset_masks()[0]]
+    return [c.chain.k - r for r in reversed(ranks)] if c._fill else ranks
 
 
 def _read(c, members: Subset) -> int:
-    """The rank of c at one subset, through its ``value``."""
+    """The rank of c at a set of its carrier's names: a density's,
+    codensity's or multiplication view's own ``_rank``, unchecked, and any
+    other's through its ``value``."""
+    if isinstance(c, (_PointwiseCapacity, MultView)):
+        return c._rank(members)
     return c.chain.level(c.value(members)).i
 
 
@@ -306,7 +329,7 @@ def _ranks(c) -> list[int]:
     if isinstance(c, SetFunction):
         return [v.i for v in c.table.values()]
     if isinstance(c, _PointwiseCapacity):
-        return _fold(c.carrier, type(c), c.chain, [w.i for w in c._weights.values()])
+        return _fold(c)
     carrier = c.carrier
     if isinstance(c, PushforwardView) and len(c.map.source) <= _MAX_TABLE_CARRIER:
         f, source = c.map, _ranks(c.source)
@@ -320,7 +343,7 @@ def _ranks(c) -> list[int]:
         at = f.source.subset_masks()[1]
         return [source[at[pre[m]]] for m in carrier.subset_masks()[0]]
     if isinstance(c, MultView):
-        ranks = list(map(c._flatten(), zip(*(_ranks(c.assignment[n]) for n in c._support))))
+        ranks = list(map(c._flat, zip(*(_ranks(c.assignment[n]) for n in c._support))))
         ranks[0] = 0  # the empty set, read as 0 by MultView.value
         return ranks
     return [_read(c, s) for s in carrier.subsets(include_empty=True)]
@@ -407,7 +430,7 @@ def dirac_density(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapaci
     """Density form of the Dirac capacity; works on carriers of any size."""
     if x not in space.index:
         raise ValidationError(f"{x!r} is not in the space")
-    return PossibilityCapacity(space, chain, {x: chain.one})
+    return PossibilityCapacity._trusted(space, chain, {x: chain.k})
 
 
 def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
@@ -421,13 +444,13 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
         raise CarrierMismatchError("capacity carrier differs from the map source")
     chain = c.chain
     if isinstance(c, _PointwiseCapacity):
-        # a point's weight is the bound over its fiber, the neutral level
-        # when the fiber is empty: each source weight folds into its image
-        w, bound = c._weights, c._bound
-        ranks = dict.fromkeys(f.target.elements, c._ends(chain)[0].i)
-        for x, y in f.table.items():
-            ranks[y] = bound(ranks[y], w[x].i)
-        return type(c)(f.target, chain, {y: chain.levels[r] for y, r in ranks.items()})
+        # a point's weight is the bound over its fiber, the fill when the
+        # fiber misses the support: each support rank folds into its image
+        bound, ranks = c._bound, {}
+        for x, r in c._sup.items():
+            y = f.table[x]
+            ranks[y] = bound(ranks.get(y, r), r)
+        return type(c)._trusted(f.target, chain, ranks)
     view = PushforwardView(f, c)
     return view if len(f.target) > _MAX_TABLE_CARRIER else as_capacity(view)
 
@@ -446,19 +469,7 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     view; on a smaller one a table, in closed form where ``_pointwise_mult``
     applies, with no view built, and otherwise ``as_capacity`` of the view.
     """
-    chain = outer.chain
-    base: FiniteSpace | None = None
-    for name in outer.carrier.elements:
-        inner = assignment.get(name)
-        if inner is None:
-            raise ValidationError(f"no capacity assigned to carrier element {name!r}")
-        if inner.chain is not chain and inner.chain != chain:
-            raise ValidationError("inner capacities must share the outer chain")
-        if base is None:
-            base = inner.carrier
-        elif inner.carrier is not base and inner.carrier != base:
-            raise CarrierMismatchError("assigned capacities live on different spaces")
-    assert base is not None
+    base = _assigned_base(outer, assignment, ("capacity", "capacities"))
     support = _support(outer)
     if len(base) > _MAX_TABLE_CARRIER:
         return MultView(base, outer, assignment, support)
@@ -471,17 +482,20 @@ def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity |
     support are of one pointwise class, a submonad (Zarichnyi and
     Nykyforchyn 2008); None otherwise.  Densities flatten to the density
     max_n min(D(n), d_n), codensities to the codensity min_n max(E(n), e_n),
-    on integer ranks, tabulated by ``_fold``."""
+    on the support ranks (the fill is neutral for the bound), tabulated by
+    ``_fold``; both are capacities by construction, so not checked again."""
     cls = type(outer)
     if cls not in _POINTWISE.values() or any(type(assignment[n]) is not cls for n in support):
         return None
-    chain, bound, w = outer.chain, cls._bound, outer._weights
+    chain, bound = outer.chain, cls._bound
     cross = min if bound is max else max
-    inner = [(w[n].i, assignment[n]._weights) for n in support]
-    weights = [bound(cross(a, d[x].i) for a, d in inner) for x in base.elements]
-    levels = chain.levels
-    form = cls(base, chain, dict(zip(base.elements, map(levels.__getitem__, weights))))
-    table = dict(zip(base.subset_keys(), map(levels.__getitem__, _fold(base, cls, chain, weights))))
+    sup: dict[str, int] = {}
+    for n, a in outer._sup.items():
+        for x, r in assignment[n]._sup.items():
+            v = cross(a, r)
+            sup[x] = bound(sup.get(x, v), v)
+    form = cls._trusted(base, chain, sup)
+    table = dict(zip(base.subset_keys(), map(chain.levels.__getitem__, _fold(form))))
     return Capacity._trusted(base, chain, table, form)
 
 
@@ -511,9 +525,8 @@ def _pointwise_form(cls, c: CapacityLike):
         if isinstance(c, cls):
             return c
         # a capacity of both classes is a Dirac capacity: one point off the fill
-        support = _support(c)
-        dirac = len(support) == 1
-        return cls(c.carrier, c.chain, {support[0]: cls._ends(c.chain)[1]}) if dirac else None
+        pin = cls._ends(c.chain)[1].i
+        return cls._trusted(c.carrier, c.chain, dict.fromkeys(c._sup, pin)) if len(c._sup) == 1 else None
     c = as_capacity(c)  # a lazy view becomes a table, refused above 16 points
     if isinstance(c._form, cls):
         return c._form
@@ -522,9 +535,9 @@ def _pointwise_form(cls, c: CapacityLike):
         ranks = [c.chain.k - r for r in reversed(ranks)]
     if not _splits(ranks, c.carrier):
         return None
-    levels = c.chain.levels
-    density = dict(zip(c.carrier.elements, map(levels.__getitem__, ranks[1:])))
-    form = PossibilityCapacity(c.carrier, c.chain, density)
+    # the singletons, whose largest rank is c(X), 1: a density by construction
+    density = {x: r for x, r in zip(c.carrier.elements, ranks[1:]) if r}
+    form = PossibilityCapacity._trusted(c.carrier, c.chain, density)
     return kappa_dual(form) if cls._fill else form
 
 
@@ -564,7 +577,7 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
     chain = c.chain
     if isinstance(c, _PointwiseCapacity):
         other = NecessityCapacity if isinstance(c, PossibilityCapacity) else PossibilityCapacity
-        return other(c.carrier, chain, {x: level_complement(v) for x, v in c._weights.items()})
+        return other._trusted(c.carrier, chain, {x: chain.k - r for x, r in c._sup.items()})
     # the complement of each subset sits at the mirrored position
     ranks = reversed(_ranks(as_capacity(c)))
     table = dict(zip(c.carrier.subset_keys(), [chain.levels[chain.k - r] for r in ranks]))
@@ -650,15 +663,17 @@ def enumerate_capacities(
     smallest admissible levels first, so the stream is lexicographic in
     the value tuple.  kind="union" / "intersection" run over densities
     with max 1 / codensities with min 0 in lexicographic order.  Each comes
-    from ``enumerate_ranks``; a table, a capacity by construction, is not
+    from ``enumerate_ranks`` and is a capacity by construction, so it is not
     checked again.
     """
     check_enumeration_budget(space, chain.k, budget)
-    cls, levels = _POINTWISE.get(kind), chain.levels
-    keys = space.elements if cls else space.subset_keys()
+    cls, levels, keys = _POINTWISE.get(kind), chain.levels, space.subset_keys()
+    fill = cls and cls._ends(chain)[0].i
     for ranks in enumerate_ranks(space, chain.k, kind):
-        table = dict(zip(keys, map(levels.__getitem__, ranks)))
-        yield cls(space, chain, table) if cls else Capacity._trusted(space, chain, table, None)
+        if cls:
+            yield cls._trusted(space, chain, {x: r for x, r in zip(space.elements, ranks) if r != fill})
+        else:
+            yield Capacity._trusted(space, chain, dict(zip(keys, map(levels.__getitem__, ranks))), None)
 
 
 def rank_flags(space: FiniteSpace, k: int, kind: str):
@@ -695,9 +710,7 @@ def _exhaustive_densities(space: FiniteSpace, chain: Chain) -> list | None:
     m = len(space)
     if (chain.k + 1) ** m - chain.k ** m > EXHAUSTIVE_DENSITY_LIMIT:
         return None
-    weights = (dict(zip(space.elements, map(chain.levels.__getitem__, w)))
-               for w in enumerate_ranks(space, chain.k, "union"))
-    return [PossibilityCapacity(space, chain, d) for d in weights]
+    return list(enumerate_capacities(space, chain, "union", budget=float("inf")))
 
 
 _NAME_PREFIX = {"all": "c", "union": "p", "intersection": "n"}
@@ -766,8 +779,8 @@ class StructureMap:
         self._table = dict(table) if table is not None else None
         self._structure = structure
         self._cache = {} if table is None else {self._cache_key_of(t): z for t, z in self._table.items()}
-        # (pool, names, n -> xi(pool[n])) of the last mult_case
-        self._along: tuple | None = None
+        # (pool, names, n -> xi(pool[n])) of the last two pools mult_case read
+        self._along: tuple = ()
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
@@ -819,15 +832,17 @@ class StructureMap:
     def mult_case(self, outer: CapacityLike, pool: Mapping[str, CapacityLike]) -> LawCase:
         """The multiplication law at an outer capacity C over the named
         capacities of ``pool``: xi(mu C) = xi(M xi (C)), where M xi pushes C
-        forward along n -> xi(pool[n]).  That map is kept for the next case
-        only while it comes with the same pool object and set of names."""
+        forward along n -> xi(pool[n]).  That map is kept for the last two
+        pools, each reused only with the same pool object and set of names,
+        so cases that alternate two pools compute each map once."""
         names = outer.carrier
 
         def sides():
-            along = self._along
-            if along is None or along[0] is not pool or along[1] != names:
+            along = next((e for e in self._along if e[0] is pool and e[1] == names), None)
+            if along is None:
                 images = {n: self(pool[n]) for n in names.elements}
-                along = self._along = (pool, names, PointMap(names, self.carrier, images))
+                along = (pool, names, PointMap(names, self.carrier, images))
+                self._along = (*self._along[-1:], along)
             return self(mult(outer, pool)), self(pushforward(along[2], outer))
 
         return self._law_case(sides)

@@ -5,9 +5,9 @@ discrete, so every subset is closed and all semicontinuity conditions in
 the source constructions hold vacuously.  An inclusion hyperspace is a
 nonempty family of nonempty subsets that is closed upward under
 inclusion.  Hyperspaces are stored only as the antichain of their minimal
-members, and a set is a member when it contains one of them; the full
-family is never listed, which keeps the monad multiplication cheap on
-large carriers.
+members, each a subset bitmask, and a set is a member when it contains one
+of them; the full family is never listed, which keeps the monad
+multiplication cheap on large carriers.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class FiniteSpace:
             raise ValidationError(f"not elements of the space: {sorted(bad)}")
         return s
 
+    def mask(self, members: Iterable[str]) -> int:
+        """The bitmask of a subset, bit i for the i-th element; checked as by ``subset``."""
+        return sum(1 << self.index[e] for e in self.subset(members))
+
     def subset_key(self, s: Subset):
         """Canonical sort key: size first, then element positions."""
         return (len(s), sorted(self.index[e] for e in s))
@@ -117,9 +121,6 @@ class PointMap:
 
     def __call__(self, x: str) -> str:
         return self.table[x]
-
-    def image(self, s: Subset) -> Subset:
-        return frozenset(self.table[x] for x in s)
 
     def preimage(self, s: Subset) -> Subset:
         return frozenset(x for x in self.source.elements if self.table[x] in s)
@@ -184,29 +185,38 @@ class TableStructure:
         )))
 
 
-def minimal_members(sets: Iterable[Subset]) -> frozenset:
-    """Antichain of inclusion-minimal members of a family."""
-    pool = sorted(set(sets), key=len)
-    kept: list[Subset] = []
-    for s in pool:
-        if not any(m <= s for m in kept):
+def _minimal_masks(masks: Iterable[int]) -> frozenset:
+    """The antichain of inclusion-minimal subset masks of a family: a proper
+    submask is the smaller number, so ascending order meets it first."""
+    kept: list[int] = []
+    for s in sorted(set(masks)):
+        if all(m & s != m for m in kept):
             kept.append(s)
     return frozenset(kept)
 
 
 class InclusionHyperspace:
-    """An inclusion hyperspace stored as the antichain of its minimal members."""
+    """An inclusion hyperspace stored as ``masks``, the antichain of its
+    minimal members, each a subset mask (bit i for the i-th element);
+    ``min_sets`` gives them as sets of names."""
 
-    __slots__ = ("carrier", "min_sets")
+    __slots__ = ("carrier", "masks")
 
     def __init__(self, carrier: FiniteSpace, generators: Iterable[Subset]):
-        gens = [carrier.subset(g) for g in generators]
+        gens = [carrier.mask(g) for g in generators]
         if not gens:
             raise ValidationError("an inclusion hyperspace must be nonempty")
-        if any(not g for g in gens):
+        if 0 in gens:
             raise ValidationError("members must be nonempty subsets")
         self.carrier = carrier
-        self.min_sets = minimal_members(gens)
+        self.masks = _minimal_masks(gens)
+
+    @classmethod
+    def _trusted(cls, carrier: FiniteSpace, masks: frozenset) -> "InclusionHyperspace":
+        """Wrap a nonempty antichain of nonzero masks, without re-checking it."""
+        h = object.__new__(cls)
+        h.carrier, h.masks = carrier, masks
+        return h
 
     @classmethod
     def from_family(cls, carrier: FiniteSpace, sets: Iterable[Subset]) -> "InclusionHyperspace":
@@ -216,41 +226,64 @@ class InclusionHyperspace:
             raise ValidationError("family is not closed upward under inclusion")
         return cls(carrier, family)
 
+    @property
+    def min_sets(self) -> frozenset:
+        els = self.carrier.elements
+        return frozenset(frozenset(e for i, e in enumerate(els) if m >> i & 1) for m in self.masks)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, InclusionHyperspace)
-            and other.carrier == self.carrier
-            and other.min_sets == self.min_sets
-        )
+        same_type = isinstance(other, InclusionHyperspace)
+        return same_type and (other.carrier, other.masks) == (self.carrier, self.masks)
 
     def __hash__(self):
-        return hash((self.carrier, self.min_sets))
+        return hash((self.carrier, self.masks))
 
     def __contains__(self, s) -> bool:
-        s = frozenset(s)
-        return any(m <= s for m in self.min_sets)
+        """Whether s, a set of carrier names, contains a minimal member."""
+        bits = self.carrier.mask(s)
+        return any(m & bits == m for m in self.masks)
 
     def __repr__(self):
         names = sorted(self.carrier.sorted_names(s) for s in self.min_sets)
         return f"InclusionHyperspace(min={names!r})"
 
 
+def _assigned_base(outer, assignment: Mapping, kind: tuple[str, str]) -> FiniteSpace:
+    """The carrier of what ``assignment`` gives each name of the outer's
+    carrier, each checked to be there, on the outer's chain if it has one,
+    and on one carrier; ``kind`` names them in errors."""
+    chain, base = getattr(outer, "chain", None), None
+    for name in outer.carrier.elements:
+        inner = assignment.get(name)
+        if inner is None:
+            raise ValidationError(f"no {kind[0]} assigned to carrier element {name!r}")
+        if chain is not None and inner.chain is not chain and inner.chain != chain:
+            raise ValidationError(f"inner {kind[1]} must share the outer chain")
+        if base is None:
+            base = inner.carrier
+        elif inner.carrier is not base and inner.carrier != base:
+            raise CarrierMismatchError(f"assigned {kind[1]} live on different spaces")
+    return base
+
+
 def g_unit(space: FiniteSpace, x: str) -> InclusionHyperspace:
     """All subsets containing x; the monad unit at x."""
     if x not in space.index:
         raise ValidationError(f"{x!r} is not in the space")
-    return InclusionHyperspace(space, [frozenset([x])])
+    return InclusionHyperspace._trusted(space, frozenset([1 << space.index[x]]))
 
 
 def g_map(f: PointMap, hs: InclusionHyperspace) -> InclusionHyperspace:
     """Functor action: the target sets that contain the image of some member.
 
     On antichains this is just the minimalized family of images of the
-    minimal members.
+    minimal members, each image mask the union of its points' image bits.
     """
     if hs.carrier != f.source:
         raise CarrierMismatchError("hyperspace carrier differs from the map source")
-    return InclusionHyperspace(f.target, [f.image(m) for m in hs.min_sets])
+    image = list(enumerate(1 << f.target.index[f.table[x]] for x in f.source.elements))
+    images = (sum({b for i, b in image if m >> i & 1}) for m in hs.masks)
+    return InclusionHyperspace._trusted(f.target, _minimal_masks(images))
 
 
 def g_mult(
@@ -265,56 +298,46 @@ def g_mult(
     ones; likewise each intersection is computed on antichains by
     minimalizing pairwise unions.
     """
-    base: FiniteSpace | None = None
-    for name in outer.carrier.elements:
-        hs = assignment.get(name)
-        if hs is None:
-            raise ValidationError(f"no hyperspace assigned to carrier element {name!r}")
-        if base is None:
-            base = hs.carrier
-        elif hs.carrier != base:
-            raise CarrierMismatchError("assigned hyperspaces live on different spaces")
-    assert base is not None
-    result_gens: set[Subset] = set()
-    for member in outer.min_sets:
+    base = _assigned_base(outer, assignment, ("hyperspace", "hyperspaces"))
+    names, result = outer.carrier.elements, set()
+    for member in outer.masks:
         # intersection of the hyperspaces named by this member
         inter: frozenset | None = None
-        for name in sorted(member, key=outer.carrier.index.__getitem__):
-            mins = assignment[name].min_sets
-            if inter is None:
-                inter = mins
-            else:
-                inter = minimal_members({a | b for a in inter for b in mins})
-        assert inter is not None
-        result_gens.update(inter)
-    return InclusionHyperspace(base, result_gens)
+        while member:
+            low = member & -member
+            mins = assignment[names[low.bit_length() - 1]].masks
+            inter = mins if inter is None else _minimal_masks([a | b for a in inter for b in mins])
+            member ^= low
+        result.update(inter)
+    return InclusionHyperspace._trusted(base, _minimal_masks(result))
 
 
 def enumerate_hyperspaces(space: FiniteSpace) -> list[InclusionHyperspace]:
     """All inclusion hyperspaces on a small carrier, in a fixed order.
 
-    Grows the nonempty antichains of nonempty subsets by backtracking over
-    the subsets in canonical order; a subset joins when no chosen one lies
-    inside it (none can contain it, being no larger).  The count grows
+    Grows the nonempty antichains of nonempty subset masks by backtracking
+    over the subsets in canonical order; a subset joins when no chosen one
+    lies inside it (none can contain it, being no larger).  The count grows
     like the Dedekind numbers, so carriers are limited to 4 elements.
     """
     if len(space) > 4:
         raise BudgetExceededError("hyperspace enumeration is limited to carriers of size <= 4")
-    subsets = list(space.subsets())
+    subsets, at = space.subset_masks()
     found: list[InclusionHyperspace] = []
-    chosen: list[Subset] = []
+    chosen: list[int] = []
 
     def grow(start: int) -> None:
         for i in range(start, len(subsets)):
             s = subsets[i]
-            if not any(m <= s for m in chosen):
+            if all(m & s != m for m in chosen):
                 chosen.append(s)
-                found.append(InclusionHyperspace(space, chosen))
+                found.append(InclusionHyperspace._trusted(space, frozenset(chosen)))
                 grow(i + 1)
                 chosen.pop()
 
-    grow(0)
-    found.sort(key=lambda h: sorted(space.subset_key(m) for m in h.min_sets))
+    grow(1)
+    # a mask's canonical position sorts as its ``subset_key`` does
+    found.sort(key=lambda h: sorted(at[m] for m in h.masks))
     return found
 
 
@@ -334,5 +357,5 @@ def random_hyperspace(space: FiniteSpace, rng) -> InclusionHyperspace:
     gens = []
     for _ in range(count):
         size = rng.randint(1, len(space))
-        gens.append(frozenset(rng.sample(space.elements, size)))
-    return InclusionHyperspace(space, gens)
+        gens.append(space.mask(rng.sample(space.elements, size)))
+    return InclusionHyperspace._trusted(space, _minimal_masks(gens))

@@ -46,6 +46,7 @@ from .capacity import (
     PossibilityCapacity,
     _exhaustive_densities,
     _pointwise_form,
+    _ranks,
     canonical_key,
     capacity_equal,
     classify,
@@ -182,9 +183,7 @@ def _cap_witness(c) -> str:
 
 
 def _hs_witness(h: InclusionHyperspace) -> str:
-    return ";".join(
-        ",".join(sorted(m)) for m in sorted(h.min_sets, key=h.carrier.subset_key)
-    )
+    return ";".join(",".join(sorted(m)) for m in sorted(h.min_sets, key=h.carrier.subset_key))
 
 
 def _map_witness(f: PointMap) -> str:
@@ -280,11 +279,8 @@ class _Monad:
         """The functor's image of an endomap, as a map of pool names."""
         image = tuple(f(x) for x in self.space.elements)
         if image not in self._lifted:
-            self._lifted[image] = PointMap(
-                self.names,
-                self.names,
-                {n: self.name_of[self.key(self.fmap(f, c))] for n, c in self.pool.items()},
-            )
+            table = {n: self.name_of[self.key(self.fmap(f, c))] for n, c in self.pool.items()}
+            self._lifted[image] = PointMap(self.names, self.names, table)
         return self._lifted[image]
 
 
@@ -292,17 +288,12 @@ def _unit_laws(mon: _Monad, rep: SuiteReport, units, pool_cases) -> None:
     """Unit naturality on each (endomap, point) case, then both unit laws
     on each (pool name, element) case."""
     for f, x in units:
-        rep.check(
-            "unit-naturality",
-            mon.equal(mon.fmap(f, mon.unit(x)), mon.unit(f(x))),
-            lambda f=f, x=x: f"x={x} f={_map_witness(f)}",
-        )
+        ok = mon.equal(mon.fmap(f, mon.unit(x)), mon.unit(f(x)))
+        rep.check("unit-naturality", ok, lambda f=f, x=x: f"x={x} f={_map_witness(f)}")
     for n, c in pool_cases:
         w = lambda c=c: mon.show(c)
         rep.check("unit-law-outer", mon.equal(mon.mult(mon.name_unit(n), mon.pool), c), w)
-        rep.check(
-            "unit-law-inner", mon.equal(mon.mult(mon.fmap(mon.eta_hat, c), mon.pool), c), w
-        )
+        rep.check("unit-law-inner", mon.equal(mon.mult(mon.fmap(mon.eta_hat, c), mon.pool), c), w)
 
 
 def _mult_laws(mon: _Monad, rep: SuiteReport, outer_cases, rng, trials: int, oracle=None) -> None:
@@ -315,11 +306,8 @@ def _mult_laws(mon: _Monad, rep: SuiteReport, outer_cases, rng, trials: int, ora
         if oracle is not None:
             rep.check("mult-two-routes", mon.equal(flat, oracle(outer, mon.pool)), label)
         for f in maps:
-            rep.check(
-                "mult-naturality",
-                mon.equal(mon.mult(mon.fmap(mon.lifted(f), outer), mon.pool), mon.fmap(f, flat)),
-                lambda f=f: f"{label} f={_map_witness(f)}",
-            )
+            ok = mon.equal(mon.mult(mon.fmap(mon.lifted(f), outer), mon.pool), mon.fmap(f, flat))
+            rep.check("mult-naturality", ok, lambda f=f: f"{label} f={_map_witness(f)}")
     for t in range(trials):
         m = rng.randint(1, 4)
         layer = [mon.draw(mon.names, rng) for _ in range(m)]
@@ -337,23 +325,14 @@ def _mult_laws(mon: _Monad, rep: SuiteReport, outer_cases, rng, trials: int, ora
 
 
 def _random_endomap(space: FiniteSpace, rng) -> PointMap:
-    return PointMap(
-        space, space, {x: rng.choice(space.elements) for x in space.elements}
-    )
+    return PointMap(space, space, {x: rng.choice(space.elements) for x in space.elements})
 
 
 def _mult_by_membership(outer: InclusionHyperspace, assignment) -> InclusionHyperspace:
     """Brute-force multiplication: keep B when the set of names containing
     B is itself a member of the outer hyperspace."""
-    base = next(iter(assignment.values())).carrier
-    hit = [
-        s
-        for s in base.subsets()
-        if frozenset(
-            n for n in outer.carrier.elements if s in assignment[n]
-        )
-        in outer
-    ]
+    base, names = next(iter(assignment.values())).carrier, outer.carrier.elements
+    hit = [s for s in base.subsets() if frozenset(n for n in names if s in assignment[n]) in outer]
     return InclusionHyperspace.from_family(base, hit)
 
 
@@ -372,7 +351,7 @@ def g_monad_suite(
     mon = _Monad(
         space, names, assignment,
         unit=lambda x: g_unit(space, x), name_unit=lambda n: g_unit(names, n),
-        fmap=g_map, mult=g_mult, key=lambda hs: hs.min_sets, equal=operator.eq,
+        fmap=g_map, mult=g_mult, key=lambda hs: hs.masks, equal=operator.eq,
         draw=random_hyperspace, show=_hs_witness,
     )
     els = space.elements
@@ -411,16 +390,14 @@ def g_monad_suite(
             for _ in draws
         )
         drawn = (random_hyperspace(space, rng) for _ in draws)
-        pool_cases = ((mon.name_of[hs.min_sets], hs) for hs in drawn)
+        pool_cases = ((mon.name_of[hs.masks], hs) for hs in drawn)
         drawn_outers = (random_hyperspace(names, rng) for _ in draws)
         outer_cases = ((_hs_witness(o), o, [_random_endomap(space, rng)]) for o in drawn_outers)
     for f, g, hs in compositions:
         comp = PointMap(space, space, {x: g(f(x)) for x in els})
-        rep.check(
-            "functor-composition",
-            g_map(comp, hs) == g_map(g, g_map(f, hs)),
-            lambda f=f, g=g, hs=hs: f"{_hs_witness(hs)} f={_map_witness(f)} g={_map_witness(g)}",
-        )
+        ok = g_map(comp, hs) == g_map(g, g_map(f, hs))
+        w = lambda f=f, g=g, hs=hs: f"{_hs_witness(hs)} f={_map_witness(f)} g={_map_witness(g)}"
+        rep.check("functor-composition", ok, w)
     _unit_laws(mon, rep, units, pool_cases)
     _mult_laws(mon, rep, outer_cases, random.Random(assoc_seed), trials, _mult_by_membership)
     return rep
@@ -462,7 +439,7 @@ def capacity_monad_suite(
         space, names, lookup,
         unit=lambda x: unit_dirac(space, chain, x),
         name_unit=lambda n: dirac_density(names, chain, n),
-        fmap=pushforward, mult=mult, key=canonical_key, equal=capacity_equal,
+        fmap=pushforward, mult=mult, key=lambda c: tuple(_ranks(c)), equal=capacity_equal,
         draw=lambda carrier, rng: _random_mixed(carrier, chain, rng), show=_cap_witness,
     )
     # naturality under seeded endomaps, points and outers
@@ -479,23 +456,12 @@ def capacity_monad_suite(
     # conjugation: unit fixed, multiplication intertwined, classes swapped
     poss_names, poss_lookup = capacity_pool(space, chain, "union")
     necc_names, necc_lookup = capacity_pool(space, chain, "intersection")
-    necc_name_of = {canonical_key(c): n for n, c in necc_lookup.items()}
-    kappa_hat = PointMap(
-        poss_names,
-        necc_names,
-        {
-            p: necc_name_of[canonical_key(kappa_dual(poss_lookup[p]))]
-            for p in poss_names.elements
-        },
-    )
+    necc_name_of = {mon.key(c): n for n, c in necc_lookup.items()}
+    kappa = {p: necc_name_of[mon.key(kappa_dual(poss_lookup[p]))] for p in poss_names.elements}
+    kappa_hat = PointMap(poss_names, necc_names, kappa)
     for x in space.elements:
-        rep.check(
-            "conjugation-fixes-units",
-            capacity_equal(
-                kappa_dual(unit_dirac(space, chain, x)), unit_dirac(space, chain, x)
-            ),
-            f"x={x}",
-        )
+        u = mon.unit(x)
+        rep.check("conjugation-fixes-units", capacity_equal(kappa_dual(u), u), f"x={x}")
     outers = _exhaustive_densities(poss_names, chain)
     if outers is None:
         rng2 = random.Random(seed + 1)
@@ -510,11 +476,7 @@ def capacity_monad_suite(
         rep.check("union-closure", classify(flat).is_union, w)
         mirrored = mult(pushforward(kappa_hat, kappa_dual(outer)), necc_lookup)
         rep.check("intersection-closure", classify(mirrored).is_intersection, w)
-        rep.check(
-            "conjugation-mult-intertwines",
-            capacity_equal(kappa_dual(flat), mirrored),
-            w,
-        )
+        rep.check("conjugation-mult-intertwines", capacity_equal(kappa_dual(flat), mirrored), w)
     return rep
 
 

@@ -1036,3 +1036,49 @@ def test_mult_and_pushforward_above_sixteen_points_stay_lazy(monkeypatch):
             with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
                 refuse(c)
     assert reads == []
+
+
+# ------------------------------------------- pointwise forms on their support
+
+
+def read_by_definition(c, members):
+    """A density's value from every weight at the members, a codensity's from
+    every weight outside them; 0 at the empty set."""
+    if not members:
+        return c.chain.zero
+    if isinstance(c, PossibilityCapacity):
+        return max(c.density[x] for x in members)
+    return min((c.codensity[x] for x in c.carrier.elements if x not in members), default=c.chain.one)
+
+
+def test_pointwise_values_read_on_the_support_equal_the_definition():
+    rng = random.Random(24)
+    for size in (1, 2, 3, 17, 129):
+        carrier = names_of(size)
+        for _ in range(20):
+            chain = Chain(rng.randint(1, 3))
+            c = _random_pointwise(rng.choice(POINTWISE), carrier, chain, rng, max_support=6)
+            subsets = [frozenset(), carrier.universe]
+            subsets += [frozenset(rng.sample(carrier.elements, rng.randint(1, size))) for _ in range(20)]
+            subsets += [frozenset({x}) for x in c._sup] + [carrier.universe - {x} for x in c._sup]
+            for s in subsets:
+                assert c.value(s) == read_by_definition(c, s)
+            # the same capacity with every point's weight given, fills included
+            full = type(c)(carrier, chain, c._weights)
+            assert full == c and full._sup == c._sup
+
+
+@pytest.mark.parametrize("cls, weights, text", [
+    (PossibilityCapacity, {"a": "1/2"}, "a possibility density must attain 1"),
+    (PossibilityCapacity, {"a": 0, "b": 0, "c": 0}, "a possibility density must attain 1"),
+    (NecessityCapacity, {"a": "1/2"}, "a necessity codensity must attain 0"),
+    (NecessityCapacity, {"a": 1, "b": 1, "c": 1}, "a necessity codensity must attain 0"),
+    (PossibilityCapacity, {"a": 1, "z": 0}, "density key 'z' is not in the carrier"),
+    (NecessityCapacity, {"z": 0}, "codensity key 'z' is not in the carrier"),
+    (PossibilityCapacity, {"a": 1, "b": "1/3"}, r"1/3 is not a multiple of 1/2"),
+    (PossibilityCapacity, {"a": 1.0}, "levels must be exact rationals"),
+], ids=["no-one", "all-zero", "no-zero", "all-one", "foreign-key", "foreign-key-dual",
+        "off-chain", "float"])
+def test_public_pointwise_constructors_refuse_invalid_weights(cls, weights, text):
+    with pytest.raises(ValidationError, match=text):
+        cls(X3, K2, weights)

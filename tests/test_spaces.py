@@ -20,13 +20,21 @@ from capalg.spaces import (
     g_mult,
     g_unit,
     hyperspace_space,
-    minimal_members,
     random_hyperspace,
 )
 
 X2 = FiniteSpace(["a", "b"])
 X3 = FiniteSpace(["a", "b", "c"])
 X4 = FiniteSpace(["a", "b", "c", "d"])
+
+
+def minimal_members(sets):
+    """Antichain of inclusion-minimal members of a family of sets."""
+    kept = []
+    for s in sorted(set(sets), key=len):
+        if not any(m <= s for m in kept):
+            kept.append(s)
+    return frozenset(kept)
 
 
 def upward_closed_families(space):
@@ -274,3 +282,67 @@ def test_subset_masks_follow_the_subset_order():
 def test_maps_and_monad_operations_refuse_foreign_names(call, error, text):
     with pytest.raises(error, match=text):
         call()
+
+
+# ------------------------------------------- masks against the set definitions
+
+
+def hs_text(h):
+    """The minimal members as sorted name lists, in canonical subset order."""
+    return ";".join(",".join(sorted(m)) for m in sorted(h.min_sets, key=h.carrier.subset_key))
+
+
+def map_by_sets(f, h):
+    """g_map from its definition on sets: the minimal images of the minimal members."""
+    return minimal_members(frozenset(map(f, m)) for m in h.min_sets)
+
+
+def mult_by_sets(outer, assignment):
+    """g_mult from its definition on sets: the union, over the outer's minimal
+    members, of the minimalized pairwise unions of the named antichains."""
+    found = set()
+    for member in outer.min_sets:
+        inter = None
+        for name in member:
+            mins = assignment[name].min_sets
+            inter = mins if inter is None else minimal_members(a | b for a in inter for b in mins)
+        found |= inter
+    return minimal_members(found)
+
+
+def test_hyperspace_operations_on_masks_equal_the_set_definitions():
+    pair = FiniteSpace(["n0", "n1"])
+    outers = enumerate_hyperspaces(pair)
+    for space in (FiniteSpace(["a"]), X2, X3):
+        hyperspaces = enumerate_hyperspaces(space)
+        for x in space.elements:
+            assert g_unit(space, x).min_sets == frozenset({frozenset({x})})
+        for images in itertools.product(space.elements, repeat=len(space)):
+            f = PointMap(space, space, dict(zip(space.elements, images)))
+            for h in hyperspaces:
+                assert g_map(f, h).min_sets == map_by_sets(f, h)
+        for first, second in itertools.product(hyperspaces, repeat=2):
+            assignment = {"n0": first, "n1": second}
+            for outer in outers:
+                got = g_mult(outer, assignment)
+                assert got.min_sets == mult_by_sets(outer, assignment)
+                assert got == InclusionHyperspace(space, got.min_sets)
+
+
+def test_hyperspace_names_follow_a_pinned_order():
+    # h0, h1, ... name the hyperspaces in this order in every report
+    assert [hs_text(h) for h in enumerate_hyperspaces(X2)] == ["a", "a;b", "b", "a,b"]
+    assert [hs_text(h) for h in enumerate_hyperspaces(X3)] == [
+        "a", "a;b", "a;b;c", "a;c", "a;b,c", "b", "b;c", "b;a,c", "c", "c;a,b",
+        "a,b", "a,b;a,c", "a,b;a,c;b,c", "a,b;b,c", "a,c", "a,c;b,c", "b,c", "a,b,c",
+    ]
+    names, lookup = hyperspace_space(X3)
+    assert [lookup[n] for n in names.elements] == enumerate_hyperspaces(X3)
+
+
+def test_membership_of_a_set_with_foreign_names_is_refused():
+    h = g_unit(X2, "a")
+    assert {"a"} in h and {"a", "b"} in h and {"b"} not in h
+    for foreign in ({"a", "zzz"}, {"zzz"}):
+        with pytest.raises(ValidationError, match=r"not elements of the space: \['zzz'\]"):
+            foreign in h

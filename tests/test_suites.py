@@ -189,3 +189,28 @@ def test_full_map_suite_evaluates_each_capacity_once_per_structure(monkeypatch):
         monkeypatch.setattr(module, "structure_map_full", counted, raising=False)
     assert suites.full_map_suite(X3, K2, 150, 0).passed
     assert len(calls) <= 774
+
+
+def test_full_map_suite_maps_each_pool_member_once_per_structure(monkeypatch):
+    """The multiplication-law cases alternate the necessity and the
+    possibility pool, and the map n -> xi(pool[n]) of both is kept, so each
+    pool member is evaluated once per structure, not once per case; the
+    per-case recomputation made 4,262 and 2,751 structure-map calls here."""
+    original = capacity.StructureMap.__call__
+    calls = []
+
+    def counted(self, c):
+        calls.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(capacity.StructureMap, "__call__", counted)
+    for space, chain, total in ((X2, K2, 1282), (X3, K1, 665)):
+        members = {
+            id(c): c for kind in ("union", "intersection")
+            for c in capacity.capacity_pool(space, chain, kind)[1].values()
+        }
+        calls.clear()
+        assert suites.full_map_suite(space, chain, 150, 0).passed
+        structures = len(suites.biconvex_structures(space, chain))
+        assert sum(id(c) in members for c in calls) == structures * len(members)
+        assert len(calls) <= total
