@@ -43,7 +43,6 @@ from .capacity import (
     capacity_equal,
     capacity_space,
     classify,
-    dirac_density,
     embed_inclusion_hyperspace,
     enumerate_capacities,
     kappa_dual,

@@ -16,7 +16,9 @@ a such that the outer mass of {inner : inner(F) >= a} is itself >= a.
 Possibility and necessity capacities form submonads: a density outer D
 over densities d_n flattens to the density max_n min(D(n), d_n), and a
 codensity outer over codensities to a codensity; ``mult`` computes both
-in closed form.
+in closed form.  No monad operation builds a table: each returns a
+density or codensity when its result is one by construction, and a lazy
+view otherwise, at every carrier size; ``as_capacity`` tabulates.
 """
 
 from __future__ import annotations
@@ -93,28 +95,26 @@ class SetFunction:
 
 
 class Capacity(SetFunction):
-    """A normalized monotone set function, table-backed.  ``_form`` is the
-    density or codensity the table was tabulated from, or None."""
+    """A normalized monotone set function, table-backed."""
 
-    __slots__ = ("_form",)
+    __slots__ = ()
 
     def __init__(self, carrier, chain, table):
         super().__init__(carrier, chain, table)
         problems = validate(self)
         if problems:
             raise ValidationError("; ".join(problems))
-        self._form = None
 
     @classmethod
-    def _trusted(cls, carrier, chain, table: dict[Subset, Level], form) -> "Capacity":
+    def _trusted(cls, carrier, chain, table: dict[Subset, Level]) -> "Capacity":
         """Wrap a table known to be a capacity, without re-checking it.
 
         ``table`` must hold a level of ``chain`` for every subset, in
         ``carrier.subsets(include_empty=True)`` order, and be monotone and
-        normalized; ``form`` is None or a pointwise capacity equal to it.
+        normalized.
         """
         c = object.__new__(cls)
-        c.carrier, c.chain, c.table, c._form = carrier, chain, table, form
+        c.carrier, c.chain, c.table = carrier, chain, table
         return c
 
 
@@ -213,7 +213,7 @@ _POINTWISE = {"union": PossibilityCapacity, "intersection": NecessityCapacity}
 
 
 class PushforwardView:
-    """Lazy image capacity F -> c(f^{-1}(F)); for targets too large for tables."""
+    """Lazy image capacity F -> c(f^{-1}(F)), at any target size."""
 
     __slots__ = ("carrier", "chain", "map", "source")
 
@@ -252,8 +252,7 @@ class MultView:
     A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
     gives min_n max(e(n), c_n(F)); any other outer is scanned level by
     level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
-    ``mult`` returns it on bases of over 16 points and tabulates it below,
-    on the inner rank vectors.
+    ``mult`` returns it at every base size unless its closed form applies.
     """
 
     __slots__ = ("carrier", "chain", "outer", "assignment", "_support", "_flat")
@@ -382,29 +381,36 @@ _CHECKED = frozenset((Capacity, PossibilityCapacity, NecessityCapacity))
 
 def _is_capacity(c) -> bool:
     """Whether c is a capacity by construction: an instance of ``_CHECKED``,
-    a pushforward view of a capacity by construction, or a multiplication
-    view of one over ``_CHECKED`` inner capacities at its support."""
+    a pushforward view of one, or a multiplication view of one over such
+    inner capacities at its support."""
     if isinstance(c, PushforwardView):
         return _is_capacity(c.source)
     if isinstance(c, MultView):
-        return _is_capacity(c.outer) and all(type(c.assignment[n]) in _CHECKED for n in c._support)
+        return _is_capacity(c.outer) and all(_is_capacity(c.assignment[n]) for n in c._support)
     return type(c) in _CHECKED
+
+
+def _checked(c):
+    """c itself, refused with ``validate``'s diagnostics when its carrier
+    has at most 16 points, it is not a capacity by construction and its
+    ranks fail ``validate``."""
+    if len(c.carrier) <= _MAX_TABLE_CARRIER and not _is_capacity(c):
+        problems = validate(c)
+        if problems:
+            raise ValidationError("; ".join(problems))
+    return c
 
 
 def as_capacity(c: CapacityLike) -> Capacity:
     """Materialize any capacity-like object as an explicit table; the one
-    tabulator.  It tabulates from ``_ranks``, and a carrier of over 16
-    points is refused before any value is read.  The table is validated
-    unless ``_is_capacity`` holds; a density or codensity is kept as its form."""
+    tabulator.  A carrier of over 16 points is refused before any value is
+    read, a set function that is not a capacity by ``_checked``, and the
+    table is built from ``_ranks``."""
     if isinstance(c, Capacity):
         return c
     _check_table_size(c.carrier)
-    table = dict(zip(c.carrier.subset_keys(), map(c.chain.levels.__getitem__, _ranks(c))))
-    cap = Capacity._trusted(c.carrier, c.chain, table, c if isinstance(c, _PointwiseCapacity) else None)
-    problems = [] if _is_capacity(c) else validate(cap)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return cap
+    table = dict(zip(c.carrier.subset_keys(), map(c.chain.levels.__getitem__, _ranks(_checked(c)))))
+    return Capacity._trusted(c.carrier, c.chain, table)
 
 
 def capacity_equal(a: CapacityLike, b: CapacityLike) -> bool:
@@ -421,13 +427,9 @@ def canonical_key(c: CapacityLike) -> tuple:
     return tuple(c.value(s).value for s in c.carrier.subsets())
 
 
-def unit_dirac(space: FiniteSpace, chain: Chain, x: str) -> Capacity:
-    """Dirac capacity of a point as a table: 1 on subsets containing it, else 0."""
-    return as_capacity(dirac_density(space, chain, x))
-
-
-def dirac_density(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapacity:
-    """Density form of the Dirac capacity; works on carriers of any size."""
+def unit_dirac(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapacity:
+    """Dirac capacity of a point, 1 on subsets containing it and else 0, as
+    its density; works on carriers of any size."""
     if x not in space.index:
         raise ValidationError(f"{x!r} is not in the space")
     return PossibilityCapacity._trusted(space, chain, {x: chain.k})
@@ -436,9 +438,9 @@ def dirac_density(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapaci
 def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     """Image capacity F -> c(f^{-1}(F)); preserves the possibility/necessity classes.
 
-    Density and codensity forms push to the same forms at any target
-    size; any other input gives the lazy view, tabulated by ``as_capacity``
-    when the target has at most 16 points.
+    Density and codensity forms push to the same forms, and any other
+    input to the lazy view, at any target size; ``_checked`` refuses a view
+    that may not be a capacity.
     """
     if c.carrier != f.source:
         raise CarrierMismatchError("capacity carrier differs from the map source")
@@ -451,8 +453,7 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
             y = f.table[x]
             ranks[y] = bound(ranks.get(y, r), r)
         return type(c)._trusted(f.target, chain, ranks)
-    view = PushforwardView(f, c)
-    return view if len(f.target) > _MAX_TABLE_CARRIER else as_capacity(view)
+    return _checked(PushforwardView(f, c))
 
 
 def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> CapacityLike:
@@ -465,25 +466,23 @@ def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> Capacit
     it, reading the inner capacities only where the outer looks.
 
     The carrier and chain of every assigned capacity are checked before
-    any value is read.  On a base of over 16 points the result is the lazy
-    view; on a smaller one a table, in closed form where ``_pointwise_mult``
-    applies, with no view built, and otherwise ``as_capacity`` of the view.
+    any value is read.  The result is the closed form where
+    ``_pointwise_mult`` applies, with no view built, and otherwise the
+    lazy view, which ``_checked`` refuses when it may not be a capacity.
     """
     base = _assigned_base(outer, assignment, ("capacity", "capacities"))
     support = _support(outer)
-    if len(base) > _MAX_TABLE_CARRIER:
-        return MultView(base, outer, assignment, support)
     closed = _pointwise_mult(base, outer, assignment, support)
-    return closed if closed is not None else as_capacity(MultView(base, outer, assignment, support))
+    return closed if closed is not None else _checked(MultView(base, outer, assignment, support))
 
 
-def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity | None:
-    """mult as a table when the outer and every inner capacity at its
-    support are of one pointwise class, a submonad (Zarichnyi and
-    Nykyforchyn 2008); None otherwise.  Densities flatten to the density
-    max_n min(D(n), d_n), codensities to the codensity min_n max(E(n), e_n),
-    on the support ranks (the fill is neutral for the bound), tabulated by
-    ``_fold``; both are capacities by construction, so not checked again."""
+def _pointwise_mult(base: FiniteSpace, outer, assignment, support):
+    """mult as a density or codensity when the outer and every inner
+    capacity at its support are of one pointwise class, a submonad
+    (Zarichnyi and Nykyforchyn 2008); None otherwise.  Densities flatten to
+    the density max_n min(D(n), d_n), codensities to the codensity
+    min_n max(E(n), e_n), on the support ranks (the fill is neutral for the
+    bound); both are capacities by construction, so not checked again."""
     cls = type(outer)
     if cls not in _POINTWISE.values() or any(type(assignment[n]) is not cls for n in support):
         return None
@@ -494,9 +493,7 @@ def _pointwise_mult(base: FiniteSpace, outer, assignment, support) -> Capacity |
         for x, r in assignment[n]._sup.items():
             v = cross(a, r)
             sup[x] = bound(sup.get(x, v), v)
-    form = cls._trusted(base, chain, sup)
-    table = dict(zip(base.subset_keys(), map(chain.levels.__getitem__, _fold(form))))
-    return Capacity._trusted(base, chain, table, form)
+    return cls._trusted(base, chain, sup)
 
 
 class ClassFlags(NamedTuple):
@@ -528,8 +525,6 @@ def _pointwise_form(cls, c: CapacityLike):
         pin = cls._ends(c.chain)[1].i
         return cls._trusted(c.carrier, c.chain, dict.fromkeys(c._sup, pin)) if len(c._sup) == 1 else None
     c = as_capacity(c)  # a lazy view becomes a table, refused above 16 points
-    if isinstance(c._form, cls):
-        return c._form
     ranks = _ranks(c)
     if cls._fill:
         ranks = [c.chain.k - r for r in reversed(ranks)]
@@ -581,7 +576,7 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
     # the complement of each subset sits at the mirrored position
     ranks = reversed(_ranks(as_capacity(c)))
     table = dict(zip(c.carrier.subset_keys(), [chain.levels[chain.k - r] for r in ranks]))
-    return Capacity._trusted(c.carrier, chain, table, None)
+    return Capacity._trusted(c.carrier, chain, table)
 
 
 def embed_inclusion_hyperspace(hs: InclusionHyperspace, chain: Chain) -> Capacity:
@@ -673,7 +668,7 @@ def enumerate_capacities(
         if cls:
             yield cls._trusted(space, chain, {x: r for x, r in zip(space.elements, ranks) if r != fill})
         else:
-            yield Capacity._trusted(space, chain, dict(zip(keys, map(levels.__getitem__, ranks))), None)
+            yield Capacity._trusted(space, chain, dict(zip(keys, map(levels.__getitem__, ranks))))
 
 
 def rank_flags(space: FiniteSpace, k: int, kind: str):

@@ -50,9 +50,7 @@ from .capacity import (
     canonical_key,
     capacity_equal,
     classify,
-    as_capacity,
     capacity_pool,
-    dirac_density,
     is_algebra_morphism,
     kappa_dual,
     mult,
@@ -438,7 +436,7 @@ def capacity_monad_suite(
     mon = _Monad(
         space, names, lookup,
         unit=lambda x: unit_dirac(space, chain, x),
-        name_unit=lambda n: dirac_density(names, chain, n),
+        name_unit=lambda n: unit_dirac(names, chain, n),
         fmap=pushforward, mult=mult, key=lambda c: tuple(_ranks(c)), equal=capacity_equal,
         draw=lambda carrier, rng: _random_mixed(carrier, chain, rng), show=_cap_witness,
     )
@@ -471,7 +469,7 @@ def capacity_monad_suite(
         ]
     rep.counts["conjugation-sweep"] = len(outers)
     for outer in outers:
-        flat = as_capacity(mult(outer, poss_lookup))
+        flat = mult(outer, poss_lookup)
         w = lambda outer=outer: _cap_witness(outer)
         rep.check("union-closure", classify(flat).is_union, w)
         mirrored = mult(pushforward(kappa_hat, kappa_dual(outer)), necc_lookup)

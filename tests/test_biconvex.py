@@ -32,7 +32,6 @@ from capalg.capacity import (
     is_algebra_morphism,
     mult,
     capacity_equal,
-    dirac_density,
     unit_dirac,
 )
 from capalg.biconvex import (
@@ -318,13 +317,13 @@ def test_multiplication_law_case_reads_each_pool_it_is_given():
     (b,) = enumerate_biconvex_structures(X2, K1)
     xi = CapacityStructureMap.from_biconvex(b)
     names = FiniteSpace(["n0"])
-    outer = dirac_density(names, K1, "n0")
-    pools = [{"n0": dirac_density(X2, K1, x)} for x in "ab"]
+    outer = unit_dirac(names, K1, "n0")
+    pools = [{"n0": unit_dirac(X2, K1, x)} for x in "ab"]
     for pool, x in zip(pools, "ab"):
         assert xi.mult_case(outer, pool) == (x, x, None)
     # an equal copy of the first pool, then an outer on an equal set of names
     assert xi.mult_case(outer, dict(pools[0])) == ("a", "a", None)
-    again = dirac_density(FiniteSpace(["n0"]), K1, "n0")
+    again = unit_dirac(FiniteSpace(["n0"]), K1, "n0")
     assert xi.mult_case(again, pools[1]) == ("b", "b", None)
 
 

@@ -48,7 +48,6 @@ from capalg.capacity import (
     capacity_pool,
     capacity_space,
     classify,
-    dirac_density,
     embed_inclusion_hyperspace,
     enumerate_capacities,
     enumerate_ranks,
@@ -380,12 +379,13 @@ def test_class_decision_on_ranks_matches_the_pair_laws(form, points, k, seed):
             if holds:
                 assert isinstance(got, side) and capacity_equal(got, c)
     if form != "table":
-        # the form a closed-form mult keeps is its table's
+        # the closed form of mult is the form of its table
         names = names_of(rng.randint(2, 6))
         outer = _random_pointwise(cls, names, chain, rng)
         flat = mult(outer, {n: _random_pointwise(cls, base, chain, rng) for n in names.elements})
-        assert type(flat) is Capacity
-        assert _pointwise_form(cls, flat) == _pointwise_form(cls, Capacity(base, chain, flat.table))
+        assert type(flat) is cls
+        table = Capacity(base, chain, as_capacity(flat).table)
+        assert _pointwise_form(cls, flat) == _pointwise_form(cls, table)
 
 
 def test_classes_of_large_carriers_are_decided_by_form_or_refused(monkeypatch):
@@ -395,7 +395,7 @@ def test_classes_of_large_carriers_are_decided_by_form_or_refused(monkeypatch):
     big = FiniteSpace([f"y{i}" for i in range(17)])
     assert classify(PossibilityCapacity(big, K2, {"y0": 1, "y3": "1/2"})) == (True, False)
     assert classify(NecessityCapacity(big, K2, {"y3": 0})) == (True, True)
-    assert as_possibility(NecessityCapacity(big, K2, {"y3": 0})) == dirac_density(big, K2, "y3")
+    assert as_possibility(NecessityCapacity(big, K2, {"y3": 0})) == unit_dirac(big, K2, "y3")
     f = PointMap(X3, big, {"a": "y0", "b": "y5", "c": "y5"})
     view = pushforward(f, random_capacity(X3, K2, random.Random(1)))
     assert isinstance(view, PushforwardView)
@@ -512,7 +512,7 @@ def test_pushforward_to_large_target_is_a_lazy_view():
         assert view.value(s) == c.value(f.preimage(s))
     assert view.value(big.universe) == K2.one
     # density-backed inputs push to densities even at this size
-    d = pushforward(f, dirac_density(X3, K2, "b"))
+    d = pushforward(f, unit_dirac(X3, K2, "b"))
     assert isinstance(d, PossibilityCapacity)
     assert d.value(frozenset(["y7"])) == K2.one
 
@@ -682,20 +682,18 @@ OUTER_FORMS = {
     strat.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_mult_matches_the_written_out_scan(form, points, k, seed):
-    # 2-3 points give the validated table, checked on every subset; 18
-    # points give the lazy view, checked on sampled subsets
+    # 2-3 points are checked on every subset, 18 points on sampled subsets
     rng = random.Random(seed)
     chain = Chain(k)
     base = FiniteSpace([f"x{i}" for i in range(points)])
     outer = OUTER_FORMS[form](chain, rng)
     assignment = {n: random_inner(base, chain, rng) for n in outer.carrier.elements}
     flat = mult(outer, assignment)
+    assert isinstance(flat, (PossibilityCapacity, NecessityCapacity, MultView))
     if points > 16:
-        assert isinstance(flat, MultView)
         subsets = [frozenset(rng.sample(base.elements, rng.randint(0, points))) for _ in range(12)]
         subsets.append(base.universe)
     else:
-        assert isinstance(flat, Capacity)
         subsets = list(base.subsets(include_empty=True))
     for s in subsets:
         assert flat.value(s) == written_out_mult(outer, assignment, s)
@@ -776,7 +774,7 @@ def test_mult_in_closed_form_matches_the_written_out_scan(form, points, k, seed)
     closed = _pointwise_mult(base, outer, assignment, support)
     assert (closed is None) == (form == "mixed")
     flat = mult(outer, assignment)
-    assert isinstance(flat, Capacity)
+    assert type(flat) is (MultView if closed is None else cls)
     for s in base.subsets(include_empty=True):
         assert flat.value(s) == written_out_mult(outer, assignment, s)
 
@@ -793,11 +791,13 @@ def test_mult_of_a_density_over_densities_neither_scans_nor_validates(monkeypatc
     monkeypatch.setattr(MultView, "__init__", counted("MultView", MultView.__init__))
     monkeypatch.setattr(MultView, "value", counted("MultView.value", MultView.value))
     monkeypatch.setattr(capacity_module, "validate", counted("validate", validate))
+    for name in ("_fold", "as_capacity"):
+        monkeypatch.setattr(capacity_module, name, counted(name, getattr(capacity_module, name)))
     names, pool = capacity_pool(X3, K2, "union")
     outer = PossibilityCapacity(names, K2, {"p0": "1/2", "p7": 1, "p12": "1/2"})
     flat = mult(outer, pool)
     assert calls == Counter()
-    assert isinstance(flat, Capacity)
+    assert type(flat) is PossibilityCapacity
     for s in X3.subsets(include_empty=True):
         assert flat.value(s) == written_out_mult(outer, pool, s)
 
@@ -818,7 +818,7 @@ def test_set_functions_and_views_refuse_foreign_or_missing_sets():
         with pytest.raises(ValidationError, match=r"\['z'\] are not elements of the carrier"):
             c.value(frozenset({"a", "z"}))
     with pytest.raises(ValidationError, match="'z' is not in the space"):
-        dirac_density(X2, K2, "z")
+        unit_dirac(X2, K2, "z")
     # equal values on other carriers or chains are still other capacities
     assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X3, K2, "a"))
     assert not capacity_equal(unit_dirac(X2, K2, "a"), unit_dirac(X2, Chain(1), "a"))
@@ -999,7 +999,7 @@ def test_validate_on_ranks_gives_the_per_subset_diagnostics_in_order():
     views = [PushforwardView(random_map(t.carrier, X3, rng), t) for t in tables]
     # a multiplication view reads 0 at the empty set whatever its inner values
     one = names_of(1)
-    views.append(MultView(X2, dirac_density(one, K2, "n0"), {"n0": leaky}, ("n0",)))
+    views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
     views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
     assert [validate(v) for v in views[-2:]] == [["not-normalized: value(X)=1/2"]] * 2
     assert any(validate(t) for t in tables[2:])
@@ -1012,8 +1012,8 @@ def test_validate_on_ranks_gives_the_per_subset_diagnostics_in_order():
 
 
 def test_mult_and_pushforward_above_sixteen_points_stay_lazy(monkeypatch):
-    # neither is tabulated nor validated there, and both refuse a table
-    # before any value is read
+    # neither is tabulated nor validated there, and both views refuse a
+    # table before any value is read
     rng = random.Random(8)
     big, names = names_of(17), names_of(3)
     f, table = random_map(X3, big, rng), random_capacity(X3, K2, rng)
@@ -1029,13 +1029,77 @@ def test_mult_and_pushforward_above_sixteen_points_stay_lazy(monkeypatch):
         counted = lambda self, s, read=read: reads.append(s) or read(self, s)
         monkeypatch.setattr(view_cls, "value", counted)
     monkeypatch.setattr(capacity_module, "validate", lambda sf: reads.append(sf) or [])
-    lazy = [pushforward(f, table)] + [mult(outer, assignment) for outer, assignment in cases]
-    assert [type(c) for c in lazy] == [PushforwardView] + [MultView] * 6
+    got = [pushforward(f, table)] + [mult(outer, assignment) for outer, assignment in cases]
+    assert [type(c) for c in got] == [
+        PushforwardView, PossibilityCapacity, MultView, MultView, NecessityCapacity, MultView, MultView,
+    ]
+    lazy = [c for c in got if isinstance(c, (PushforwardView, MultView))]
     for c in lazy:
         for refuse in (as_capacity, validate, classify, lambda c: capacity_equal(c, c)):
             with pytest.raises(BudgetExceededError, match="limited to carriers of size 16"):
                 refuse(c)
     assert reads == []
+
+
+# ------------------------------------------- representation of the monad's results
+
+
+def pool_names():
+    """The 129 names of the three-point k=2 capacity pool, the base that
+    mult(theta, assign2) of the three-point monad laws works on."""
+    return capacity_pool(X3, K2, "all")[0]
+
+
+def inners_for(outer, base, chain, rng):
+    """Inner capacities on the base, all of the outer's pointwise class
+    about half the time, so that the closed form applies; else drawn
+    by ``random_inner``."""
+    cls = type(outer)
+    if cls in POINTWISE and rng.random() < 0.5:
+        return {n: _random_pointwise(cls, base, chain, rng) for n in outer.carrier.elements}
+    return {n: random_inner(base, chain, rng) for n in outer.carrier.elements}
+
+
+DROOP = {frozenset(): 0, frozenset("a"): 1, frozenset("b"): 0, frozenset("ab"): "1/2"}
+
+
+@pytest.mark.parametrize("form", sorted(OUTER_FORMS))
+@pytest.mark.parametrize("points", [1, 2, 3, "pool"])
+def test_monad_results_are_forms_or_views_at_every_size(form, points):
+    # mult gives the density or codensity of _pointwise_mult exactly when
+    # that applies and the multiplication view otherwise, and pushforward
+    # a form or the pushforward view, on small bases and on 129 names alike
+    rng = random.Random(f"{form}-{points}")
+    base = pool_names() if points == "pool" else names_of(points)
+    small = len(base) <= 16
+    for k in (1, 2):
+        chain = Chain(k)
+        for _ in range(12):
+            outer = OUTER_FORMS[form](chain, rng)
+            assignment = inners_for(outer, base, chain, rng)
+            closed = _pointwise_mult(base, outer, assignment, _support(outer))
+            flat = mult(outer, assignment)
+            assert type(flat) is (MultView if closed is None else type(outer))
+            assert closed is None or flat == closed
+            c = rng.choice(list(assignment.values()))
+            f = random_map(base, base, rng)
+            pushed = pushforward(f, c)
+            assert type(pushed) is (type(c) if type(c) in POINTWISE else PushforwardView)
+            if small:
+                subsets = list(base.subsets(include_empty=True))
+            else:
+                subsets = [frozenset(rng.sample(base.elements, rng.randint(0, 5))) for _ in range(8)]
+            for s in subsets:
+                assert flat.value(s) == written_out_mult(outer, assignment, s)
+                assert pushed.value(s) == c.value(f.preimage(s))
+    # a result over a set function that is not a capacity is refused at
+    # the call, with validate's texts, on carriers of at most 16 points
+    droop = SetFunction(X2, K2, DROOP)
+    text = "^" + re.escape("monotonicity violated at {a}⊆{a,b}: 1 > 1/2; not-normalized: value(X)=1/2") + "$"
+    with pytest.raises(ValidationError, match=text):
+        mult(unit_dirac(names_of(1), K2, "n0"), {"n0": droop})
+    with pytest.raises(ValidationError, match=text):
+        pushforward(PointMap(X2, X2, {"a": "a", "b": "b"}), droop)
 
 
 # ------------------------------------------- pointwise forms on their support

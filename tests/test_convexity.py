@@ -17,7 +17,6 @@ from capalg.capacity import (
     NecessityCapacity,
     PossibilityCapacity,
     as_capacity,
-    dirac_density,
     enumerate_capacities,
     is_algebra_morphism,
     kappa_dual,
@@ -204,7 +203,7 @@ def test_union_map_reads_table_backed_possibility_capacities():
     s = structures(X3, K2)[-1]
     xi = UnionStructureMap.from_convex(s)
     for x in X3.elements:
-        assert xi(unit_dirac(X3, K2, x)) == xi(dirac_density(X3, K2, x)) == x
+        assert xi(as_capacity(unit_dirac(X3, K2, x))) == xi(unit_dirac(X3, K2, x)) == x
     for p in enumerate_capacities(X3, K2, "union"):
         assert xi(as_capacity(p)) == xi(p)
     # 1 on {a} and on every pair, so not the max of its singleton values

@@ -17,6 +17,7 @@ from capalg.capacity import (
     Capacity,
     NecessityCapacity,
     PossibilityCapacity,
+    as_capacity,
     enumerate_capacities,
     random_capacity,
     unit_dirac,
@@ -164,7 +165,7 @@ def test_reserved_delimiters_in_names_are_rejected():
 def test_the_empty_element_name_is_rejected():
     """The set key of {""} would be "", which is the empty set's key: the
     Dirac capacity at "" would write {"": "1", "b": "0", ",b": "1"}."""
-    c = unit_dirac(FiniteSpace(["", "b"]), K1, "")
+    c = as_capacity(unit_dirac(FiniteSpace(["", "b"]), K1, ""))
     with pytest.raises(ValidationError, match="empty element name"):
         capacity_to_json(c)
 
