@@ -43,7 +43,7 @@ from .convexity import (
     check_ic_axioms,
     check_semimodule_axioms,
 )
-from .errors import CapalgError, LawViolationError
+from .errors import CapalgError, LawViolationError, ValidationError
 from .serial import (
     capacity_renderer,
     dump_canonical,
@@ -110,9 +110,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _RepeatedKey(dict):
+    """A JSON object whose text gives the key ``repeated`` more than once."""
+
+
+def _object_once(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen: set = set()
+    marked = _RepeatedKey(obj)
+    marked.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return marked
+
+
+def _refuse_repeats(value, name: str) -> None:
+    """Refuse the first object in ``value`` that repeats a key, named by the
+    key it sits under (``name`` for ``value`` itself and a list's items)."""
+    if isinstance(value, _RepeatedKey):
+        raise ValidationError(f"{name} key {value.repeated!r} is repeated")
+    if isinstance(value, dict):
+        for key, child in value.items():
+            _refuse_repeats(child, key)
+    elif isinstance(value, list):
+        for child in value:
+            _refuse_repeats(child, name)
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_object_once)
+    _refuse_repeats(doc, "document")
+    return doc
 
 
 def _load_space(args: argparse.Namespace) -> FiniteSpace:
@@ -319,8 +348,11 @@ def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
     report.update(payload)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_canonical(report, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                dump_canonical(report, fh)
+        except OSError as exc:
+            raise CapalgError(f"cannot write the report: {exc}") from exc
 
     print(f"capalg {args.command}")
     for r in reports:

@@ -204,7 +204,10 @@ def _table_from_json(chain: Chain, obj: Mapping, name: str, shape: str, value: s
         if len(parts) != len(shape):
             raise ValidationError(f"bad {name} key {text!r}")
         key = tuple(_cell_from_json(chain, kind, p) for kind, p in zip(shape, parts))
-        table[key if len(shape) > 1 else key[0]] = _cell_from_json(chain, value, v)
+        key = key if len(shape) > 1 else key[0]
+        if key in table:
+            raise ValidationError(f"{name} key {text!r} names a cell already given")
+        table[key] = _cell_from_json(chain, value, v)
     return table
 
 
@@ -219,7 +222,10 @@ def _vectors_from_json(chain: Chain, obj: Mapping, name: str, arity: int) -> dic
         parts = text.split(",")
         if len(parts) != arity:
             raise ValidationError(f"{name} key {text!r} has the wrong arity")
-        table[tuple(level_from_string(chain, p).value for p in parts)] = v
+        key = tuple(level_from_string(chain, p).value for p in parts)
+        if key in table:
+            raise ValidationError(f"{name} key {text!r} names a cell already given")
+        table[key] = v
     return table
 
 

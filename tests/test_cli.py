@@ -789,6 +789,58 @@ def test_malformed_structures_exit_two_without_a_traceback(document):
             assert "Traceback" not in err.getvalue()
 
 
+def _with_cell(document, table, key, value):
+    """A copy of the document whose ``table`` (a cube's first phi entry for
+    "phi") ends with one more cell, ``key``: ``value``."""
+    document = json.loads(json.dumps(document))
+    cells = document[table][0] if table == "phi" else document[table]
+    cells[key] = value
+    return document
+
+
+def _repeating_text(document, table, key, value):
+    """The document's JSON text with the cell ``key``: ``value`` written a
+    second time at the front of its first object under ``table``."""
+    text = json.dumps(document)
+    opening = f'"{table}": ' + ("[{" if table == "phi" else "{")
+    assert opening in text
+    return text.replace(opening, f"{opening}{json.dumps(key)}: {json.dumps(value)}, ", 1)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("algebra-laws", json.dumps(_with_cell(WELL_FORMED["ic"](), "ic", "0|1.0|1/2", "1")),
+     "ic key '0|1.0|1/2' names a cell already given"),
+    ("algebra-laws", json.dumps(_with_cell(WELL_FORMED["ic"](), "ic", "0|2/2|1/2", "1")),
+     "ic key '0|2/2|1/2' names a cell already given"),
+    ("algebra-laws", json.dumps(_with_cell(_golden_union_map(), "xi", "1,1.0", "a")),
+     "xi key '1,1.0' names a cell already given"),
+    ("biconvex-laws", json.dumps(_with_cell(_cube(), "phi", "2/2", "1")),
+     "phi key '2/2' names a cell already given"),
+    ("algebra-laws", _repeating_text(WELL_FORMED["ic"](), "ic", "0|1|1/2", "1"),
+     "ic key '0|1|1/2' is repeated"),
+    ("biconvex-laws", _repeating_text(_cube(), "phi", "1/2", "1"), "phi key '1/2' is repeated"),
+    ("algebra-laws", '{"chain_k": 1, ' + json.dumps(WELL_FORMED["ic"]())[1:],
+     "document key 'chain_k' is repeated"),
+], ids=["ic-decimal", "ic-fraction", "xi", "phi", "ic-text", "phi-text", "document-text"])
+def test_a_document_that_names_one_cell_twice_exits_two(command, text, message, tmp_path, capsys):
+    # a structure read with one of its cells given twice, however the key
+    # is written, is refused, not read with the last value
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    assert main([command, "--structure", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_unwritable_report_path_is_reported_as_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    argv = ["monad-laws", "--chain", "1", "--mode", "random", "--samples", "5", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ") and str(out) in err
+
+
 # ------------------------------------------- documents too large to build
 #
 # A loader reads the document's size before it builds the chain's k + 1
