@@ -40,6 +40,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .chain import Chain, Level, complement
 from .errors import (
+    BudgetExceededError,
     CarrierMismatchError,
     LawViolationError,
     ValidationError,
@@ -739,7 +740,7 @@ def enumerate_biconvex_structures(
     each structure is re-checked against the full law list.
     """
     if len(space) > 3 or chain.k > 2:
-        raise ValidationError("biconvex enumeration is limited to |X| <= 3, k <= 2")
+        raise BudgetExceededError("biconvex enumeration is limited to |X| <= 3, k <= 2")
     X = space.elements
     idx = space.index
     bjoin = {

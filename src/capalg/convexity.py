@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 from .chain import Chain, Level
-from .errors import CarrierMismatchError, ValidationError
+from .errors import BudgetExceededError, CarrierMismatchError, ValidationError
 from .capacity import (
     NecessityCapacity,
     PossibilityCapacity,
@@ -408,7 +408,7 @@ def enumerate_convex_structures(
     remaining axioms are checked on each candidate.
     """
     if len(space) > 3 or chain.k > 2:
-        raise ValidationError("convex-structure enumeration is limited to |X| <= 3, k <= 2")
+        raise BudgetExceededError("convex-structure enumeration is limited to |X| <= 3, k <= 2")
     X = space.elements
     interior = chain.levels[1:-1]
     free_cells = [
@@ -440,7 +440,7 @@ def enumerate_union_algebras(
 ) -> Iterator[UnionStructureMap]:
     """All lawful structure-map tables on carriers of up to 2 elements."""
     if len(space) > 2:
-        raise ValidationError("algebra-table enumeration is limited to |X| <= 2")
+        raise BudgetExceededError("algebra-table enumeration is limited to |X| <= 2")
     keys = [density_key(p) for p in capacity_pool(space, chain, "union")[1].values()]
     for combo in itertools.product(space.elements, repeat=len(keys)):
         xi = UnionStructureMap.from_table(space, chain, dict(zip(keys, combo)))

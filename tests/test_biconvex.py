@@ -986,9 +986,11 @@ def test_cube_size_is_bounded_before_any_point_is_built():
 def test_structure_validation_and_enumeration_guards():
     with pytest.raises(ValidationError):
         BiconvexStructure(X2, K2, {}, {}, {}, {})
-    with pytest.raises(ValidationError):
+    # running past the enumeration's size limit is a budget outcome
+    limit = "^" + re.escape("biconvex enumeration is limited to |X| <= 3, k <= 2") + "$"
+    with pytest.raises(BudgetExceededError, match=limit):
         list(enumerate_biconvex_structures(FiniteSpace(list("abcd")), K2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(BudgetExceededError, match=limit):
         list(enumerate_biconvex_structures(X3, Chain(3)))
 
 

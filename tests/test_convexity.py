@@ -1,6 +1,7 @@
 """Convex combination structures, their algebras, duals, and quotients."""
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from capalg.chain import Chain, complement
-from capalg.errors import CarrierMismatchError, ValidationError
+from capalg.errors import BudgetExceededError, CarrierMismatchError, ValidationError
 from capalg.spaces import FiniteSpace, PointMap
 from capalg.capacity import (
     Capacity,
@@ -372,9 +373,12 @@ def test_structure_validation():
     bad[("0", K2.one, "1")] = "zzz"
     with pytest.raises(ValidationError):
         ConvexStructure(s.carrier, K2, bad)
-    with pytest.raises(ValidationError):
-        list(enumerate_convex_structures(FiniteSpace(list("abcd")), K2))
-    with pytest.raises(ValidationError):
+    # running past an enumeration's size limit is a budget outcome
+    convex_limit = "^" + re.escape("convex-structure enumeration is limited to |X| <= 3, k <= 2") + "$"
+    for space, chain in ((FiniteSpace(list("abcd")), K2), (X2, Chain(3))):
+        with pytest.raises(BudgetExceededError, match=convex_limit):
+            list(enumerate_convex_structures(space, chain))
+    with pytest.raises(BudgetExceededError, match=r"^algebra-table enumeration is limited to \|X\| <= 2$"):
         list(enumerate_union_algebras(X3, K2))
 
 
