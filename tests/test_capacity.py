@@ -1000,7 +1000,7 @@ def test_validate_on_ranks_gives_the_per_subset_diagnostics_in_order():
     # a multiplication view reads 0 at the empty set whatever its inner values
     one = names_of(1)
     views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
-    views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
+    views.append(MultView(X2, as_capacity(unit_dirac(one, K2, "n0")), {"n0": leaky}, ("n0",)))
     assert [validate(v) for v in views[-2:]] == [["not-normalized: value(X)=1/2"]] * 2
     assert any(validate(t) for t in tables[2:])
     for sf in tables + views:
