@@ -51,6 +51,7 @@ from .capacity import (
     PossibilityCapacity,
     StructureMap,
     _check_cube_size,
+    _ranks,
     canonical_key,
     capacity_pool,
     kappa_dual,
@@ -327,17 +328,16 @@ def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget)
     ``weights`` in lexicographic order, kept when ``outer`` of the tuple is
     ``pin``.  A mixture multiplies to F -> outer over its names n of
     inner(weight(n), n(F)).  Weights, pin and values are level ranks."""
-    space, chain = c.carrier, c.chain
-    names, assignment = capacity_pool(space, chain, kind)
-    subsets = list(space.subsets())
-    target = tuple(c.value(s).i for s in subsets)
-    pool = list(names.elements)
-    vecs = [tuple(assignment[n].value(s).i for s in subsets) for n in pool]
+    chain, pool = c.chain, capacity_pool(c.carrier, c.chain, kind)
+    names = pool.names.elements
+    # the ranks at the nonempty subsets, each member's as its pool keeps them
+    target = _ranks(c)[1:]
+    vecs = [pool.key(n)[1:] for n in names]
     hits = []
     checked = 0
-    nf = len(subsets)
-    for size in range(1, len(pool) + 1):
-        for support in itertools.combinations(range(len(pool)), size):
+    nf = len(target)
+    for size in range(1, len(vecs) + 1):
+        for support in itertools.combinations(range(len(vecs)), size):
             sup_vecs = [vecs[i] for i in support]
             for values in itertools.product(weights, repeat=size):
                 if outer(values) != pin:
@@ -352,8 +352,8 @@ def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget)
                         ok = False
                         break
                 if ok:
-                    dens = {pool[i]: chain.levels[v] for i, v in zip(support, values)}
-                    hits.append(mixture(names, chain, dens))
+                    dens = {names[i]: chain.levels[v] for i, v in zip(support, values)}
+                    hits.append(mixture(pool.names, chain, dens))
                     if len(hits) >= limit:
                         return hits
     return hits

@@ -24,6 +24,7 @@ view otherwise, at every carrier size; ``as_capacity`` tabulates.
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
@@ -34,7 +35,7 @@ from .errors import (
     LawViolationError,
     ValidationError,
 )
-from .spaces import FiniteSpace, InclusionHyperspace, PointMap, Subset, _assigned_base
+from .spaces import FiniteSpace, InclusionHyperspace, MemberKind, PointMap, Pool, Subset
 
 # explicit tables hold 2^n entries; keep that honest
 _MAX_TABLE_CARRIER = 16
@@ -240,28 +241,28 @@ def _support(outer) -> tuple[str, ...]:
     if isinstance(outer, PushforwardView):
         return tuple(dict.fromkeys(outer.map.table.values()))
     if isinstance(outer, MultView):
-        return tuple(dict.fromkeys(n for m in outer._support for n in _support(outer.assignment[m])))
+        return tuple(dict.fromkeys(n for m in outer._support for n in _support(outer.pool.members[m])))
     return outer.carrier.elements
 
 
 class MultView:
     """Monad multiplication, evaluated one subset at a time.
 
-    Each inner capacity is read only at ``support``, the outer's
-    ``_support``, which ``mult`` computes once for its closed form and view.
+    Each inner capacity, in ``pool``, is read only at ``support``, the
+    outer's ``_support``, which ``mult`` computes once for its closed form.
     A density outer d gives max_n min(d(n), c_n(F)) and a codensity outer e
     gives min_n max(e(n), c_n(F)); any other outer is scanned level by
     level, from the top, for the first a with C({n : c_n(F) >= a}) >= a.
     ``mult`` returns it at every base size unless its closed form applies.
     """
 
-    __slots__ = ("carrier", "chain", "outer", "assignment", "_support", "_flat")
+    __slots__ = ("carrier", "chain", "outer", "pool", "_support", "_flat")
 
-    def __init__(self, base: FiniteSpace, outer, assignment, support: tuple[str, ...]):
-        self.carrier = base
+    def __init__(self, outer, pool: Pool, support: tuple[str, ...]):
+        self.carrier = pool.base
         self.chain = outer.chain
         self.outer = outer
-        self.assignment = dict(assignment)
+        self.pool = pool
         self._support = support
         self._flat = self._flatten()
 
@@ -272,7 +273,7 @@ class MultView:
         """``value``'s rank at a set of base names: 0 at the empty set."""
         if not members:
             return 0
-        return self._flat([_read(self.assignment[n], members) for n in self._support])
+        return self._flat([_read(self.pool.members[n], members) for n in self._support])
 
     def _flatten(self):
         """The view's rank at a nonempty subset from the inner ranks there,
@@ -324,7 +325,8 @@ def _ranks(c) -> list[int]:
     """The ranks of the capacity-like c, at most 16 points, in ``subset_keys``
     order: a table's own, a density's or codensity's fold, a pushforward
     view's source ranks at each preimage mask, and a multiplication view's
-    flattening of its inner rank vectors; anything else is read per subset."""
+    flattening of its inner rank vectors (their pool's keys); anything else
+    is read per subset."""
     if isinstance(c, SetFunction):
         return [v.i for v in c.table.values()]
     if isinstance(c, _PointwiseCapacity):
@@ -342,10 +344,13 @@ def _ranks(c) -> list[int]:
         at = f.source.subset_masks()[1]
         return [source[at[pre[m]]] for m in carrier.subset_masks()[0]]
     if isinstance(c, MultView):
-        ranks = list(map(c._flat, zip(*(_ranks(c.assignment[n]) for n in c._support))))
+        ranks = list(map(c._flat, zip(*map(c.pool.key, c._support))))
         ranks[0] = 0  # the empty set, read as 0 by MultView.value
         return ranks
     return [_read(c, s) for s in carrier.subsets(include_empty=True)]
+
+
+CAPACITIES = MemberKind("capacity", "capacities", lambda c: tuple(_ranks(c)))  # keyed by ranks
 
 
 def validate(sf) -> list[str]:
@@ -386,7 +391,7 @@ def _is_capacity(c) -> bool:
     if isinstance(c, PushforwardView):
         return _is_capacity(c.source)
     if isinstance(c, MultView):
-        return _is_capacity(c.outer) and all(_is_capacity(c.assignment[n]) for n in c._support)
+        return _is_capacity(c.outer) and all(_is_capacity(c.pool.members[n]) for n in c._support)
     return type(c) in _CHECKED
 
 
@@ -456,44 +461,43 @@ def pushforward(f: PointMap, c: CapacityLike) -> CapacityLike:
     return _checked(PushforwardView(f, c))
 
 
-def mult(outer: CapacityLike, assignment: Mapping[str, CapacityLike]) -> CapacityLike:
+def mult(outer: CapacityLike, assignment: Pool | Mapping) -> CapacityLike:
     """Monad multiplication.
 
     ``outer`` is a capacity over a carrier whose elements name capacities
-    on a common base space (via ``assignment``).  For each subset F of
-    the base space the result is the largest level a with
+    on a common base space: ``assignment``, a pool, or a mapping that
+    ``Pool.over`` checks into one before any value is read.  For each
+    subset F of the base space the result is the largest level a with
     outer({name : assignment[name](F) >= a}) >= a; ``MultView`` evaluates
-    it, reading the inner capacities only where the outer looks.
-
-    The carrier and chain of every assigned capacity are checked before
-    any value is read.  The result is the closed form where
-    ``_pointwise_mult`` applies, with no view built, and otherwise the
-    lazy view, which ``_checked`` refuses when it may not be a capacity.
+    it, reading the inner capacities only where the outer looks.  It is
+    the closed form where ``_pointwise_mult`` applies, with no view built,
+    and otherwise the lazy view, which ``_checked`` refuses when it may not
+    be a capacity.
     """
-    base = _assigned_base(outer, assignment, ("capacity", "capacities"))
+    pool = Pool.over(outer, assignment, CAPACITIES)
     support = _support(outer)
-    closed = _pointwise_mult(base, outer, assignment, support)
-    return closed if closed is not None else _checked(MultView(base, outer, assignment, support))
+    closed = _pointwise_mult(outer, pool, support)
+    return closed if closed is not None else _checked(MultView(outer, pool, support))
 
 
-def _pointwise_mult(base: FiniteSpace, outer, assignment, support):
+def _pointwise_mult(outer, pool: Pool, support):
     """mult as a density or codensity when the outer and every inner
     capacity at its support are of one pointwise class, a submonad
     (Zarichnyi and Nykyforchyn 2008); None otherwise.  Densities flatten to
     the density max_n min(D(n), d_n), codensities to the codensity
     min_n max(E(n), e_n), on the support ranks (the fill is neutral for the
     bound); both are capacities by construction, so not checked again."""
-    cls = type(outer)
-    if cls not in _POINTWISE.values() or any(type(assignment[n]) is not cls for n in support):
+    cls, inner = type(outer), pool.members
+    if cls not in _POINTWISE.values() or any(type(inner[n]) is not cls for n in support):
         return None
     chain, bound = outer.chain, cls._bound
     cross = min if bound is max else max
     sup: dict[str, int] = {}
     for n, a in outer._sup.items():
-        for x, r in assignment[n]._sup.items():
+        for x, r in inner[n]._sup.items():
             v = cross(a, r)
             sup[x] = bound(sup.get(x, v), v)
-    return cls._trusted(base, chain, sup)
+    return cls._trusted(pool.base, chain, sup)
 
 
 class ClassFlags(NamedTuple):
@@ -711,36 +715,30 @@ def _exhaustive_densities(space: FiniteSpace, chain: Chain) -> list | None:
 _NAME_PREFIX = {"all": "c", "union": "p", "intersection": "n"}
 
 
-def _named(space, chain, kind):
+def _named(space, chain, kind) -> Pool:
     caps = list(enumerate_capacities(space, chain, kind))
-    prefix = _NAME_PREFIX[kind]
-    names = FiniteSpace([f"{prefix}{i}" for i in range(len(caps))])
-    return names, {f"{prefix}{i}": c for i, c in enumerate(caps)}
+    return Pool.named(_NAME_PREFIX[kind], caps, chain, CAPACITIES)
 
 
-def capacity_space(space: FiniteSpace, chain: Chain) -> tuple[FiniteSpace, dict[str, Capacity]]:
-    """Name every capacity on the space: c0, c1, ... in enumeration order."""
+def capacity_space(space: FiniteSpace, chain: Chain) -> Pool:
+    """The pool naming every capacity on the space: c0, c1, ... in enumeration order."""
     return _named(space, chain, "all")
 
 
-def possibility_space(
-    space: FiniteSpace, chain: Chain
-) -> tuple[FiniteSpace, dict[str, PossibilityCapacity]]:
+def possibility_space(space: FiniteSpace, chain: Chain) -> Pool:
     return _named(space, chain, "union")
 
 
-def necessity_space(
-    space: FiniteSpace, chain: Chain
-) -> tuple[FiniteSpace, dict[str, NecessityCapacity]]:
+def necessity_space(space: FiniteSpace, chain: Chain) -> Pool:
     return _named(space, chain, "intersection")
 
 
 @lru_cache(maxsize=POOL_SIZE)
-def capacity_pool(space: FiniteSpace, chain: Chain, kind: str):
-    """Named capacities of one class, as ``capacity_space``,
-    ``possibility_space`` or ``necessity_space`` give them for kind "all",
-    "union" or "intersection"; cached per (space, chain, kind) for the law
-    suites and the preimage searches, so callers must not modify them."""
+def capacity_pool(space: FiniteSpace, chain: Chain, kind: str) -> Pool:
+    """The pool of one class, as ``capacity_space``, ``possibility_space``
+    or ``necessity_space`` give it for kind "all", "union" or
+    "intersection"; cached per (space, chain, kind) for the law suites and
+    the preimage searches."""
     return _named(space, chain, kind)
 
 
@@ -766,7 +764,7 @@ class StructureMap:
     table) is brought into the class's form.  ``unit_case`` and
     ``mult_case`` are its algebra laws, case by case."""
 
-    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache", "_along")
+    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache", "_images")
 
     def __init__(self, carrier, chain, table=None, structure=None):
         self.carrier = carrier
@@ -774,8 +772,8 @@ class StructureMap:
         self._table = dict(table) if table is not None else None
         self._structure = structure
         self._cache = {} if table is None else {self._cache_key_of(t): z for t, z in self._table.items()}
-        # (pool, names, n -> xi(pool[n])) of the last two pools mult_case read
-        self._along: tuple = ()
+        # pool -> the map n -> xi(pool[n]) that mult_case pushes along
+        self._images = weakref.WeakKeyDictionary()
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
@@ -810,8 +808,8 @@ class StructureMap:
         """Explicit table over every capacity of the map's class on the carrier."""
         if self._table is not None:
             return dict(self._table)
-        names, assignment = capacity_pool(self.carrier, self.chain, self._kind)
-        return {self._key(assignment[n]): self(assignment[n]) for n in names.elements}
+        pool = capacity_pool(self.carrier, self.chain, self._kind).members
+        return {self._key(c): self(c) for c in pool.values()}
 
     @staticmethod
     def _law_case(sides) -> LawCase:
@@ -824,21 +822,19 @@ class StructureMap:
         """The unit law at the point x: xi(delta x) = x."""
         return self._law_case(lambda: (self(unit_dirac(self.carrier, self.chain, x)), x))
 
-    def mult_case(self, outer: CapacityLike, pool: Mapping[str, CapacityLike]) -> LawCase:
+    def mult_case(self, outer: CapacityLike, pool: Pool | Mapping) -> LawCase:
         """The multiplication law at an outer capacity C over the named
-        capacities of ``pool``: xi(mu C) = xi(M xi (C)), where M xi pushes C
-        forward along n -> xi(pool[n]).  That map is kept for the last two
-        pools, each reused only with the same pool object and set of names,
-        so cases that alternate two pools compute each map once."""
-        names = outer.carrier
+        capacities of ``pool`` (made a pool on C's carrier by ``Pool.over``):
+        xi(mu C) = xi(M xi (C)), where M xi pushes C forward along
+        n -> xi(pool[n]).  That map is kept as long as its pool lives."""
+        pool = Pool.over(outer, pool, CAPACITIES)
 
         def sides():
-            along = next((e for e in self._along if e[0] is pool and e[1] == names), None)
+            along = self._images.get(pool)
             if along is None:
-                images = {n: self(pool[n]) for n in names.elements}
-                along = (pool, names, PointMap(names, self.carrier, images))
-                self._along = (*self._along[-1:], along)
-            return self(mult(outer, pool)), self(pushforward(along[2], outer))
+                images = {n: self(c) for n, c in pool.members.items()}
+                along = self._images[pool] = PointMap(pool.names, self.carrier, images)
+            return self(mult(outer, pool)), self(pushforward(along, outer))
 
         return self._law_case(sides)
 

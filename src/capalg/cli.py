@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -317,6 +318,14 @@ def run(args: argparse.Namespace, argv: list[str]) -> tuple[int, dict]:
     """Execute one command; returns (exit_code, report_payload).  The
     ``enumerate`` items are rendered text that only the canonical writer
     (``dump_canonical``, ``dumps_canonical``) writes as JSON objects."""
+    try:  # refuse an unwritable --out before the work, and leave the path as it was
+        if args.out and not os.path.exists(args.out):
+            open(args.out, "x", encoding="utf-8").close()
+            os.remove(args.out)
+        elif args.out:
+            open(args.out, "a", encoding="utf-8").close()  # appending truncates nothing
+    except OSError as exc:
+        raise CapalgError(f"cannot write the report: {exc}") from exc
     t0 = time.perf_counter()
     try:
         reports, payload = _HANDLERS[args.command](args)

@@ -234,11 +234,11 @@ def _union_law_cases(xi: UnionStructureMap, samples: int, seed: int) -> Iterator
     ``samples`` seeded random outer densities."""
     for x in xi.carrier.elements:
         yield x, xi.unit_case(x)
-    names, pool = capacity_pool(xi.carrier, xi.chain, "union")
-    outers = _exhaustive_densities(names, xi.chain)
+    pool = capacity_pool(xi.carrier, xi.chain, "union")
+    outers = _exhaustive_densities(pool.names, xi.chain)
     if outers is None:
         rng = random.Random(seed)
-        outers = (_sampled_density(names, xi.chain, rng) for _ in range(samples))
+        outers = (_sampled_density(pool.names, xi.chain, rng) for _ in range(samples))
     for outer in outers:
         yield outer, xi.mult_case(outer, pool)
 

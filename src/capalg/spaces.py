@@ -13,7 +13,8 @@ multiplication cheap on large carriers.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, CarrierMismatchError, ValidationError
 
@@ -248,22 +249,69 @@ class InclusionHyperspace:
         return f"InclusionHyperspace(min={names!r})"
 
 
-def _assigned_base(outer, assignment: Mapping, kind: tuple[str, str]) -> FiniteSpace:
-    """The carrier of what ``assignment`` gives each name of the outer's
-    carrier, each checked to be there, on the outer's chain if it has one,
-    and on one carrier; ``kind`` names them in errors."""
-    chain, base = getattr(outer, "chain", None), None
-    for name in outer.carrier.elements:
-        inner = assignment.get(name)
-        if inner is None:
-            raise ValidationError(f"no {kind[0]} assigned to carrier element {name!r}")
-        if chain is not None and inner.chain is not chain and inner.chain != chain:
-            raise ValidationError(f"inner {kind[1]} must share the outer chain")
-        if base is None:
-            base = inner.carrier
-        elif inner.carrier is not base and inner.carrier != base:
-            raise CarrierMismatchError(f"assigned {kind[1]} live on different spaces")
-    return base
+class MemberKind(NamedTuple):
+    """A pool's members: ``one`` and ``many`` in errors, and their ``key``."""
+
+    one: str
+    many: str
+    key: Callable
+
+
+HYPERSPACES = MemberKind("hyperspace", "hyperspaces", lambda h: h.masks)
+
+
+class Pool:
+    """The carrier of a monad's outer element: its ``names`` with their
+    ``members``, checked once when built (each name assigned, on ``chain`` if
+    there is one, all on one carrier, ``base``).  Frozen, so ``key`` keeps
+    each member's key from its first read; unpacks as ``(names, members)``."""
+
+    __slots__ = ("names", "members", "base", "chain", "kind", "_keys", "__weakref__")
+
+    def __init__(self, names: FiniteSpace, assignment: Mapping, chain, kind: MemberKind):
+        members, base = {}, None
+        for name in names.elements:
+            inner = members[name] = assignment.get(name)
+            if inner is None:
+                raise ValidationError(f"no {kind.one} assigned to carrier element {name!r}")
+            if chain is not None and inner.chain is not chain and inner.chain != chain:
+                raise ValidationError(f"inner {kind.many} must share the outer chain")
+            if base is None:
+                base = inner.carrier
+            elif inner.carrier is not base and inner.carrier != base:
+                raise CarrierMismatchError(f"assigned {kind.many} live on different spaces")
+        for attr, value in zip(self.__slots__, (names, MappingProxyType(members), base, chain, kind, {})):
+            object.__setattr__(self, attr, value)
+
+    @classmethod
+    def named(cls, prefix: str, members: list, chain, kind: MemberKind) -> "Pool":
+        """The pool naming ``members`` prefix0, prefix1, ... in their order."""
+        names = FiniteSpace([f"{prefix}{i}" for i in range(len(members))])
+        return cls(names, dict(zip(names.elements, members)), chain, kind)
+
+    @classmethod
+    def over(cls, outer, assignment, kind: MemberKind) -> "Pool":
+        """``assignment`` as a pool on the outer's names and chain: itself if
+        it is one, else (a mapping, or a pool on other names) built into one."""
+        chain, names = getattr(outer, "chain", None), outer.carrier
+        if not isinstance(assignment, cls):
+            return cls(names, assignment, chain, kind)
+        same = assignment.names == names and assignment.chain == chain
+        return assignment if same else cls(names, assignment.members, chain, kind)
+
+    def key(self, name: str):
+        got = self._keys.get(name)
+        if got is None:
+            got = self._keys[name] = self.kind.key(self.members[name])
+        return got
+
+    def _frozen(self, *args):
+        raise AttributeError("a pool cannot be changed")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __getitem__(self, i):  # also how it unpacks
+        return (self.names, self.members)[i]
 
 
 def g_unit(space: FiniteSpace, x: str) -> InclusionHyperspace:
@@ -286,30 +334,29 @@ def g_map(f: PointMap, hs: InclusionHyperspace) -> InclusionHyperspace:
     return InclusionHyperspace._trusted(f.target, _minimal_masks(images))
 
 
-def g_mult(
-    outer: InclusionHyperspace, assignment: Mapping[str, InclusionHyperspace]
-) -> InclusionHyperspace:
+def g_mult(outer: InclusionHyperspace, assignment: Pool | Mapping) -> InclusionHyperspace:
     """Monad multiplication: union over outer members A of the intersection of A.
 
     ``outer`` lives on a carrier whose elements name inclusion hyperspaces
-    on a common base space, supplied by ``assignment``.  Because members
+    on a common base space, supplied by ``assignment``, a pool or a mapping
+    made into one by ``Pool.over``.  Because members
     of the outer family only grow, and intersections shrink as members
     grow, the union over all members equals the union over the minimal
     ones; likewise each intersection is computed on antichains by
     minimalizing pairwise unions.
     """
-    base = _assigned_base(outer, assignment, ("hyperspace", "hyperspaces"))
-    names, result = outer.carrier.elements, set()
+    pool = Pool.over(outer, assignment, HYPERSPACES)
+    names, members, result = outer.carrier.elements, pool.members, set()
     for member in outer.masks:
         # intersection of the hyperspaces named by this member
         inter: frozenset | None = None
         while member:
             low = member & -member
-            mins = assignment[names[low.bit_length() - 1]].masks
+            mins = members[names[low.bit_length() - 1]].masks
             inter = mins if inter is None else _minimal_masks([a | b for a in inter for b in mins])
             member ^= low
         result.update(inter)
-    return InclusionHyperspace._trusted(base, _minimal_masks(result))
+    return InclusionHyperspace._trusted(pool.base, _minimal_masks(result))
 
 
 def enumerate_hyperspaces(space: FiniteSpace) -> list[InclusionHyperspace]:
@@ -341,14 +388,10 @@ def enumerate_hyperspaces(space: FiniteSpace) -> list[InclusionHyperspace]:
     return found
 
 
-def hyperspace_space(space: FiniteSpace) -> tuple[FiniteSpace, dict[str, InclusionHyperspace]]:
-    """Finite space naming every inclusion hyperspace on ``space``.
-
-    Names are h0, h1, ... following the enumeration order.
-    """
-    all_hs = enumerate_hyperspaces(space)
-    names = FiniteSpace([f"h{i}" for i in range(len(all_hs))])
-    return names, {f"h{i}": hs for i, hs in enumerate(all_hs)}
+def hyperspace_space(space: FiniteSpace) -> Pool:
+    """The pool naming every inclusion hyperspace on ``space``: h0, h1, ...
+    following the enumeration order."""
+    return Pool.named("h", enumerate_hyperspaces(space), None, HYPERSPACES)
 
 
 def random_hyperspace(space: FiniteSpace, rng) -> InclusionHyperspace:

@@ -46,7 +46,6 @@ from .capacity import (
     PossibilityCapacity,
     _exhaustive_densities,
     _pointwise_form,
-    _ranks,
     canonical_key,
     capacity_equal,
     classify,
@@ -256,20 +255,19 @@ def chain_suite() -> SuiteReport:
 class _Monad:
     """One monad's operations over a base space for the law checks that the
     hyperspace and capacity suites share; ``pool`` names every element over
-    the base space.  Each suite builds its record inside the call, so the
-    operations are the module's bindings at call time: ``unit`` (base point
-    -> unit over the base space), ``name_unit`` (pool name -> unit over the
-    names), ``fmap`` ((PointMap, element) -> image element), ``mult``
-    ((outer, assignment) -> flattened element), ``key`` (element -> hashable
-    key, equal exactly for equal elements), ``equal``, ``draw`` ((carrier,
-    rng) -> seeded element over the carrier) and ``show`` (element -> text)."""
+    the base space, and its kind's ``key`` keys them all.  Each suite builds
+    its record inside the call, so the operations are the module's bindings
+    at call time: ``unit`` ((carrier, point) -> unit over the carrier),
+    ``fmap`` ((PointMap, element) -> image element), ``mult`` ((outer, pool
+    or mapping) -> flattened element), ``equal``, ``draw`` ((carrier, rng) ->
+    seeded element over the carrier) and ``show`` (element -> text)."""
 
-    def __init__(self, space, names, pool, *, unit, name_unit, fmap, mult, key, equal, draw, show):
-        self.space, self.names, self.pool = space, names, pool
-        self.unit, self.name_unit, self.fmap, self.mult = unit, name_unit, fmap, mult
-        self.key, self.equal, self.draw, self.show = key, equal, draw, show
-        self.name_of = {self.key(c): n for n, c in self.pool.items()}
-        eta = {x: self.name_of[self.key(self.unit(x))] for x in self.space.elements}
+    def __init__(self, space, pool, *, unit, fmap, mult, equal, draw, show):
+        self.space, self.pool, self.names, self.key = space, pool, pool.names, pool.kind.key
+        self.unit, self.fmap, self.mult, self.equal = unit, fmap, mult, equal
+        self.draw, self.show = draw, show
+        self.name_of = {pool.key(n): n for n in self.names.elements}
+        eta = {x: self.name_of[self.key(self.unit(space, x))] for x in self.space.elements}
         self.eta_hat = PointMap(self.space, self.names, eta)
         self._lifted: dict[tuple, PointMap] = {}
 
@@ -277,7 +275,7 @@ class _Monad:
         """The functor's image of an endomap, as a map of pool names."""
         image = tuple(f(x) for x in self.space.elements)
         if image not in self._lifted:
-            table = {n: self.name_of[self.key(self.fmap(f, c))] for n, c in self.pool.items()}
+            table = {n: self.name_of[self.key(self.fmap(f, c))] for n, c in self.pool.members.items()}
             self._lifted[image] = PointMap(self.names, self.names, table)
         return self._lifted[image]
 
@@ -286,11 +284,11 @@ def _unit_laws(mon: _Monad, rep: SuiteReport, units, pool_cases) -> None:
     """Unit naturality on each (endomap, point) case, then both unit laws
     on each (pool name, element) case."""
     for f, x in units:
-        ok = mon.equal(mon.fmap(f, mon.unit(x)), mon.unit(f(x)))
+        ok = mon.equal(mon.fmap(f, mon.unit(mon.space, x)), mon.unit(mon.space, f(x)))
         rep.check("unit-naturality", ok, lambda f=f, x=x: f"x={x} f={_map_witness(f)}")
     for n, c in pool_cases:
         w = lambda c=c: mon.show(c)
-        rep.check("unit-law-outer", mon.equal(mon.mult(mon.name_unit(n), mon.pool), c), w)
+        rep.check("unit-law-outer", mon.equal(mon.mult(mon.unit(mon.names, n), mon.pool), c), w)
         rep.check("unit-law-inner", mon.equal(mon.mult(mon.fmap(mon.eta_hat, c), mon.pool), c), w)
 
 
@@ -326,12 +324,12 @@ def _random_endomap(space: FiniteSpace, rng) -> PointMap:
     return PointMap(space, space, {x: rng.choice(space.elements) for x in space.elements})
 
 
-def _mult_by_membership(outer: InclusionHyperspace, assignment) -> InclusionHyperspace:
+def _mult_by_membership(outer: InclusionHyperspace, pool) -> InclusionHyperspace:
     """Brute-force multiplication: keep B when the set of names containing
     B is itself a member of the outer hyperspace."""
-    base, names = next(iter(assignment.values())).carrier, outer.carrier.elements
-    hit = [s for s in base.subsets() if frozenset(n for n in names if s in assignment[n]) in outer]
-    return InclusionHyperspace.from_family(base, hit)
+    names, inner = outer.carrier.elements, pool.members
+    hit = [s for s in pool.base.subsets() if frozenset(n for n in names if s in inner[n]) in outer]
+    return InclusionHyperspace.from_family(pool.base, hit)
 
 
 def g_monad_suite(
@@ -345,12 +343,10 @@ def g_monad_suite(
     every multiplication.  Exhaustive mode sweeps every case on at most 2
     points; random mode draws ``samples // 5`` cases per law."""
     rep = SuiteReport("hyperspace-monad", mode)
-    names, assignment = hyperspace_space(space)
+    names, assignment = pool = hyperspace_space(space)
     mon = _Monad(
-        space, names, assignment,
-        unit=lambda x: g_unit(space, x), name_unit=lambda n: g_unit(names, n),
-        fmap=g_map, mult=g_mult, key=lambda hs: hs.masks, equal=operator.eq,
-        draw=random_hyperspace, show=_hs_witness,
+        space, pool, unit=g_unit,
+        fmap=g_map, mult=g_mult, equal=operator.eq, draw=random_hyperspace, show=_hs_witness,
     )
     els = space.elements
     if mode == "exhaustive":
@@ -431,13 +427,11 @@ def capacity_monad_suite(
     """Unit laws exhaustively; associativity, naturality, submonad closure,
     and the conjugation isomorphism on seeded samples."""
     rep = SuiteReport("capacity-monad", "mixed")
-    names, lookup = capacity_pool(space, chain, "all")
+    names, lookup = pool = capacity_pool(space, chain, "all")
     rep.counts["capacities"] = len(names)
     mon = _Monad(
-        space, names, lookup,
-        unit=lambda x: unit_dirac(space, chain, x),
-        name_unit=lambda n: unit_dirac(names, chain, n),
-        fmap=pushforward, mult=mult, key=lambda c: tuple(_ranks(c)), equal=capacity_equal,
+        space, pool, unit=lambda carrier, x: unit_dirac(carrier, chain, x),
+        fmap=pushforward, mult=mult, equal=capacity_equal,
         draw=lambda carrier, rng: _random_mixed(carrier, chain, rng), show=_cap_witness,
     )
     # naturality under seeded endomaps, points and outers
@@ -452,27 +446,26 @@ def capacity_monad_suite(
     _mult_laws(mon, rep, outer_cases, random.Random(seed + 2), samples)
 
     # conjugation: unit fixed, multiplication intertwined, classes swapped
-    poss_names, poss_lookup = capacity_pool(space, chain, "union")
-    necc_names, necc_lookup = capacity_pool(space, chain, "intersection")
-    necc_name_of = {mon.key(c): n for n, c in necc_lookup.items()}
-    kappa = {p: necc_name_of[mon.key(kappa_dual(poss_lookup[p]))] for p in poss_names.elements}
-    kappa_hat = PointMap(poss_names, necc_names, kappa)
+    poss, necc = (capacity_pool(space, chain, kind) for kind in ("union", "intersection"))
+    necc_name_of = {necc.key(n): n for n in necc.names.elements}
+    kappa = {p: necc_name_of[mon.key(kappa_dual(c))] for p, c in poss.members.items()}
+    kappa_hat = PointMap(poss.names, necc.names, kappa)
     for x in space.elements:
-        u = mon.unit(x)
+        u = mon.unit(space, x)
         rep.check("conjugation-fixes-units", capacity_equal(kappa_dual(u), u), f"x={x}")
-    outers = _exhaustive_densities(poss_names, chain)
+    outers = _exhaustive_densities(poss.names, chain)
     if outers is None:
         rng2 = random.Random(seed + 1)
         outers = [
-            _random_pointwise(PossibilityCapacity, poss_names, chain, rng2)
+            _random_pointwise(PossibilityCapacity, poss.names, chain, rng2)
             for _ in range(samples)
         ]
     rep.counts["conjugation-sweep"] = len(outers)
     for outer in outers:
-        flat = mult(outer, poss_lookup)
+        flat = mult(outer, poss)
         w = lambda outer=outer: _cap_witness(outer)
         rep.check("union-closure", classify(flat).is_union, w)
-        mirrored = mult(pushforward(kappa_hat, kappa_dual(outer)), necc_lookup)
+        mirrored = mult(pushforward(kappa_hat, kappa_dual(outer)), necc)
         rep.check("intersection-closure", classify(mirrored).is_intersection, w)
         rep.check("conjugation-mult-intertwines", capacity_equal(kappa_dual(flat), mirrored), w)
     return rep
@@ -817,11 +810,10 @@ def full_map_suite(
         rng = random.Random(seed)
         for trial in range(samples):
             for (cls, _, _, suffix), (_, inner, _, _) in zip(routes, reversed(routes)):
-                names, lookup = pools[inner]
-                outer = _random_pointwise(cls, names, chain, rng, max_support=3)
+                outer = _random_pointwise(cls, pools[inner].names, chain, rng, max_support=3)
                 rep.check(
                     "algebra-multiplication-law" + suffix,
-                    xi.mult_case(outer, lookup).held,
+                    xi.mult_case(outer, pools[inner]).held,
                     f"seed-trial={trial}",
                 )
         rep.check("quadruple-recovered-from-map", quadruple_from_algebra(xi) == b, wit)

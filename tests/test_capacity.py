@@ -25,6 +25,7 @@ from capalg.errors import (
 from capalg.spaces import (
     FiniteSpace,
     PointMap,
+    Pool,
     enumerate_hyperspaces,
     g_map,
     g_mult,
@@ -34,6 +35,7 @@ from capalg.spaces import (
 )
 import capalg.capacity as capacity_module
 from capalg.capacity import (
+    CAPACITIES,
     Capacity,
     MultView,
     NecessityCapacity,
@@ -104,7 +106,7 @@ def written_out_mult(outer, assignment, members):
             if assignment[n].value(members) >= alpha
         )
         if isinstance(outer, MultView):
-            outer_value = written_out_mult(outer.outer, outer.assignment, hot)
+            outer_value = written_out_mult(outer.outer, outer.pool.members, hot)
         else:
             outer_value = outer.value(hot)
         if outer_value >= alpha:
@@ -771,7 +773,7 @@ def test_mult_in_closed_form_matches_the_written_out_scan(form, points, k, seed)
     assignment = {n: _random_pointwise(cls, base, chain, rng) for n in names.elements}
     if form == "mixed":
         assignment[rng.choice(support)] = random_capacity(base, chain, rng)
-    closed = _pointwise_mult(base, outer, assignment, support)
+    closed = _pointwise_mult(outer, Pool.over(outer, assignment, CAPACITIES), support)
     assert (closed is None) == (form == "mixed")
     flat = mult(outer, assignment)
     assert type(flat) is (MultView if closed is None else cls)
@@ -862,7 +864,7 @@ def mult_view(outer, base, chain, rng, classes=(Capacity, PossibilityCapacity, N
     """The multiplication view itself, built without ``mult``, so that a
     pure closed-form case is tabulated from the view as well."""
     assignment = {n: random_form(base, chain, rng, classes) for n in outer.carrier.elements}
-    return MultView(base, outer, assignment, _support(outer))
+    return MultView(outer, Pool.over(outer, assignment, CAPACITIES), _support(outer))
 
 
 def nested_view_outer(chain, rng):
@@ -999,8 +1001,9 @@ def test_validate_on_ranks_gives_the_per_subset_diagnostics_in_order():
     views = [PushforwardView(random_map(t.carrier, X3, rng), t) for t in tables]
     # a multiplication view reads 0 at the empty set whatever its inner values
     one = names_of(1)
-    views.append(MultView(X2, unit_dirac(one, K2, "n0"), {"n0": leaky}, ("n0",)))
-    views.append(MultView(X2, as_capacity(unit_dirac(one, K2, "n0")), {"n0": leaky}, ("n0",)))
+    pool = Pool(one, {"n0": leaky}, K2, CAPACITIES)
+    views.append(MultView(unit_dirac(one, K2, "n0"), pool, ("n0",)))
+    views.append(MultView(as_capacity(unit_dirac(one, K2, "n0")), pool, ("n0",)))
     assert [validate(v) for v in views[-2:]] == [["not-normalized: value(X)=1/2"]] * 2
     assert any(validate(t) for t in tables[2:])
     for sf in tables + views:
@@ -1077,7 +1080,7 @@ def test_monad_results_are_forms_or_views_at_every_size(form, points):
         for _ in range(12):
             outer = OUTER_FORMS[form](chain, rng)
             assignment = inners_for(outer, base, chain, rng)
-            closed = _pointwise_mult(base, outer, assignment, _support(outer))
+            closed = _pointwise_mult(outer, Pool.over(outer, assignment, CAPACITIES), _support(outer))
             flat = mult(outer, assignment)
             assert type(flat) is (MultView if closed is None else type(outer))
             assert closed is None or flat == closed

@@ -833,12 +833,31 @@ def test_a_document_that_names_one_cell_twice_exits_two(command, text, message, 
     assert not out.exists()
 
 
-def test_an_unwritable_report_path_is_reported_as_a_write_error(tmp_path, capsys):
-    out = tmp_path / "missing" / "report.json"
-    argv = ["monad-laws", "--chain", "1", "--mode", "random", "--samples", "5", "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write the report: ") and str(out) in err
+def test_an_unwritable_report_path_is_reported_as_a_write_error(tmp_path, capsys, monkeypatch):
+    # refused before the command runs: the handler is never entered
+    def entered(args):
+        raise AssertionError("the command ran before its report path was checked")
+
+    monkeypatch.setitem(cli._HANDLERS, "monad-laws", entered)
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        argv = ["monad-laws", "--chain", "1", "--mode", "random", "--samples", "5", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_command_leaves_its_report_path_as_it_was(tmp_path, capsys):
+    # the path is checked before the work without truncating what is there
+    path = tmp_path / "in.json"
+    path.write_text('{"elements": "ab"}')
+    kept = tmp_path / "kept.json"
+    kept.write_text("an earlier report")
+    assert main(["monad-laws", "--space", str(path), "--out", str(kept)]) == 2
+    assert main(["monad-laws", "--space", str(path), "--out", str(tmp_path / "new.json")]) == 2
+    assert kept.read_text() == "an earlier report"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "kept.json"]
+    capsys.readouterr()
 
 
 # ------------------------------------------- documents too large to build

@@ -10,11 +10,23 @@ import random
 
 import pytest
 
+from capalg.capacity import (
+    CAPACITIES,
+    NecessityCapacity,
+    PossibilityCapacity,
+    capacity_equal,
+    capacity_pool,
+    mult,
+    random_capacity,
+    unit_dirac,
+)
+from capalg.chain import Chain
 from capalg.errors import BudgetExceededError, CarrierMismatchError, ValidationError
 from capalg.spaces import (
     FiniteSpace,
     InclusionHyperspace,
     PointMap,
+    Pool,
     enumerate_hyperspaces,
     g_map,
     g_mult,
@@ -22,10 +34,13 @@ from capalg.spaces import (
     hyperspace_space,
     random_hyperspace,
 )
+from capalg.suites import _random_pointwise
 
 X2 = FiniteSpace(["a", "b"])
 X3 = FiniteSpace(["a", "b", "c"])
 X4 = FiniteSpace(["a", "b", "c", "d"])
+K1, K2 = Chain(1), Chain(2)
+PQ = FiniteSpace(["p", "q"])
 
 
 def minimal_members(sets):
@@ -277,8 +292,19 @@ def test_subset_masks_follow_the_subset_order():
      ValidationError, "no hyperspace assigned to carrier element 'a'"),
     (lambda: g_mult(g_unit(X2, "a"), {"a": g_unit(X2, "a"), "b": g_unit(X3, "a")}),
      CarrierMismatchError, "assigned hyperspaces live on different spaces"),
+    (lambda: mult(unit_dirac(PQ, K2, "p"), {"p": unit_dirac(X2, K2, "a")}),
+     ValidationError, "no capacity assigned to carrier element 'q'"),
+    (lambda: mult(unit_dirac(PQ, K2, "p"), {"p": unit_dirac(X2, K2, "a"), "q": unit_dirac(X2, K1, "a")}),
+     ValidationError, "inner capacities must share the outer chain"),
+    (lambda: mult(unit_dirac(PQ, K2, "p"), {"p": unit_dirac(X2, K2, "a"), "q": unit_dirac(X3, K2, "a")}),
+     CarrierMismatchError, "assigned capacities live on different spaces"),
+    # a pool on the outer's names, but on another chain, is checked as a mapping
+    (lambda: mult(unit_dirac(capacity_pool(X2, K2, "union").names, K1, "p0"),
+                  capacity_pool(X2, K2, "union")),
+     ValidationError, "inner capacities must share the outer chain"),
 ], ids=["point-off-source", "image-off-target", "unit-off-space", "unassigned-name",
-        "mixed-carriers"])
+        "mixed-carriers", "unassigned-capacity", "mixed-chains", "mixed-capacity-carriers",
+        "pool-on-another-chain"])
 def test_maps_and_monad_operations_refuse_foreign_names(call, error, text):
     with pytest.raises(error, match=text):
         call()
@@ -346,3 +372,80 @@ def test_membership_of_a_set_with_foreign_names_is_refused():
     for foreign in ({"a", "zzz"}, {"zzz"}):
         with pytest.raises(ValidationError, match=r"not elements of the space: \['zzz'\]"):
             foreign in h
+
+
+# ------------------------------------------------------------------ pools
+
+
+def _outers(names, chain, rng):
+    """Seeded outers over a pool's names: a density, a codensity and, on at
+    most 8 names, a table, so both closed forms and the view are reached."""
+    yield _random_pointwise(PossibilityCapacity, names, chain, rng)
+    yield _random_pointwise(NecessityCapacity, names, chain, rng)
+    if len(names) <= 8:
+        yield random_capacity(names, chain, rng)
+
+
+POOLS = [(space, chain, kind) for space, chain in ((X2, K2), (X3, K1), (X3, K2))
+         for kind in ("all", "union", "intersection")]
+
+
+def test_a_pool_and_a_plain_mapping_of_its_members_multiply_alike():
+    rng = random.Random(5)
+    for space, chain, kind in POOLS:
+        pool = capacity_pool(space, chain, kind)
+        for _ in range(10):
+            for outer in _outers(pool.names, chain, rng):
+                assert capacity_equal(mult(outer, pool), mult(outer, dict(pool.members)))
+    for space in (X2, X3):
+        pool = hyperspace_space(space)
+        for _ in range(30):
+            outer = random_hyperspace(pool.names, rng)
+            assert g_mult(outer, pool) == g_mult(outer, dict(pool.members))
+
+
+def test_a_pool_is_checked_once_not_on_each_multiplication(monkeypatch):
+    rng = random.Random(7)
+    pools = [capacity_pool(*case) for case in POOLS]
+    hyper = hyperspace_space(X3)
+    cases = [(outer, pool) for pool in pools for outer in _outers(pool.names, pool.chain, rng)]
+    built = []
+    original = Pool.__init__
+
+    def counted(self, names, *args):
+        built.append(names)
+        original(self, names, *args)
+
+    monkeypatch.setattr(Pool, "__init__", counted)
+    for outer, pool in cases:
+        mult(outer, pool).value(pool.base.universe)
+    for _ in range(20):
+        g_mult(random_hyperspace(hyper.names, rng), hyper)
+    assert built == []
+    # a plain mapping is built into a pool, and so checked, on every call
+    outer, pool = cases[0]
+    mult(outer, dict(pool.members))
+    g_mult(g_unit(hyper.names, "h0"), dict(hyper.members))
+    assert built == [pool.names, hyper.names]
+
+
+def test_a_pool_cannot_be_changed():
+    pool = capacity_pool(X2, K2, "union")
+    name, member = next(iter(pool.members.items()))
+    with pytest.raises(TypeError):
+        pool.members[name] = unit_dirac(X2, K2, "b")
+    with pytest.raises(TypeError):
+        del pool.members[name]
+    with pytest.raises(TypeError):
+        pool[1] = {}
+    for attr in ("names", "members", "base", "chain", "kind", "_keys", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pool, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(pool, attr)
+    assert pool.members[name] is member
+    # nor through the mapping it was built from, which it does not keep
+    given = {"n0": unit_dirac(X2, K2, "a")}
+    built = Pool(FiniteSpace(["n0"]), given, K2, CAPACITIES)
+    given["n0"] = unit_dirac(X2, K2, "b")
+    assert built.members["n0"] == unit_dirac(X2, K2, "a")
