@@ -51,7 +51,6 @@ from .capacity import (
     PossibilityCapacity,
     StructureMap,
     _check_cube_size,
-    _ranks,
     canonical_key,
     capacity_pool,
     kappa_dual,
@@ -330,9 +329,9 @@ def _mixture_search(c, kind, weights, pin, outer, inner, mixture, limit, budget)
     inner(weight(n), n(F)).  Weights, pin and values are level ranks."""
     chain, pool = c.chain, capacity_pool(c.carrier, c.chain, kind)
     names = pool.names.elements
-    # the ranks at the nonempty subsets, each member's as its pool keeps them
-    target = _ranks(c)[1:]
-    vecs = [pool.key(n)[1:] for n in names]
+    # the ranks at the nonempty subsets, each member's as its pool keys it
+    target = canonical_key(c)
+    vecs = [pool.key(n) for n in names]
     hits = []
     checked = 0
     nf = len(target)

@@ -343,14 +343,18 @@ def _ranks(c) -> list[int]:
             pre += [m | bit for m in pre]
         at = f.source.subset_masks()[1]
         return [source[at[pre[m]]] for m in carrier.subset_masks()[0]]
-    if isinstance(c, MultView):
-        ranks = list(map(c._flat, zip(*map(c.pool.key, c._support))))
-        ranks[0] = 0  # the empty set, read as 0 by MultView.value
-        return ranks
+    if isinstance(c, MultView):  # 0 at the empty set, as MultView.value reads it
+        return [0, *map(c._flat, zip(*map(c.pool.key, c._support)))]
     return [_read(c, s) for s in carrier.subsets(include_empty=True)]
 
 
-CAPACITIES = MemberKind("capacity", "capacities", lambda c: tuple(_ranks(c)))  # keyed by ranks
+def canonical_key(c: CapacityLike) -> tuple[int, ...]:
+    """The ranks of c at the nonempty subsets, in canonical order: the key
+    of every table keyed by capacities, pools and full structure maps."""
+    return tuple(_ranks(c)[1:])
+
+
+CAPACITIES = MemberKind("capacity", "capacities", canonical_key)
 
 
 def validate(sf) -> list[str]:
@@ -425,11 +429,6 @@ def capacity_equal(a: CapacityLike, b: CapacityLike) -> bool:
         return False
     _check_table_size(a.carrier)
     return _ranks(a) == _ranks(b)
-
-
-def canonical_key(c: CapacityLike) -> tuple:
-    """Value tuple over subsets in canonical order; usable as a dict key."""
-    return tuple(c.value(s).value for s in c.carrier.subsets())
 
 
 def unit_dirac(space: FiniteSpace, chain: Chain, x: str) -> PossibilityCapacity:
@@ -758,20 +757,20 @@ class LawCase(NamedTuple):
 class StructureMap:
     """Assigns an element to every capacity of one class (``_kind``, as
     ``capacity_pool`` names it) from a table, or from a backing structure
-    through ``_evaluate`` with each value kept per ``_cache_key``, by default
-    ``_key``, the key of its tables.  A capacity on another carrier or chain
-    is rejected before any lookup; one of the class in another form (a
-    table) is brought into the class's form.  ``unit_case`` and
-    ``mult_case`` are its algebra laws, case by case."""
+    through ``_evaluate``.  ``_cache`` keeps the values under ``_key``, the
+    capacity's integer ranks: a table map's cache is its table, and a
+    structure map's holds each value it reached.  A capacity on another
+    carrier or chain is rejected before any lookup; one of the class in
+    another form (a table) is brought into the class's form.  ``unit_case``
+    and ``mult_case`` are its algebra laws, case by case."""
 
-    __slots__ = ("carrier", "chain", "_table", "_structure", "_cache", "_images")
+    __slots__ = ("carrier", "chain", "_structure", "_cache", "_images")
 
     def __init__(self, carrier, chain, table=None, structure=None):
         self.carrier = carrier
         self.chain = chain
-        self._table = dict(table) if table is not None else None
         self._structure = structure
-        self._cache = {} if table is None else {self._cache_key_of(t): z for t, z in self._table.items()}
+        self._cache = {} if table is None else dict(table)
         # pool -> the map n -> xi(pool[n]) that mult_case pushes along
         self._images = weakref.WeakKeyDictionary()
 
@@ -789,25 +788,19 @@ class StructureMap:
             raise ValidationError("capacity uses a different chain")
         if self._kind in _POINTWISE:
             c = _as_pointwise(_POINTWISE[self._kind], c)
-        key = self._cache_key(c)
+        key = self._key(c)
         got = self._cache.get(key)
         if got is None:
-            if self._table is not None:
-                raise ValidationError(f"table has no entry for {','.join(map(str, self._key(c)))}")
+            if self._structure is None:
+                levels = self.chain.levels
+                raise ValidationError(f"table has no entry for {','.join(str(levels[r]) for r in key)}")
             got = self._cache[key] = self._evaluate(c)
         return got
 
-    def _cache_key(self, c):
-        return self._key(c)
-
-    def _cache_key_of(self, key):
-        """The cache key of a table key."""
-        return key
-
     def tabulate(self) -> dict[tuple, str]:
         """Explicit table over every capacity of the map's class on the carrier."""
-        if self._table is not None:
-            return dict(self._table)
+        if self._structure is None:
+            return dict(self._cache)
         pool = capacity_pool(self.carrier, self.chain, self._kind).members
         return {self._key(c): self(c) for c in pool.values()}
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 from .chain import Chain, Level
@@ -144,8 +143,10 @@ def nary_combination(s: ConvexStructure, coeffs, points) -> str:
     return acc
 
 
-def density_key(p: PossibilityCapacity) -> tuple:
-    return tuple(p.density[x].value for x in p.carrier.elements)
+def density_key(p: PossibilityCapacity) -> tuple[int, ...]:
+    """The weight ranks of the density p in carrier order: the key of a
+    union map's table."""
+    return tuple(w.i for w in p.density.values())
 
 
 class UnionStructureMap(StructureMap):
@@ -155,14 +156,6 @@ class UnionStructureMap(StructureMap):
     _kind = "union"
     _key = staticmethod(density_key)
 
-    @staticmethod
-    def _cache_key(p: PossibilityCapacity) -> tuple:
-        # the weight ranks, which hash as ints and not as Fractions
-        return tuple(w.i for w in p.density.values())
-
-    def _cache_key_of(self, key):
-        return tuple(self.chain.level(v).i for v in key)
-
     @classmethod
     def from_convex(cls, s: ConvexStructure) -> "UnionStructureMap":
         return cls(s.carrier, s.chain, structure=s)
@@ -171,9 +164,10 @@ class UnionStructureMap(StructureMap):
         return structure_map_from_ic(self._structure, c)
 
 
-def _fold(s, c, weights: str, anchor: Level, label: str, admitted, base_point):
+def _fold(s, c, anchor: Level, admitted, base_point):
     """Fold t(x0, a, x) over points x and the levels a that ``admitted``
-    picks for weight(x), from a base point x0 of weight ``anchor``.
+    picks from the chain's levels at the weight rank of x, from a base
+    point x0 of weight ``anchor``.
 
     ``anchor`` is also the weight at which the table is the derived
     semilattice operation that combines the terms: 1 (join) for ic and
@@ -182,16 +176,17 @@ def _fold(s, c, weights: str, anchor: Level, label: str, admitted, base_point):
     """
     if c.carrier != s.carrier or c.chain != s.chain:
         raise CarrierMismatchError("capacity and structure do not match")
-    w = getattr(c, weights)
+    fill = c._ends(c.chain)[0].i
+    w = {x: c._sup.get(x, fill) for x in s.carrier.elements}
     if base_point is None:
-        base_point = next(x for x in s.carrier.elements if w[x] == anchor)
-    elif w.get(base_point) != anchor:
-        raise ValidationError(f"base point {base_point!r} does not have {label}")
+        base_point = next(x for x, r in w.items() if r == anchor.i)
+    elif w.get(base_point) != anchor.i:
+        raise ValidationError(f"base point {base_point!r} does not have {c._name} {anchor}")
     t = s._table
     levels = s.chain.levels
     acc = base_point
-    for x in s.carrier.elements:
-        for a in admitted(w[x], levels):
+    for x, r in w.items():
+        for a in admitted(levels, r):
             acc = t[(acc, anchor, t[(base_point, a, x)])]
     return acc
 
@@ -204,10 +199,7 @@ def structure_map_from_ic(
     x0 is a point of density 1 (the first such in carrier order unless
     given); the result does not depend on the choice.
     """
-    return _fold(
-        s, c, "density", s.chain.one, "density 1",
-        lambda dx, levels: levels[:bisect_right(levels, dx)], base_point,
-    )
+    return _fold(s, c, s.chain.one, lambda levels, r: levels[:r + 1], base_point)
 
 
 def ic_from_structure_map(xi: UnionStructureMap) -> ConvexStructure:
@@ -284,10 +276,7 @@ def dual_structure_map(
     x0 is a point of codensity 0; independence from the choice mirrors
     the possibility side.
     """
-    return _fold(
-        s, c, "codensity", s.chain.zero, "codensity 0",
-        lambda cx, levels: levels[bisect_left(levels, cx):], base_point,
-    )
+    return _fold(s, c, s.chain.zero, lambda levels, r: levels[r:], base_point)
 
 
 class Semimodule(TableStructure):

@@ -4,7 +4,8 @@ All level values are strings holding exact fractions ("0", "1/2", "1"),
 never floats; the chain is declared by an integer "chain_k" field and
 the carrier by an "elements" list.  Capacity documents are written, never
 read; their set-valued keys join element names with commas (empty string
-for the empty set).  Value-vector keys join levels with commas, and
+for the empty set).  Value-vector keys (rank tuples in the program) join
+the texts of their levels with commas, and
 operation-table keys join arguments with pipes, following the key shape
 each table structure declares in ``_tables``; densities, codensities and
 phi maps use the same table codec.  Element cells are kept as given, never
@@ -21,7 +22,7 @@ from typing import Mapping
 
 from .chain import Chain, level_from_string, make_chain
 from .errors import ValidationError
-from .spaces import FiniteSpace, TableStructure
+from .spaces import FiniteSpace, TableStructure, _cell
 from .capacity import (
     DEFAULT_ENUMERATION_BUDGET,
     CapacityLike,
@@ -211,18 +212,24 @@ def _table_from_json(chain: Chain, obj: Mapping, name: str, shape: str, value: s
     return table
 
 
-def _vectors_to_json(table: Mapping[tuple, str]) -> dict:
-    """A table keyed by vectors of exact level values, joined by commas."""
-    return {",".join(map(str, key)): v for key, v in table.items()}
+def _vectors_to_json(chain: Chain, table: Mapping[tuple, str]) -> dict:
+    """A table keyed by rank vectors, each written as the texts of its
+    levels joined by commas."""
+    texts = [str(v) for v in chain.levels]
+    return {",".join([texts[r] for r in key]): v for key, v in table.items()}
 
 
 def _vectors_from_json(chain: Chain, obj: Mapping, name: str, arity: int) -> dict:
+    """The table of densities under ``name``, keyed by their weight ranks;
+    a key that is not a density (no weight is 1) is refused."""
     table = {}
     for text, v in _table(obj, name).items():
         parts = text.split(",")
         if len(parts) != arity:
             raise ValidationError(f"{name} key {text!r} has the wrong arity")
-        key = tuple(level_from_string(chain, p).value for p in parts)
+        key = tuple(level_from_string(chain, p).i for p in parts)
+        if chain.k not in key:
+            raise ValidationError(f"{name} key {text!r} is not a density: no weight is 1")
         if key in table:
             raise ValidationError(f"{name} key {text!r} names a cell already given")
         table[key] = v
@@ -253,10 +260,17 @@ def _structure_from_json(cls: type[TableStructure], obj: Mapping):
             )
 
     space, chain = _space_chain_from(obj, refuse)
-    return cls(space, chain, *(
+    tables = [
         _table_from_json(chain, _table(obj, name), name, shape) if shape else _field(obj, name)
         for name, shape in cls._tables.items()
-    ))
+    ]
+    s = cls(space, chain, *tables)
+    # s keeps exactly the declared cells, and the document gives each once
+    for (name, shape), table in zip(cls._tables.items(), tables):
+        if shape and len(table) > len(getattr(s, name)):
+            key = next(key for key in table if key not in getattr(s, name))
+            raise ValidationError(f"{name} key {_cell(key)!r} names an element outside the carrier")
+    return s
 
 
 def capacity_to_json(c: CapacityLike) -> dict:
@@ -293,7 +307,7 @@ def capacity_renderer(space: FiniteSpace, chain: Chain, kind: str):
 
 def union_map_to_json(xi: UnionStructureMap) -> dict:
     out = _header(xi.carrier, xi.chain)
-    out["xi"] = _vectors_to_json(xi.tabulate())
+    out["xi"] = _vectors_to_json(xi.chain, xi.tabulate())
     return out
 
 
@@ -330,10 +344,10 @@ def cube_from_json(obj: Mapping) -> CubeStructure:
 def full_map_to_json(
     xi: CapacityStructureMap | BiconvexStructure, table: Mapping[tuple, str]
 ) -> dict:
-    """Tabulated full structure map of xi, or of the structure behind it;
-    keys are capacity value vectors."""
+    """Tabulated full structure map of xi, or of the structure behind it,
+    keyed by ``canonical_key``; keys are written as capacity value vectors."""
     out = _header(xi.carrier, xi.chain, joins_names=False)
-    out["xi_full"] = _vectors_to_json(table)
+    out["xi_full"] = _vectors_to_json(xi.chain, table)
     return out
 
 

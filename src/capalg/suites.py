@@ -176,7 +176,7 @@ def _cap_witness(c) -> str:
     try:
         return _compact(capacity_to_json(c))
     except ValidationError:
-        return ",".join(map(str, canonical_key(c)))
+        return ",".join([str(c.chain.levels[r]) for r in canonical_key(c)])
 
 
 def _hs_witness(h: InclusionHyperspace) -> str:

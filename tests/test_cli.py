@@ -711,7 +711,7 @@ def malformed_documents(draw):
     obj = json.loads(json.dumps(WELL_FORMED[form]()))
     tables = sorted(t for t in TABLE_LEVEL_PART if t in obj)
     hows = ["top-level", "space", "chain-k", "table-type", "key-arity", "key-level", "cell-value",
-            "second-form"]
+            "stray-cell", "second-form"]
     if "elements" in obj:  # a cube document has no carrier list to break
         hows += ["elements-type", "elements-entry", "duplicate-name"]
     how = draw(strat.sampled_from(hows))
@@ -763,6 +763,16 @@ def malformed_documents(draw):
             hypothesis.assume(part is not None)
             parts[part] = draw(strat.sampled_from(BAD_LEVELS))
             table[sep.join(parts)] = table.pop(key)
+        elif how == "stray-cell":
+            # one more cell: an xi key that is not a density, or another
+            # table's key naming an element outside the carrier
+            names = [i for i in range(len(parts)) if i != TABLE_LEVEL_PART[name]]
+            hypothesis.assume(name == "xi" or (name != "phi" and names))
+            if name == "xi":
+                parts = ["0"] * len(parts)
+            else:
+                parts[draw(strat.sampled_from(names))] = "zz"
+            table[sep.join(parts)] = table[key]
         else:
             table[key] = draw(strat.one_of(
                 strat.just("zz"), strat.integers(), strat.none(),
@@ -827,6 +837,30 @@ def test_a_document_that_names_one_cell_twice_exits_two(command, text, message, 
     # is written, is refused, not read with the last value
     path = tmp_path / "in.json"
     path.write_text(text)
+    out = tmp_path / "report.json"
+    assert main([command, "--structure", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document, message", [
+    (command, _with_cell(_golden_union_map(), "xi", key, "a"),
+     f"xi key {key!r} is not a density: no weight is 1")
+    for command in ("algebra-laws", "roundtrip") for key in ("0,0", "0,1/2")
+] + [
+    ("algebra-laws", _with_cell(WELL_FORMED["ic"](), "ic", "0|1|q", "1"),
+     "ic key '0|1|q' names an element outside the carrier"),
+    ("biconvex-laws", _with_cell(_chain_model_quadruple(), "smeet", "1|zz", "1"),
+     "smeet key '1|zz' names an element outside the carrier"),
+], ids=["algebra-laws-xi-zero", "algebra-laws-xi-half", "roundtrip-xi-zero", "roundtrip-xi-half",
+        "ic", "smeet"])
+def test_a_document_cell_outside_its_declared_keys_exits_two(
+    command, document, message, tmp_path, capsys
+):
+    # such a cell is refused when the document is read, not dropped or
+    # read as a density
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
     out = tmp_path / "report.json"
     assert main([command, "--structure", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -13,11 +13,14 @@ import pytest
 from capalg.chain import Chain, complement
 from capalg.errors import BudgetExceededError, CarrierMismatchError, ValidationError
 from capalg.spaces import FiniteSpace, PointMap
+from capalg.biconvex import CapacityStructureMap, chain_model
 from capalg.capacity import (
     Capacity,
     NecessityCapacity,
     PossibilityCapacity,
     as_capacity,
+    canonical_key,
+    capacity_pool,
     enumerate_capacities,
     is_algebra_morphism,
     kappa_dual,
@@ -226,18 +229,24 @@ def test_broken_table_fails_the_algebra_laws():
     assert any(p.startswith("unit-law") for p in problems)
 
 
-def test_union_map_keys_its_cache_by_weight_ranks():
-    # the cache and a table's lookups go by weight ranks; tabulate() and
-    # from_table keep the density_key values of the documents
-    s = chain_model_convex(K2)
-    for xi in (UnionStructureMap.from_convex(s),
-               UnionStructureMap.from_table(s.carrier, K2, UnionStructureMap.from_convex(s).tabulate())):
-        table = xi.tabulate()
-        assert all(isinstance(v, Fraction) for key in table for v in key)
-        for p in enumerate_capacities(s.carrier, K2, "union"):
-            assert xi(p) == table[density_key(p)]
-        assert set(xi._cache) == {tuple(w.i for w in p.density.values())
-                                  for p in enumerate_capacities(s.carrier, K2, "union")}
+def test_structure_maps_key_cache_table_and_tabulate_by_one_rank_key():
+    # each map class has one key of int ranks: a structure map's cache, a
+    # table map's cache (which is its table) and tabulate() all use it
+    for by_structure, key in (
+        (UnionStructureMap.from_convex(chain_model_convex(K2)), density_key),
+        (CapacityStructureMap.from_biconvex(chain_model(K2)), canonical_key),
+    ):
+        pool = capacity_pool(by_structure.carrier, K2, by_structure._kind).members.values()
+        keys = {key(c) for c in pool}
+        assert all(type(r) is int for k in keys for r in k)
+        table = by_structure.tabulate()
+        by_table = type(by_structure).from_table(by_structure.carrier, K2, table)
+        assert by_table._cache == table
+        for xi in (by_structure, by_table):
+            assert set(xi._cache) == set(xi.tabulate()) == keys
+            assert xi.tabulate() == table
+            for c in pool:
+                assert xi(c) == table[key(c)]
 
 
 def test_nary_combination_is_the_structure_map_of_its_density():

@@ -64,7 +64,7 @@ def _cap_text(c) -> str:
 
 
 def _values_text(c) -> str:
-    return ",".join(str(v) for v in capacity.canonical_key(c))
+    return ",".join(str(c.chain.levels[r]) for r in capacity.canonical_key(c))
 
 
 def _other_hyperspace(h: InclusionHyperspace) -> InclusionHyperspace:
