@@ -294,7 +294,7 @@ def structure_map_possibility(b: BiconvexStructure, c: PossibilityCapacity) -> s
     """
     _check_match(b, c)
     primary = b.join_all(
-        b.smeet[(c.density[x], x)] for x in b.carrier.elements
+        b.smeet[(w, x)] for x, w in c.density.items()
     )
     universe = b.carrier.universe
     dual = b.meet_all(

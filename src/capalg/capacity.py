@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .chain import Chain, Level
@@ -58,40 +59,46 @@ def _check_table_size(carrier: FiniteSpace) -> None:
 
 
 class SetFunction:
-    """Explicit subset -> level table; not necessarily a capacity."""
+    """Explicit subset -> level table, kept as ranks; not necessarily a capacity."""
 
-    __slots__ = ("carrier", "chain", "table")
+    __slots__ = ("carrier", "chain", "_by_subset")
 
     def __init__(self, carrier: FiniteSpace, chain: Chain, table: Mapping[Subset, Level]):
         _check_table_size(carrier)
-        fixed: dict[Subset, Level] = {}
+        fixed: list[int] = []
         for s in carrier.subsets(include_empty=True):
             if s not in table:
                 raise ValidationError(f"missing value for subset {sorted(s)}")
-            fixed[s] = chain.level(table[s])
+            fixed.append(chain.level(table[s]).i)
         self.carrier = carrier
         self.chain = chain
-        self.table = fixed
+        self._by_subset = tuple(fixed)
+
+    @property
+    def table(self) -> Mapping[Subset, Level]:
+        """The level at each subset, in ``subset_keys`` order, read-only and built on each read."""
+        levels, keys = self.chain.levels, self.carrier.subset_keys()
+        return MappingProxyType({s: levels[r] for s, r in zip(keys, self._by_subset)})
 
     def value(self, members: Subset) -> Level:
-        got = self.table.get(frozenset(members))
-        if got is None:
+        at = self.carrier.subset_positions().get(frozenset(members))
+        if at is None:
             raise ValidationError(f"{sorted(members)} is not a subset of the carrier")
-        return got
+        return self.chain.levels[self._by_subset[at]]
 
     def __eq__(self, other):
         return (
             isinstance(other, SetFunction)
             and other.carrier == self.carrier
             and other.chain == self.chain
-            and other.table == self.table
+            and other._by_subset == self._by_subset
         )
 
     def __hash__(self):
         return hash((self.carrier, self.chain, canonical_key(self)))
 
     def __repr__(self):
-        parts = [f"{{{key}}}:{self.table[s]}" for s, key in self.carrier.subset_keys().items()]
+        parts = [f"{{{self.carrier.subset_keys()[s]}}}:{v}" for s, v in self.table.items()]
         return f"{type(self).__name__}({'; '.join(parts)})"
 
 
@@ -107,23 +114,20 @@ class Capacity(SetFunction):
             raise ValidationError("; ".join(problems))
 
     @classmethod
-    def _trusted(cls, carrier, chain, table: dict[Subset, Level]) -> "Capacity":
-        """Wrap a table known to be a capacity, without re-checking it.
-
-        ``table`` must hold a level of ``chain`` for every subset, in
-        ``carrier.subsets(include_empty=True)`` order, and be monotone and
-        normalized.
-        """
+    def _trusted(cls, carrier, chain, ranks: tuple[int, ...]) -> "Capacity":
+        """Wrap ranks known to be a capacity's, without re-checking them:
+        a rank of ``chain`` at every subset, in ``subset_keys`` order,
+        monotone and normalized."""
         c = object.__new__(cls)
-        c.carrier, c.chain, c.table = carrier, chain, table
+        c.carrier, c.chain, c._by_subset = carrier, chain, ranks
         return c
 
 
 class _PointwiseCapacity:
-    """Carrier + chain + one validated level per point under the attribute
+    """Carrier + chain + one validated level per point, read under the name
     ``_name`` (``density`` or ``codensity``); missing points get the level
     ``_fill`` (0 or 1), and ``_bound`` (max or min) of all must be 1 - _fill.
-    ``_sup`` keeps the rank of each point off the fill, the support.
+    Only ``_sup`` is kept: the rank of each point off the fill, the support.
     """
 
     __slots__ = ("carrier", "chain", "_sup")
@@ -135,24 +139,18 @@ class _PointwiseCapacity:
                 raise ValidationError(f"{self._name} key {x!r} is not in the carrier")
         fill, pin = self._ends(chain)
         # the fill is a level of the chain already: coerce the given weights only
-        given = {x: chain.level(v) for x, v in weights.items()}
-        sup = {x: v.i for x, v in given.items() if v.i != fill.i}
+        given = {x: chain.level(v).i for x, v in weights.items()}
+        sup = {x: r for x, r in given.items() if r != fill.i}
         if pin.i not in sup.values():
             raise ValidationError(f"a {self._side} {self._name} must attain {pin}")
-        fixed = dict.fromkeys(carrier.elements, fill)
-        fixed.update(given)
         self.carrier, self.chain, self._sup = carrier, chain, sup
-        setattr(self, self._name, fixed)
 
     @classmethod
     def _trusted(cls, carrier: FiniteSpace, chain: Chain, sup: dict[str, int]):
         """The capacity with the support ranks ``sup``, unchecked: each must
         be off the fill, and one must be 1 - _fill."""
         c = object.__new__(cls)
-        fixed = dict.fromkeys(carrier.elements, cls._ends(chain)[0])
-        fixed.update({x: chain.levels[r] for x, r in sup.items()})
         c.carrier, c.chain, c._sup = carrier, chain, sup
-        setattr(c, cls._name, fixed)
         return c
 
     @classmethod
@@ -160,8 +158,10 @@ class _PointwiseCapacity:
         return (chain.one, chain.zero) if cls._fill else (chain.zero, chain.one)
 
     @property
-    def _weights(self) -> dict[str, Level]:
-        return getattr(self, self._name)
+    def _weights(self) -> Mapping[str, Level]:
+        """The level of each point, in carrier order, as a read-only mapping built on each read."""
+        levels, fill = self.chain.levels, self._ends(self.chain)[0].i
+        return MappingProxyType({x: levels[self._sup.get(x, fill)] for x in self.carrier.elements})
 
     def __eq__(self, other):
         return (
@@ -172,10 +172,10 @@ class _PointwiseCapacity:
         )
 
     def __hash__(self):
-        return hash((self.carrier, self.chain, tuple(self._weights[x] for x in self.carrier.elements)))
+        return hash((self.carrier, self.chain, tuple(self._weights.values())))
 
     def __repr__(self):
-        parts = [f"{x}:{self._weights[x]}" for x in self.carrier.elements]
+        parts = [f"{x}:{w}" for x, w in self._weights.items()]
         return f"{type(self).__name__}({', '.join(parts)})"
 
     def value(self, members: Subset) -> Level:
@@ -197,15 +197,17 @@ class _PointwiseCapacity:
 class PossibilityCapacity(_PointwiseCapacity):
     """Capacity determined by a point density with maximum 1."""
 
-    __slots__ = ("density",)
+    __slots__ = ()
     _side, _name, _fill, _law = "possibility", "density", 0, "union"
+    density = _PointwiseCapacity._weights
 
 
 class NecessityCapacity(_PointwiseCapacity):
     """Capacity determined by its values on complements of points (codensity, min 0)."""
 
-    __slots__ = ("codensity",)
+    __slots__ = ()
     _side, _name, _fill, _law = "necessity", "codensity", 1, "intersection"
+    codensity = _PointwiseCapacity._weights
     _bound = staticmethod(min)
 
 
@@ -328,7 +330,7 @@ def _ranks(c) -> list[int]:
     flattening of its inner rank vectors (their pool's keys); anything else
     is read per subset."""
     if isinstance(c, SetFunction):
-        return [v.i for v in c.table.values()]
+        return list(c._by_subset)
     if isinstance(c, _PointwiseCapacity):
         return _fold(c)
     carrier = c.carrier
@@ -418,8 +420,7 @@ def as_capacity(c: CapacityLike) -> Capacity:
     if isinstance(c, Capacity):
         return c
     _check_table_size(c.carrier)
-    table = dict(zip(c.carrier.subset_keys(), map(c.chain.levels.__getitem__, _ranks(_checked(c)))))
-    return Capacity._trusted(c.carrier, c.chain, table)
+    return Capacity._trusted(c.carrier, c.chain, tuple(_ranks(_checked(c))))
 
 
 def capacity_equal(a: CapacityLike, b: CapacityLike) -> bool:
@@ -577,18 +578,15 @@ def kappa_dual(c: CapacityLike) -> CapacityLike:
         other = NecessityCapacity if isinstance(c, PossibilityCapacity) else PossibilityCapacity
         return other._trusted(c.carrier, chain, {x: chain.k - r for x, r in c._sup.items()})
     # the complement of each subset sits at the mirrored position
-    ranks = reversed(_ranks(as_capacity(c)))
-    table = dict(zip(c.carrier.subset_keys(), [chain.levels[chain.k - r] for r in ranks]))
-    return Capacity._trusted(c.carrier, chain, table)
+    return Capacity._trusted(c.carrier, chain, tuple(chain.k - r for r in _ranks(as_capacity(c))[::-1]))
 
 
 def embed_inclusion_hyperspace(hs: InclusionHyperspace, chain: Chain) -> Capacity:
-    """0/1 capacity of a hyperspace: 1 exactly on its members."""
-    table = {
-        s: (chain.one if s and s in hs else chain.zero)
-        for s in hs.carrier.subsets(include_empty=True)
-    }
-    return Capacity(hs.carrier, chain, table)
+    """0/1 capacity of a hyperspace: 1 exactly on its members, which are
+    nonempty and closed upward, so a capacity by construction."""
+    _check_table_size(hs.carrier)
+    ranks = tuple(chain.k if s and s in hs else 0 for s in hs.carrier.subset_keys())
+    return Capacity._trusted(hs.carrier, chain, ranks)
 
 
 def check_enumeration_budget(space: FiniteSpace, k: int, budget: int) -> None:
@@ -665,13 +663,13 @@ def enumerate_capacities(
     checked again.
     """
     check_enumeration_budget(space, chain.k, budget)
-    cls, levels, keys = _POINTWISE.get(kind), chain.levels, space.subset_keys()
+    cls = _POINTWISE.get(kind)
     fill = cls and cls._ends(chain)[0].i
     for ranks in enumerate_ranks(space, chain.k, kind):
         if cls:
             yield cls._trusted(space, chain, {x: r for x, r in zip(space.elements, ranks) if r != fill})
         else:
-            yield Capacity._trusted(space, chain, dict(zip(keys, map(levels.__getitem__, ranks))))
+            yield Capacity._trusted(space, chain, ranks)
 
 
 def rank_flags(space: FiniteSpace, k: int, kind: str):
@@ -776,10 +774,30 @@ class StructureMap:
 
     @classmethod
     def from_table(cls, carrier, chain, table: Mapping[tuple, str]):
-        for z in table.values():
+        """The map given by ``table``, which need not cover the class: each
+        key must be ``_key`` of a capacity of the class on the carrier, and
+        each value an element of the carrier."""
+        for key, z in table.items():
+            if not cls._is_key(carrier, chain, key):
+                raise ValidationError(f"table key {key!r} is not the rank tuple of a {cls._kind!r} capacity")
             if z not in carrier.index:
                 raise ValidationError(f"table value {z!r} is not in the carrier")
         return cls(carrier, chain, table=table)
+
+    @classmethod
+    def _is_key(cls, carrier, chain, key) -> bool:
+        """Whether ``key`` is the ``_key`` of a capacity of the class: int
+        ranks on the chain, one per point with one at 1 - fill for a density
+        or codensity, and a capacity's at the nonempty subsets otherwise."""
+        form = _POINTWISE.get(cls._kind)
+        size = len(carrier) if form else 2 ** len(carrier) - 1
+        if type(key) is not tuple or len(key) != size:
+            return False
+        if not all(type(r) is int and 0 <= r <= chain.k for r in key):
+            return False
+        if form:
+            return form._ends(chain)[1].i in key
+        return not validate(Capacity._trusted(carrier, chain, (0, *key)))
 
     def __call__(self, c) -> str:
         if c.carrier != self.carrier:
@@ -845,11 +863,9 @@ def random_capacity(space: FiniteSpace, chain: Chain, rng) -> Capacity:
     uniformly from the levels at or above the largest already-fixed
     value of an immediate subset; the whole space is pinned at 1.
     """
-    table: dict[Subset, Level] = {frozenset(): chain.zero}
-    subsets = list(space.subsets())
-    for s in subsets[:-1]:
-        lo = max(table[s - {x}] for x in s)
-        choices = [lv for lv in chain.levels if lv >= lo]
-        table[s] = rng.choice(choices)
-    table[space.universe] = chain.one
-    return Capacity(space, chain, table)
+    _check_table_size(space)
+    ranks: dict[Subset, int] = {frozenset(): 0}
+    for s in list(space.subsets())[:-1]:
+        ranks[s] = rng.choice(range(max(ranks[s - {x}] for x in s), chain.k + 1))
+    ranks[space.universe] = chain.k
+    return Capacity._trusted(space, chain, tuple(ranks.values()))

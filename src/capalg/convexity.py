@@ -146,7 +146,7 @@ def nary_combination(s: ConvexStructure, coeffs, points) -> str:
 def density_key(p: PossibilityCapacity) -> tuple[int, ...]:
     """The weight ranks of the density p in carrier order: the key of a
     union map's table."""
-    return tuple(w.i for w in p.density.values())
+    return tuple(p._sup.get(x, 0) for x in p.carrier.elements)
 
 
 class UnionStructureMap(StructureMap):
@@ -247,7 +247,7 @@ def check_algebra_laws(
         if isinstance(subject, str):
             out.append(f"unit-law: xi(dirac {subject}) = {case.got}")
         else:
-            dens_str = ",".join(str(subject.density[n]) for n in subject.carrier.elements)
+            dens_str = ",".join(map(str, subject.density.values()))
             out.append(
                 f"mult-law: outer density ({dens_str}) gives xi(mult)={case.got} "
                 f"but xi(map xi)={case.want}"

@@ -28,9 +28,10 @@ from .capacity import (
     CapacityLike,
     NecessityCapacity,
     PossibilityCapacity,
-    SetFunction,
     _POINTWISE,
     _check_cube_size,
+    _ranks,
+    capacity_pool,
     check_enumeration_budget,
 )
 from .convexity import (
@@ -38,6 +39,7 @@ from .convexity import (
     DualConvexStructure,
     Semimodule,
     UnionStructureMap,
+    density_key,
 )
 from .biconvex import (
     BiconvexStructure,
@@ -274,17 +276,14 @@ def _structure_from_json(cls: type[TableStructure], obj: Mapping):
 
 
 def capacity_to_json(c: CapacityLike) -> dict:
-    """A density, a codensity, or the value at every subset (a table's in
-    its own order, the subset order); set keys come from the carrier, and
-    each level's text is made once per call."""
+    """A density, a codensity, or the value at every subset, read as ranks;
+    set keys come from the carrier, and each level's text is made once per call."""
     base = _header(c.carrier, c.chain)
     if isinstance(c, (PossibilityCapacity, NecessityCapacity)):
         base[c._name] = _table_to_json(c._weights, "x", "a")
         return base
-    keys = c.carrier.subset_keys()
-    values = c.table.values() if isinstance(c, SetFunction) else map(c.value, keys)
     texts = [str(v) for v in c.chain.levels]
-    base["values"] = {key: texts[v.i] for key, v in zip(keys.values(), values)}
+    base["values"] = {key: texts[r] for key, r in zip(c.carrier.subset_keys().values(), _ranks(c))}
     return base
 
 
@@ -312,8 +311,13 @@ def union_map_to_json(xi: UnionStructureMap) -> dict:
 
 
 def union_map_from_json(obj: Mapping) -> UnionStructureMap:
+    """The union map of an ``xi`` document, which gives one value per density."""
     space, chain = _space_chain_from(obj, _read_by_pool)
     table = _vectors_from_json(chain, obj, "xi", len(space))
+    for p in capacity_pool(space, chain, "union").members.values():
+        if density_key(p) not in table:
+            weights = ",".join(map(str, p.density.values()))
+            raise ValidationError(f"xi has no entry for the density {weights}")
     return UnionStructureMap.from_table(space, chain, table)
 
 

@@ -24,7 +24,7 @@ Subset = frozenset  # subsets are plain frozensets of element names
 class FiniteSpace:
     """Ordered finite set of distinct element names."""
 
-    __slots__ = ("elements", "index", "_universe", "_subset_keys", "_masks")
+    __slots__ = ("elements", "index", "_universe", "_subset_keys", "_masks", "_positions")
 
     def __init__(self, elements: Iterable[str]):
         elems = tuple(elements)
@@ -40,6 +40,7 @@ class FiniteSpace:
         self._universe = frozenset(elems)
         self._subset_keys: dict[Subset, str] | None = None
         self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._positions: dict[Subset, int] | None = None
 
     def __eq__(self, other):
         return other is self or (isinstance(other, FiniteSpace) and other.elements == self.elements)
@@ -97,6 +98,12 @@ class FiniteSpace:
             masks = tuple(sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r))
             self._masks = (masks, tuple(sorted(range(len(masks)), key=masks.__getitem__)))
         return self._masks
+
+    def subset_positions(self) -> dict[Subset, int]:
+        """The position of each subset in ``subset_keys`` order; built once, like it."""
+        if self._positions is None:
+            self._positions = {s: i for i, s in enumerate(self.subset_keys())}
+        return self._positions
 
     def sorted_names(self, s: Subset) -> list[str]:
         return sorted(s, key=self.index.__getitem__)

@@ -482,7 +482,7 @@ def check_convex_roundtrip(rep: SuiteReport, s: ConvexStructure, wit, density_wi
     xi = UnionStructureMap.from_convex(s)
     rep.check("table-roundtrip", ic_from_structure_map(xi).ic == s.ic, wit)
     for c in capacity_pool(s.carrier, s.chain, "union")[1].values():
-        base_points = [x for x in s.carrier.elements if c.density[x] == s.chain.one]
+        base_points = [x for x, w in c.density.items() if w == s.chain.one]
         got = {structure_map_from_ic(s, c, x0) for x0 in base_points}
         rep.check("base-point-independence", len(got) == 1, lambda c=c: density_wit(c))
     return xi
@@ -535,7 +535,7 @@ def convex_roundtrip_suite(space: FiniteSpace, chain: Chain) -> SuiteReport:
         )
         rep.check("algebra-laws", not check_algebra_laws(xi), wit)
         for c in densities:
-            coeffs = [c.density[x] for x in space.elements]
+            coeffs = list(c.density.values())
             folded = nary_combination(s, coeffs, space.elements)
             backward = nary_combination(
                 s, list(reversed(coeffs)), list(reversed(space.elements))

@@ -64,6 +64,7 @@ from capalg.capacity import (
     _support,
 )
 from capalg.convexity import UnionStructureMap, density_key
+from capalg.serial import capacity_to_json
 from capalg.suites import _random_pointwise
 
 K2 = Chain(2)
@@ -1135,6 +1136,63 @@ def test_pointwise_values_read_on_the_support_equal_the_definition():
             # the same capacity with every point's weight given, fills included
             full = type(c)(carrier, chain, c._weights)
             assert full == c and full._sup == c._sup
+
+
+# each capacity with a write into the mapping its public attribute reads:
+# a table's top value set to 0, a density's fill point raised to 1, a
+# codensity's fill point lowered to 0
+WRITES = {
+    "table": (lambda: Capacity(X2, K2, DROOP | {frozenset("ab"): 1}), "table", frozenset("ab"), 0),
+    "density": (lambda: PossibilityCapacity(X2, K2, {"a": 1}), "density", "b", 1),
+    "codensity": (lambda: NecessityCapacity(X2, K2, {"a": 0}), "codensity", "b", 0),
+}
+
+
+@pytest.mark.parametrize("form", sorted(WRITES))
+def test_a_write_into_a_read_mapping_leaves_the_capacity_unchanged(form):
+    # the mapping is built on each read: a write into it (refused or not)
+    # changes no reading of the capacity, so it stays equal to a fresh one
+    build, name, key, level = WRITES[form]
+    c, fresh = build(), build()
+    dirac = unit_dirac(names_of(1), K2, "n0")
+    try:
+        getattr(c, name)[key] = K2.level(level)
+    except TypeError:
+        pass
+    assert getattr(c, name) == getattr(fresh, name)
+    assert per_subset(c) == per_subset(fresh)
+    assert canonical_key(c) == canonical_key(fresh)
+    if form == "density":
+        assert density_key(c) == density_key(fresh)
+    assert capacity_to_json(c) == capacity_to_json(fresh)
+    assert c == fresh and hash(c) == hash(fresh)
+    assert validate(c) == []
+    assert mult(dirac, {"n0": c}).value(X2.universe) == K2.one
+
+
+def test_equal_densities_and_codensities_hash_equal_however_built():
+    # each pair: a form built by a monad operation or by conjugation, and
+    # the same form from the public constructor with every weight given
+    d = PossibilityCapacity(X3, K2, {"a": 1, "b": "1/2"})
+    e = NecessityCapacity(X3, K2, {"c": 0, "a": "1/2"})
+    onto = PointMap(X3, X2, {"a": "b", "b": "a", "c": "a"})
+    outer = PossibilityCapacity(X2, K2, {"a": "1/2", "b": 1})
+    co_outer = NecessityCapacity(X2, K2, {"a": "1/2", "b": 0})
+    half = PossibilityCapacity(X3, K2, {"c": 1, "a": "1/2"})
+    co_half = NecessityCapacity(X3, K2, {"b": 0, "c": "1/2"})
+    pairs = [
+        (unit_dirac(X3, K2, "b"), PossibilityCapacity(X3, K2, {"a": 0, "b": 1, "c": 0})),
+        (pushforward(onto, d), PossibilityCapacity(X2, K2, {"a": "1/2", "b": 1})),
+        (pushforward(onto, e), NecessityCapacity(X2, K2, {"a": 0, "b": "1/2"})),
+        (mult(outer, {"a": d, "b": half}), PossibilityCapacity(X3, K2, {"a": "1/2", "b": "1/2", "c": 1})),
+        (mult(co_outer, {"a": e, "b": co_half}), NecessityCapacity(X3, K2, {"a": "1/2", "b": 0, "c": "1/2"})),
+        (kappa_dual(d), NecessityCapacity(X3, K2, {"a": 0, "b": "1/2", "c": 1})),
+        (kappa_dual(e), PossibilityCapacity(X3, K2, {"a": "1/2", "b": 0, "c": 1})),
+    ]
+    for built, public in pairs:
+        assert type(built) is type(public)
+        assert built == public and hash(built) == hash(public), (built, public)
+        assert capacity_to_json(built) == capacity_to_json(public)
 
 
 @pytest.mark.parametrize("cls, weights, text", [

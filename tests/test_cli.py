@@ -19,7 +19,7 @@ from capalg import cli, serial
 from capalg.capacity import classify, enumerate_capacities
 from capalg.chain import Chain
 from capalg.cli import main
-from capalg.convexity import ConvexStructure
+from capalg.convexity import ConvexStructure, UnionStructureMap, enumerate_convex_structures
 from capalg.biconvex import (
     CapacityStructureMap,
     chain_model,
@@ -33,6 +33,7 @@ from capalg.serial import (
     dumps_canonical,
     full_map_to_json,
     structure_to_json,
+    union_map_to_json,
 )
 from capalg.spaces import FiniteSpace
 
@@ -518,6 +519,15 @@ def _golden_union_map():
     }
 
 
+def _xi_without(key):
+    """The ``xi`` document of the first 3-point k=2 convex structure, with
+    the density written ``key`` left out."""
+    s = next(enumerate_convex_structures(FiniteSpace(["a", "b", "c"]), K2))
+    document = union_map_to_json(UnionStructureMap.from_convex(s))
+    del document["xi"][key]
+    return document
+
+
 def _golden_triple():
     obj = _chain_model_triple()
     obj["p"]["1/2"] = "1"
@@ -852,13 +862,17 @@ def test_a_document_that_names_one_cell_twice_exits_two(command, text, message, 
      "ic key '0|1|q' names an element outside the carrier"),
     ("biconvex-laws", _with_cell(_chain_model_quadruple(), "smeet", "1|zz", "1"),
      "smeet key '1|zz' names an element outside the carrier"),
+] + [
+    (command, _xi_without("1,1/2,1/2"), "xi has no entry for the density 1,1/2,1/2")
+    for command in ("algebra-laws", "roundtrip")
 ], ids=["algebra-laws-xi-zero", "algebra-laws-xi-half", "roundtrip-xi-zero", "roundtrip-xi-half",
-        "ic", "smeet"])
+        "ic", "smeet", "algebra-laws-xi-missing", "roundtrip-xi-missing"])
 def test_a_document_cell_outside_its_declared_keys_exits_two(
     command, document, message, tmp_path, capsys
 ):
     # such a cell is refused when the document is read, not dropped or
-    # read as a density
+    # read as a density; so is an xi document that leaves out a density,
+    # which no command may read as a partial map
     path = tmp_path / "in.json"
     path.write_text(json.dumps(document))
     out = tmp_path / "report.json"

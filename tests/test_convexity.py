@@ -597,6 +597,29 @@ def test_maps_and_combinations_refuse_foreign_inputs():
         no_entries(PossibilityCapacity(X2, K2, {"a": 1, "b": "1/2"}))
 
 
+@pytest.mark.parametrize("cls, table, bad", [
+    # a key in the old Fraction format, then one of the wrong arity
+    (UnionStructureMap, {(Fraction(1), Fraction(1, 2)): "a", (1, 2, 7): "b"},
+     "(Fraction(1, 1), Fraction(1, 2))"),
+    (UnionStructureMap, {(2, 1): "a", (1, 2, 7): "b"}, "(1, 2, 7)"),
+    (UnionStructureMap, {(2, 3): "a"}, "(2, 3)"),
+    (UnionStructureMap, {(True, 2): "a"}, "(True, 2)"),
+    (UnionStructureMap, {(1, 0): "a"}, "(1, 0)"),
+    (UnionStructureMap, {"2,1": "a"}, "'2,1'"),
+    (CapacityStructureMap, {(1, 2): "a"}, "(1, 2)"),
+    (CapacityStructureMap, {(2, 0, 1): "a"}, "(2, 0, 1)"),
+    (CapacityStructureMap, {(0, 0, 1): "a"}, "(0, 0, 1)"),
+], ids=["fraction", "arity", "off-chain", "bool", "no-one", "text", "all-arity", "all-monotone",
+        "all-normalized"])
+def test_a_table_map_refuses_a_key_outside_its_class(cls, table, bad):
+    # each key must be the rank tuple of a capacity of the map's class on
+    # its carrier; a partial table of such keys stays legal
+    with pytest.raises(ValidationError, match=f"^table key {re.escape(bad)} is not the rank tuple of a"):
+        cls.from_table(X2, K2, table)
+    good = (2, 1) if cls is UnionStructureMap else (1, 1, 2)
+    assert cls.from_table(X2, K2, {good: "a"}).tabulate() == {good: "a"}
+
+
 def _two_point_table(cells: str) -> ConvexStructure:
     """ic on {a, b} at k = 1 from its eight cells, in (x, a, y) order."""
     keys = itertools.product(X2.elements, K1.levels, X2.elements)
